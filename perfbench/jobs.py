@@ -7,8 +7,9 @@ A workload object provides:
 - ``setup()``: what a user pays once per process (native kernel load,
   topology construction, warm-cache template); it returns the topology
   metrics, and the runner repeats it ``setup_reps`` times;
-- ``prepare()`` then ``run()``: untimed preparation, then one timed job
-  returning a :class:`JobOutput`;
+- ``prepare()`` then ``run(probe)``: untimed preparation, then one job
+  returning a :class:`JobOutput`; the job times each of its calls and
+  runs the host-speed ``probe`` before the first call and after each;
 - ``check_job(out)``: cheap invariants on every job's output, plus
   equality with the first job's (same seed, same results);
 - ``check_oracles(out)``: the expensive comparisons against independent
@@ -28,10 +29,11 @@ import random
 import shutil
 import threading
 import tracemalloc
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.analytic import bounds
 from repro.analytic.enumeration import edge_system
@@ -55,16 +57,32 @@ Tally = Tuple[int, int, List[str]]
 class JobOutput:
     """One job's results: ``points`` is how many results the caller got
     (grid points or counts); ``parts`` the wall time of each call the
-    job makes, in order (one per topology, or one per count);
-    ``first_s`` is when the first results reached the caller, ``None``
-    when all arrive together at the end; ``cached`` is how many the
-    service answered from its cache."""
+    job makes, in order; ``probes`` the probe times around them (one
+    more than ``parts``); ``firsts`` the time from each call to its
+    first streamed result, empty when every result arrives at the end
+    of its call; ``cached`` is how many the service answered from its
+    cache."""
 
     results: Any
     points: int
     parts: List[float]
-    first_s: Optional[float] = None
+    probes: List[float]
+    firsts: List[float] = field(default_factory=list)
     cached: int = 0
+
+
+def _timed(
+    calls: Iterable[Callable[[], Any]], probe: Callable[[], float]
+) -> Tuple[List[Any], List[float], List[float]]:
+    """Each call's result and wall time, and the probe's time before
+    the first call and after each."""
+    results, parts, probes = [], [], [probe()]
+    for call in calls:
+        t0 = perf_counter()
+        results.append(call())
+        parts.append(perf_counter() - t0)
+        probes.append(probe())
+    return results, parts, probes
 
 
 def _clear_cube_caches() -> None:
@@ -91,7 +109,7 @@ class Workload:
     # spans a traced job must record; one with no call means the layer
     # moved or vanished, which the runner reports
     expected_spans: Tuple[str, ...] = ()
-    setup_reps = 5
+    setup_reps = 7
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
@@ -104,7 +122,7 @@ class Workload:
     def prepare(self) -> None:
         """Untimed per-job preparation, so every job does the same work."""
 
-    def run(self) -> JobOutput:
+    def run(self, probe: Callable[[], float]) -> JobOutput:
         raise NotImplementedError
 
     def check_job(self, out: JobOutput) -> Tally:
@@ -130,17 +148,23 @@ class GridWorkload(Workload):
     num_seeds = 4
     batch = 48
     samples = 4  # grid points re-run unbatched on the NumPy backend
+    # a job makes one call per topology and entry here (axes overridden
+    # for that call); every call is one whole batch or more, so the calls
+    # do the grid's work, and their records concatenate to the grid's
+    part_axes: Tuple[Dict[str, Any], ...] = ({},)
 
     def __init__(self, seed: int, workdir: Path):
         super().__init__(seed, workdir)
         n = self.num_seeds
         self.grid = dict(self.axes, seeds=list(range(n * seed, n * seed + n)))
         self.specs = sweep.expand_grid(**self.grid)
-        # the grid one topology per call: points batch per topology, so
-        # this is the same work, and the topologies come out in grid order
         self.part_grids = [
-            dict(self.grid, topologies=[t]) for t in self.grid["topologies"]
+            dict(self.grid, topologies=[t], **axes)
+            for t in self.grid["topologies"] for axes in self.part_axes
         ]
+        tiled = [s for g in self.part_grids for s in sweep.expand_grid(**g)]
+        if tiled != self.specs:
+            raise ValueError(f"{self.name}: the calls do not tile the grid")
 
     def setup(self) -> Dict[str, float]:
         backends.reset()
@@ -158,17 +182,17 @@ class GridWorkload(Workload):
             "topology.links": float(sum(t.num_links for t in topos)),
         }
 
-    def run(self) -> JobOutput:
-        records: List[Any] = []
-        parts: List[float] = []
-        for grid in self.part_grids:
-            t0 = perf_counter()
-            records += sweep.run_sweep(
-                **grid, batch=self.batch, processes=1, backend=BACKEND
-            )
-            parts.append(perf_counter() - t0)
+    def run(self, probe: Callable[[], float]) -> JobOutput:
+        # looked up at call time, so traced jobs call the wrapped function
+        outs, parts, probes = _timed((
+            partial(sweep.run_sweep, **grid, batch=self.batch, processes=1,
+                    backend=BACKEND)
+            for grid in self.part_grids
+        ), probe)
+        records = [rec for out in outs for rec in out]
+        # a user's single run_sweep call returns every record at its end
         return JobOutput(
-            results=records, points=len(records), parts=parts, first_s=parts[0]
+            results=records, points=len(records), parts=parts, probes=probes
         )
 
     def corrupt(self, out: JobOutput) -> None:
@@ -229,7 +253,9 @@ class SweepSf(GridWorkload):
 class SweepWormhole(GridWorkload):
     name = "sweep_wormhole"
     expected_spans = SweepSf.expected_spans + ("traffic.flit_sizes",)
-    num_seeds = 12
+    num_seeds = 8
+    batch = 24  # one (topology, pattern) call
+    part_axes = ({"patterns": ["uniform"]}, {"patterns": ["transpose"]})
     axes = {
         "topologies": ["Q:7", "11:8"],
         "patterns": ["uniform", "transpose"],
@@ -249,7 +275,7 @@ class ServiceResume(GridWorkload):
     name = "service_resume"
     batch = 32
     num_seeds = 12
-    setup_reps = 3  # each set-up simulates the warm half of the grid
+    setup_reps = 5  # each set-up simulates the warm half of the grid
     expected_spans = (
         "traffic.make_traffic", "traffic.compile_workload",
         "routing.build_table", "routing.bfs", "batch.run_batch",
@@ -262,6 +288,15 @@ class ServiceResume(GridWorkload):
         "workloads": ["", "bg:uniform:0.2;fg:hotspot:0.4:2"],
         "loads": [0.1, 0.3, 0.6],
     }
+    # one submit per topology and pattern (the tenant mix after uniform,
+    # where the grid puts it): 36 points, 18 of them cached
+    part_axes = tuple(
+        {"patterns": [p], "workloads": [w]}
+        for p, w in (
+            ("uniform", ""), ("uniform", axes["workloads"][1]),
+            ("transpose", ""), ("tornado", ""), ("hotspot", ""),
+        )
+    )
 
     def __init__(self, seed: int, workdir: Path):
         super().__init__(seed, workdir)
@@ -315,26 +350,32 @@ class ServiceResume(GridWorkload):
         os.sync()
         self._server.cache = cache_mod.ResultCache(self.live)
 
-    def run(self) -> JobOutput:
+    def run(self, probe: Callable[[], float]) -> JobOutput:
         client = SweepClient(port=self._server.port, timeout=120)
-        first: List[float] = []
+        firsts: List[float] = []
         cached: List[int] = []
 
-        def on_event(event: Dict[str, Any]) -> None:
-            if event.get("event") == "record" and not first:
-                first.append(perf_counter() - t0)
-            elif event.get("event") == "done":
-                cached.append(event["cached"])
-
-        records: List[Any] = []
-        parts: List[float] = []
-        for grid in self.part_grids:
+        def submit(grid: Dict[str, Any]) -> List[Any]:
             t0 = perf_counter()
-            records += client.submit(grid, on_event=on_event)
-            parts.append(perf_counter() - t0)
+            first: List[float] = []
+
+            def on_event(event: Dict[str, Any]) -> None:
+                if event.get("event") == "record" and not first:
+                    first.append(perf_counter() - t0)
+                elif event.get("event") == "done":
+                    cached.append(event["cached"])
+
+            records = client.submit(grid, on_event=on_event)
+            firsts.append(first[0])
+            return records
+
+        outs, parts, probes = _timed(
+            (partial(submit, grid) for grid in self.part_grids), probe
+        )
+        records = [rec for out in outs for rec in out]
         return JobOutput(
-            results=records, points=len(records), parts=parts,
-            first_s=first[0] if first else None, cached=sum(cached),
+            results=records, points=len(records), parts=parts, probes=probes,
+            firsts=firsts, cached=sum(cached),
         )
 
     def check_job(self, out: JobOutput) -> Tally:
@@ -408,33 +449,35 @@ class Counts(Workload):
         _clear_cube_caches()
 
     def _calls(self):
-        """``(key, function, factor, d)`` for every count of the job,
-        looked up at call time so traced runs see the wrapped functions."""
+        """The job's counts as ``(kind, function, factors, d)``: one call
+        per kind over every short factor, and one per long factor (each
+        a heavy DP); functions are looked up at call time, so traced jobs
+        call the wrapped ones."""
         dv, ds, dl = self.d_vertices_edges, self.d_squares, self.d_long
-        for f in self.factors:
-            yield ("V", f, dv), counting.count_vertices_automaton, f, dv
-        for f in self.factors:
-            yield ("E", f, dv), counting.count_edges_automaton, f, dv
-        for f in self.factors:
-            yield ("S", f, ds), counting.count_squares_automaton, f, ds
+        yield "V", counting.count_vertices_automaton, self.factors, dv
+        yield "E", counting.count_edges_automaton, self.factors, dv
+        yield "S", counting.count_squares_automaton, self.factors, ds
         for f in self.long_factors:
-            yield ("S", f, dl), counting.count_squares_automaton, f, dl
-        for f in self.factors:
-            yield ("A", f, self.d_summary), self._summary, f, self.d_summary
+            yield "S", counting.count_squares_automaton, (f,), dl
+        yield "A", self._summary, self.factors, self.d_summary
 
     @staticmethod
     def _summary(f: str, d: int) -> Tuple[int, int]:
         summary = bounds.analytic_summary(f"{f}:{d}")
         return summary["nodes"], summary["edges"]
 
-    def run(self) -> JobOutput:
+    def run(self, probe: Callable[[], float]) -> JobOutput:
         out: Dict[Tuple[str, str, int], Any] = {}
-        parts: List[float] = []
-        for key, fn, f, d in self._calls():
-            t0 = perf_counter()
-            out[key] = fn(f, d)
-            parts.append(perf_counter() - t0)
-        return JobOutput(results=out, points=len(out), parts=parts)
+
+        def count(kind: str, fn, factors: Tuple[str, ...], d: int) -> None:
+            for f in factors:
+                out[kind, f, d] = fn(f, d)
+
+        _, parts, probes = _timed(
+            (partial(count, *call) for call in self._calls()), probe
+        )
+        return JobOutput(results=out, points=len(out), parts=parts,
+                         probes=probes)
 
     def corrupt(self, out: JobOutput) -> None:
         key = next(iter(out.results))

@@ -6,12 +6,15 @@ Run from the repository root::
 
 One run sets the workload up several times (reporting the median
 set-up time), then repeats its job until ``--seconds`` have passed
-(three jobs at least); the job time is the sum of each of its calls'
-fastest time.  With ``--trace 0`` the
-jobs run the unmodified program and the last stdout line carries the
-end-to-end metrics; with ``--trace 1`` traced and untraced jobs
-alternate, and the last line carries the per-layer metrics instead
-(medians over the traced jobs) plus the tracing overhead.  Every job's
+(three jobs at least); the job time is the sum, over the job's calls,
+of each call's median time.  Every time is scaled to the host-speed
+probe's reference speed by the probes timed on either side of it (see
+``probe.py``); the raw times go to an ``env`` line before the result.
+With ``--trace 0`` the jobs run the unmodified program and the last
+stdout line carries the end-to-end metrics; with ``--trace 1`` traced
+and untraced jobs alternate, and the last line carries the per-layer
+metrics instead (medians over the traced jobs) plus the tracing
+overhead.  Every job's
 output is checked after the timed region; the result line is one JSON
 object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
@@ -121,10 +124,24 @@ def _metrics(values: Dict[str, float], units: Dict[str, str]) -> dict:
     return {k: {"value": values[k], "unit": u} for k, u in units.items()}
 
 
+TIME_UNITS = ("s", "ns", "us")
+
+
+def _scaled(
+    values: Dict[str, float], factor: float, units: Dict[str, str]
+) -> Dict[str, float]:
+    """``values`` with every time scaled to the probe's reference speed."""
+    return {
+        k: v * factor if units[k] in TIME_UNITS else v
+        for k, v in values.items()
+    }
+
+
 def _run(args: argparse.Namespace, root: Path, workdir: Path) -> dict:
     import numpy
 
     import jobs
+    from probe import REFERENCE_S, probe
     from repro.network.backends import native
     from tracing import Tracer
 
@@ -140,17 +157,23 @@ def _run(args: argparse.Namespace, root: Path, workdir: Path) -> dict:
     )
     tracer = Tracer()
     try:
+        # raw set-up times, and each one's probe-scaling factor
         setup_s: List[float] = []
+        setup_f: List[float] = []
         topo: List[Dict[str, float]] = []
         for _ in range(wl.setup_reps):
+            before = probe()
             t0 = perf_counter()
             subprocess.run([sys.executable, "-c", IMPORTS], env=env, check=True)
             topo.append(wl.setup())
             setup_s.append(perf_counter() - t0)
+            setup_f.append(2 * REFERENCE_S / (before + probe()))
 
-        # untraced and traced job wall times; a traced run alternates them
-        walls: Dict[bool, List[float]] = {False: [], True: []}
-        parts: List[List[float]] = []  # per untraced job
+        # each job's call times, each scaled by the probes on either
+        # side of it; a traced run alternates untraced and traced jobs
+        scaled: Dict[bool, List[List[float]]] = {False: [], True: []}
+        raw: Dict[bool, List[float]] = {False: [], True: []}  # job sums
+        job_probes: List[float] = []  # median probe of each untraced job
         firsts: List[float] = []
         layers: List[Dict[str, float]] = []
         missing: set = set()
@@ -165,33 +188,39 @@ def _run(args: argparse.Namespace, root: Path, workdir: Path) -> dict:
 
         def enough() -> bool:
             if args.trace:
-                return min(len(walls[False]), len(walls[True])) >= 2
-            return len(walls[False]) >= MIN_JOBS
+                return min(len(scaled[False]), len(scaled[True])) >= 2
+            return len(scaled[False]) >= MIN_JOBS
 
         start = perf_counter()
         done = False
         while not done:
-            traced = bool(args.trace) and len(walls[False]) > len(walls[True])
+            traced = bool(args.trace) and len(scaled[False]) > len(scaled[True])
             wl.prepare()
             gc.collect()  # every job starts from the same heap
             if traced:
                 tracer.reset()
                 tracer.install()
             try:
-                t0 = perf_counter()
-                out = wl.run()
-                wall = perf_counter() - t0
+                out = wl.run(probe)
             finally:
                 tracer.uninstall()
-            walls[traced].append(wall)
-            if not traced:
-                parts.append(out.parts)
-                if out.first_s is not None:
-                    firsts.append(out.first_s)
-            points = out.points
+            factors = [
+                2 * REFERENCE_S / (a + b)
+                for a, b in zip(out.probes, out.probes[1:])
+            ]
+            calls = [t * f for t, f in zip(out.parts, factors)]
+            scaled[traced].append(calls)
+            raw[traced].append(sum(out.parts))
             if traced:
-                layers.append(tracer.layer_metrics())
+                layers.append(_scaled(
+                    tracer.layer_metrics(), sum(calls) / sum(out.parts),
+                    PER_LAYER,
+                ))
                 missing.update(tracer.missing(wl.expected_spans))
+            else:
+                job_probes.append(statistics.median(out.probes))
+                firsts += [t * f for t, f in zip(out.firsts, factors)]
+            points = out.points
             done = enough() and perf_counter() - start >= args.seconds
             if done and args.corrupt:
                 wl.corrupt(out)
@@ -216,29 +245,37 @@ def _run(args: argparse.Namespace, root: Path, workdir: Path) -> dict:
         "nproc": _nproc(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "job_walls_s": walls[False],
-        "traced_job_walls_s": walls[True],
+        "job_s": raw[False],
+        "traced_job_s": raw[True],
+        "job_probe_s": job_probes,
+        "probe_reference_s": REFERENCE_S,
         "setup_s": setup_s,
     }}))
 
     med = statistics.median
+    setup = med(s * f for s, f in zip(setup_s, setup_f))
     if args.trace:
         values = {k: med(layer[k] for layer in layers) for k in layers[0]}
-        values.update({k: med(t[k] for t in topo) for k in topo[0]})
+        values.update({
+            k: med(_scaled(t, f, PER_LAYER)[k] for t, f in zip(topo, setup_f))
+            for k in topo[0]
+        })
         values["counting.squares_peak_mb"] = squares_peak_mb
-        values["trace.wall_s"] = med(walls[True])
-        values["trace.overhead"] = min(walls[True]) / min(walls[False]) - 1
+        traced_s = med(sum(job) for job in scaled[True])
+        values["trace.wall_s"] = traced_s
+        values["trace.overhead"] = (
+            traced_s / med(sum(job) for job in scaled[False]) - 1
+        )
         values["trace.missing_spans"] = float(len(missing))
         metrics = _metrics(values, PER_LAYER)
     else:
-        # each part of the job at its fastest: slower repeats measure
-        # interference from other load on the host more than the program
-        wall = sum(min(times) for times in zip(*parts))
+        # each call's median over the jobs, summed over the job's calls
+        wall = sum(med(times) for times in zip(*scaled[False]))
         metrics = _metrics({
             "wall_s": wall,
             "points_per_s": points / wall,
-            "first_record_s": min(firsts) if firsts else wall,
-            "setup_s": med(setup_s),
+            "first_record_s": med(firsts) if firsts else wall,
+            "setup_s": setup,
             "peak_rss_mb": peak_rss_mb,
         }, END_TO_END)
     return {
