@@ -211,7 +211,7 @@ def test_bench_n1_native_backend_speedup(benchmark):
 
     topo = topology_of(("11", 10))  # Gamma_10: 144 nodes
     traffic = uniform_traffic(topo, 15000, 150, seed=42)
-    prep = _prepare(topo, BfsRouter(), list(traffic), None, None)
+    prep = _prepare(topo, BfsRouter(), traffic, None, None)
     link_seq, link_offsets, link_codes = _link_arrays(
         topo.num_nodes, prep.table
     )

@@ -4,7 +4,10 @@
  * src/repro/network/backends/: a bit-identical implementation of the
  * NumPy store-and-forward stepper in repro.network.kernel._SfEngine,
  * operating in place on the exact arrays that class builds (int64
- * throughout).  The Python side prepares the batch (disjoint link-id
+ * throughout).  Runs that share a route table share one copy of its
+ * link sequence: a packet's next link is
+ * link_seq[first_link_at[p] + pos[p]] + link_base[run_of[p]].  The
+ * Python side prepares the batch (disjoint link-id
  * spaces, global pid order, per-run accounting arrays), hands the raw
  * pointers over through ctypes, and reads the same arrays back for
  * finalization -- so the only thing that moves into C is the per-cycle
@@ -58,7 +61,7 @@ typedef int64_t i64;
 /* Bump when the exported ABI below changes shape: the Python binder
  * refuses a library whose ABI it does not recognise instead of
  * calling into it with the wrong argument layout. */
-#define REPRO_ADVANCE_ABI 2
+#define REPRO_ADVANCE_ABI 3
 
 i64 repro_abi_version(void) { return REPRO_ADVANCE_ABI; }
 
@@ -86,8 +89,8 @@ static i64 sf_step(
     i64 cycle,
     i64 num, i64 K, i64 num_links, i64 has_dead,
     const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *gl_seq, const i64 *run_of_link,
-    const i64 *dead_at,
+    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
+    const i64 *run_of_link, const i64 *dead_at,
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
     i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
@@ -105,7 +108,7 @@ static i64 sf_step(
             if (nhops[p] == 0) {
                 delivered_at[p] = inject[p];
             } else {
-                fifo_append(p, gl_seq[first_link_at[p]],
+                fifo_append(p, link_seq[first_link_at[p]] + link_base[run_of[p]],
                             succ, qhead, qtail, qlen);
                 in_flight_r[run_of[p]] += 1;
                 in_flight += 1;
@@ -157,7 +160,8 @@ static i64 sf_step(
                  * kept pid-sorted by insertion (succ doubles as the
                  * next pointer: p left its queue, nothing reads
                  * succ[p] until the flush below rewrites it) */
-                const i64 t = gl_seq[first_link_at[p] + pos[p]];
+                const i64 t =
+                    link_seq[first_link_at[p] + pos[p]] + link_base[run_of[p]];
                 i64 prev = -1;
                 i64 cur = pend[t];
                 if (cur < 0) {
@@ -202,16 +206,16 @@ i64 repro_sf_step(
     i64 cycle,
     i64 num, i64 K, i64 num_links, i64 has_dead,
     const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *gl_seq, const i64 *run_of_link,
-    const i64 *dead_at,
+    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
+    const i64 *run_of_link, const i64 *dead_at,
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
     i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
     i64 *touched, i64 *pend, i64 *state)
 {
     return sf_step(cycle, num, K, num_links, has_dead,
-                   inject, nhops, first_link_at, run_of, gl_seq,
-                   run_of_link, dead_at, delivered_at, pos, succ,
+                   inject, nhops, first_link_at, run_of, link_seq,
+                   link_base, run_of_link, dead_at, delivered_at, pos, succ,
                    qhead, qtail, qlen, in_flight_r, last_busy_r,
                    maxq_r, drop_r, touched, pend, state);
 }
@@ -227,8 +231,8 @@ i64 repro_sf_run(
     i64 max_cycles,
     i64 num, i64 K, i64 num_links, i64 has_dead,
     const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *gl_seq, const i64 *run_of_link,
-    const i64 *dead_at,
+    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
+    const i64 *run_of_link, const i64 *dead_at,
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
     i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
@@ -238,8 +242,8 @@ i64 repro_sf_run(
     while (cycle < max_cycles) {
         const i64 moved = sf_step(
             cycle, num, K, num_links, has_dead,
-            inject, nhops, first_link_at, run_of, gl_seq, run_of_link,
-            dead_at, delivered_at, pos, succ, qhead, qtail, qlen,
+            inject, nhops, first_link_at, run_of, link_seq, link_base,
+            run_of_link, dead_at, delivered_at, pos, succ, qhead, qtail, qlen,
             in_flight_r, last_busy_r, maxq_r, drop_r, touched, pend,
             state);
         if (moved) {

@@ -56,7 +56,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ABI_VERSION = 2
+ABI_VERSION = 3
 _BASE_CFLAGS = ["-O2", "-shared", "-fPIC"]
 
 _LOCK = threading.Lock()
@@ -64,8 +64,8 @@ _lib: Optional[ctypes.CDLL] = None
 _lib_detail: Optional[str] = None
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
-# cycle/max_cycles, 4 scalars, 7 const arrays, 10 mutable arrays, 3 scratch
-_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 20
+# cycle/max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, 3 scratch
+_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 21
 
 
 def source_path() -> Optional[Path]:
@@ -235,7 +235,7 @@ class _NativeSfEngine(_SfEngine):
         # already int64 and contiguous, but never trust that silently
         for attr in (
             "inject", "nhops", "first_link_at", "run_of",
-            "gl_seq", "run_of_link", "dead_at",
+            "link_seq", "link_base", "run_of_link", "dead_at",
         ):
             arr = getattr(self, attr)
             if arr is not None and (
@@ -262,7 +262,8 @@ class _NativeSfEngine(_SfEngine):
             _as_i64p(self.nhops),
             _as_i64p(self.first_link_at),
             _as_i64p(self.run_of),
-            _as_i64p(self.gl_seq),
+            _as_i64p(self.link_seq),
+            _as_i64p(self.link_base),
             _as_i64p(self.run_of_link),
             _as_i64p(dead_arr),
             _as_i64p(self.delivered_at),

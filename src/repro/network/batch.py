@@ -38,10 +38,10 @@ Preparation is shared where the semantics allow, which is where most of
 a sweep point's cost actually goes: replications without faults that use
 the same router *instance* share one route-table build over the union of
 their traffic pairs (routes are deterministic per pair, so the union
-table contains exactly the paths the per-run builds would), and all
-replications share one healthy-topology BFS-distance cache for misroute
-accounting.  Route tables do not depend on the switching mode, so sf and
-flow-control items mix freely within one shared build.
+table contains exactly the paths the per-run builds would), and misroute
+accounting reads the topology's cached hop-distance rows.  Route tables
+do not depend on the switching mode, so sf and flow-control items mix
+freely within one shared build.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.network.faults import FaultPlan
-from repro.network.flowcontrol import FlowControl, _validate_vct, resolve_flits
+from repro.network.flowcontrol import FlowControl
 from repro.network.kernel import KernelRun, _link_arrays, run_fused
 from repro.network.routing import BfsRouter
 from repro.network.simulator import (
@@ -60,9 +60,12 @@ from repro.network.simulator import (
     _as_flow,
     _build_table,
     _flow_result,
-    _misroute_hops,
+    _pairs,
+    _pid_tenants,
     _prepare,
     _Prepared,
+    _row_misroutes,
+    _validate_item,
 )
 from repro.network.topology import Topology
 
@@ -88,7 +91,7 @@ class BatchItem:
     the sequential engine computes them.
     """
 
-    traffic: Sequence[Tuple[int, int, int]]
+    traffic: "np.ndarray | Sequence[Tuple[int, int, int]]"
     router: object = None
     faults: Optional[FaultPlan] = None
     switching: Union[str, FlowControl] = "sf"
@@ -128,35 +131,14 @@ class BatchedSimulator:
         item simulates.
         """
         items = list(items)
-        flows: List[FlowControl] = []
-        flit_arrs: List[np.ndarray] = []
-        for item in items:
-            flow = _as_flow(item.switching)
-            traffic = list(item.traffic)
-            flit_arr = resolve_flits(item.flits, len(traffic))
-            if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-                raise ValueError(
-                    "store-and-forward is a single-flit model; use "
-                    "switching='wormhole' or 'vct' for multi-flit packets"
-                )
-            if traffic and min(t[0] for t in traffic) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {min(t[0] for t in traffic)}); "
-                    "both engines count time from 0"
-                )
-            if item.tenants is not None and len(item.tenants) != len(traffic):
-                raise ValueError(
-                    f"tenants must align with traffic: {len(item.tenants)} "
-                    f"ids for {len(traffic)} packets"
-                )
-            if flow.pipelined:
-                _validate_vct(flow, flit_arr)
-            flows.append(flow)
-            flit_arrs.append(flit_arr)
+        flows = [_as_flow(item.switching) for item in items]
+        checked = [
+            _validate_item(item.traffic, flow, item.flits, item.tenants)
+            for item, flow in zip(items, flows)
+        ]
         if not items:
             return []
-        preps = self._prepare_items(items)
+        preps = self._prepare_items(items, [arr for arr, _ in checked])
         # per-item link arrays; items sharing a route table share the
         # (link_seq, link_offsets, link_codes) computation, and the
         # kernel assigns disjoint global id ranges per run
@@ -164,7 +146,7 @@ class BatchedSimulator:
         n = self.topo.num_nodes
         runs: List[KernelRun] = []
         nhops_list: List[np.ndarray] = []
-        for prep, flow, flit_arr in zip(preps, flows, flit_arrs):
+        for prep, flow, (_, flit_arr) in zip(preps, flows, checked):
             key = id(prep.table)
             if key not in cache:
                 cache[key] = (
@@ -190,10 +172,7 @@ class BatchedSimulator:
                 out, prep.inject, nhops, prep.misroutes[prep.row],
                 prep.num_dropped,
                 all_tenants=item.tenants,
-                pid_tenants=(
-                    [int(item.tenants[j]) for j in prep.order]
-                    if item.tenants is not None else None
-                ),
+                pid_tenants=_pid_tenants(item.tenants, prep.order),
             )
             for out, prep, nhops, item in zip(
                 outcomes, preps, nhops_list, items
@@ -205,83 +184,52 @@ class BatchedSimulator:
     def _router_of(self, item: BatchItem):
         return item.router if item.router is not None else self.router
 
-    def _prepare_items(self, items: Sequence[BatchItem]) -> List[_Prepared]:
-        """One :class:`_Prepared` per item, switching mode regardless.
+    def _prepare_items(
+        self, items: Sequence[BatchItem], arrs: Sequence[np.ndarray]
+    ) -> List[_Prepared]:
+        """One :class:`_Prepared` per item, switching mode regardless,
+        from the items' validated traffic arrays.
 
         Faulted items prepare individually (epoch-split tables cannot be
-        shared), but reuse one healthy-distance BFS cache; unfaulted
-        items group by router instance and share one union route table
-        and one misroute array per group.  Items arrive pre-validated
-        by :meth:`run_batch`.
+        shared); unfaulted items group by router instance and share one
+        union route table and one misroute array per group.
         """
-        dist_cache: Dict[int, np.ndarray] = {}
         preps: Dict[int, _Prepared] = {}
         groups: Dict[int, List[int]] = {}
         for idx, item in enumerate(items):
             if item.faults is not None and item.faults.num_events:
                 preps[idx] = _prepare(
-                    self.topo, self._router_of(item), list(item.traffic),
-                    None, item.faults, dist_cache=dist_cache,
+                    self.topo, self._router_of(item), arrs[idx], None,
+                    item.faults,
                 )
             else:
                 groups.setdefault(id(self._router_of(item)), []).append(idx)
         for members in groups.values():
-            shared = self._prepare_shared(items, members, dist_cache)
-            preps.update(shared)
+            preps.update(self._prepare_shared(items, arrs, members))
         return [preps[idx] for idx in range(len(items))]
 
     def _prepare_shared(
         self,
         items: Sequence[BatchItem],
+        arrs: Sequence[np.ndarray],
         members: Sequence[int],
-        dist_cache: Dict[int, np.ndarray],
     ) -> Dict[int, _Prepared]:
         """Prepare unfaulted items sharing one router instance: build the
         route table once over the union of their traffic pairs, compute
-        the per-row misroute array once, then resolve each item against
-        the shared table exactly as ``_prepare`` would."""
+        the per-row misroute array once, then map each item's packets to
+        rows exactly as ``_prepare`` would."""
         n = self.topo.num_nodes
         router = self._router_of(items[members[0]])
-        arrs: Dict[int, np.ndarray] = {}
-        perms: Dict[int, np.ndarray] = {}
-        code_parts: List[np.ndarray] = []
-        for idx in members:
-            arr = np.asarray(items[idx].traffic, dtype=np.int64).reshape(-1, 3)
-            if arr.size and int(arr[:, 0].min()) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {int(arr[:, 0].min())}); "
-                    "both engines count time from 0"
-                )
-            perm = np.argsort(arr[:, 0], kind="stable")
-            arrs[idx] = arr[perm]
-            perms[idx] = perm
-            code_parts.append(arr[:, 1] * n + arr[:, 2])
-        union = np.unique(np.concatenate(code_parts)) if code_parts else (
-            np.empty(0, dtype=np.int64)
-        )
-        pairs = [(int(c) // n, int(c) % n) for c in union]
-        table = _build_table(self.topo, router, pairs)
-        lengths = table.lengths()
-        mis = np.zeros(table.num_routes, dtype=np.int64)
-        for pair, r in table.pair_row.items():
-            if r >= 0:
-                mis[r] = _misroute_hops(
-                    self.topo, dist_cache, pair[0], pair[1], int(lengths[r]) - 1
-                )
+        union = np.unique(np.concatenate(
+            [arrs[idx][:, 1] * n + arrs[idx][:, 2] for idx in members]
+        ))
+        table = _build_table(self.topo, router, _pairs(union, n))
+        mis = _row_misroutes(self.topo, table)
         out: Dict[int, _Prepared] = {}
         for idx in members:
-            arr = arrs[idx]
-            codes, inverse = np.unique(
-                arr[:, 1] * n + arr[:, 2], return_inverse=True
-            )
-            rowmap = np.asarray(
-                [table.pair_row[(int(c) // n, int(c) % n)] for c in codes],
-                dtype=np.int64,
-            )
-            rows = (
-                rowmap[inverse] if codes.size else np.empty(0, dtype=np.int64)
-            )
+            perm = np.argsort(arrs[idx][:, 0], kind="stable")
+            arr = arrs[idx][perm]
+            rows = table.rows_of(arr[:, 1], arr[:, 2])
             routed = rows >= 0
             out[idx] = _Prepared(
                 table=table,
@@ -290,7 +238,7 @@ class BatchedSimulator:
                 num_dropped=int((~routed).sum()),
                 misroutes=mis,
                 link_dead={},
-                order=perms[idx][routed],
+                order=perm[routed],
             )
         return out
 

@@ -40,6 +40,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
+import numpy as np
 
 from repro.graphs.traversal import all_pairs_distances, connected_components
 from repro.network.topology import Topology
@@ -180,9 +181,15 @@ class FaultPlan:
         ``u < v`` (links killed by node faults are not listed here)."""
         return frozenset((u, v) for c, u, v in self.link_faults if c <= cycle)
 
-    def node_death_cycles(self) -> Dict[int, int]:
-        """First failure cycle per failed node."""
-        return {v: c for c, v in self.node_faults}
+    def node_death_array(self, num_nodes: int) -> np.ndarray:
+        """First failure cycle of every node ``0 .. num_nodes-1`` as an
+        int64 array, ``_NEVER`` for nodes that never fail (events naming
+        nodes outside that range are ignored)."""
+        death = np.full(num_nodes, _NEVER, dtype=np.int64)
+        for c, v in self.node_faults:
+            if v < num_nodes:
+                death[v] = c
+        return death
 
     def link_death_map(self, topo: Topology) -> Dict[Tuple[int, int], int]:
         """First cycle each *directed* link stops forwarding.

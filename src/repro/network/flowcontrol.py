@@ -155,11 +155,13 @@ def vc_of_hop(topo: Topology, u: int, v: int, hop: int, num_vcs: int) -> int:
 def resolve_flits(
     flits: Union[int, Sequence[int]], num_packets: int
 ) -> np.ndarray:
-    """Per-packet flit counts aligned with the traffic list as given."""
+    """Per-packet flit counts aligned with the traffic rows as given."""
     if isinstance(flits, (int, np.integer)):
         arr = np.full(num_packets, int(flits), dtype=np.int64)
     else:
-        arr = np.asarray(list(flits), dtype=np.int64)
+        if not isinstance(flits, np.ndarray):
+            flits = list(flits)
+        arr = np.asarray(flits, dtype=np.int64)
         if arr.shape != (num_packets,):
             raise ValueError(
                 f"flits sequence has {arr.size} entries for "

@@ -283,25 +283,32 @@ class _SfEngine:
         n = topo.num_nodes
         K = len(runs)
         self.K = K
+        # runs sharing a route table share one copy of its link sequence:
+        # packet p's next link is link_seq[first_link_at[p] + pos[p]],
+        # shifted into its run's id space by link_base[run_of[p]]
         seq_parts: List[np.ndarray] = []
+        seq_base_of: Dict[int, int] = {}
+        seq_base = 0
         link_counts: List[int] = []
         firsts: List[np.ndarray] = []
         nhops_parts: List[np.ndarray] = []
         inject_parts: List[np.ndarray] = []
-        seq_base = 0
         link_base = [0]
         any_dead = False
         for r in runs:
             num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
-            seq_parts.append(r.link_seq + link_base[-1])
-            firsts.append(r.first_link_at + seq_base)
+            if id(r.link_seq) not in seq_base_of:
+                seq_base_of[id(r.link_seq)] = seq_base
+                seq_parts.append(r.link_seq)
+                seq_base += r.link_seq.size
+            firsts.append(r.first_link_at + seq_base_of[id(r.link_seq)])
             nhops_parts.append(r.nhops)
             inject_parts.append(r.inject)
-            seq_base += r.link_seq.size
             link_base.append(link_base[-1] + num_links)
             link_counts.append(num_links)
             any_dead = any_dead or bool(r.link_dead)
-        self.gl_seq = np.concatenate(seq_parts)
+        self.link_seq = np.concatenate(seq_parts)
+        self.link_base = np.asarray(link_base[:-1], dtype=np.int64)
         num_links_total = link_base[-1]
         self.run_of_link = np.repeat(
             np.arange(K, dtype=np.int64),
@@ -345,6 +352,11 @@ class _SfEngine:
         self.in_flight = 0
         self.next_pid = 0
 
+    def _next_link(self, pids: np.ndarray) -> np.ndarray:
+        """The global id of the link each packet queues on next."""
+        return (self.link_seq[self.first_link_at[pids] + self.pos[pids]]
+                + self.link_base[self.run_of[pids]])
+
     def step(self, cycle: int) -> bool:
         moved = False
         # inject every packet whose cycle has come
@@ -357,8 +369,7 @@ class _SfEngine:
             moving_fresh = fresh[self.nhops[fresh] > 0]
             if moving_fresh.size:
                 _fifo_append(self.succ, self.qhead, self.qtail, self.qlen,
-                             moving_fresh,
-                             self.gl_seq[self.first_link_at[moving_fresh]])
+                             moving_fresh, self._next_link(moving_fresh))
                 self.in_flight_r += np.bincount(
                     self.run_of[moving_fresh], minlength=self.K
                 )
@@ -403,7 +414,7 @@ class _SfEngine:
             if moving.size:
                 _fifo_append(
                     self.succ, self.qhead, self.qtail, self.qlen, moving,
-                    self.gl_seq[self.first_link_at[moving] + self.pos[moving]],
+                    self._next_link(moving),
                 )
             moved = True
         return moved

@@ -25,8 +25,9 @@ as a list of node indices):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,50 +69,67 @@ class BfsRouter:
     def build_table(
         self, topo: Topology, pairs: Iterable[Tuple[int, int]]
     ) -> "RouteTable":
-        """Batched table build: one BFS per *destination* plus a
-        vectorised next-hop extraction, instead of one BFS per pair.
+        """Resolve every pair at once (an iterable of ``(src, dst)`` or a
+        ``(k, 2)`` array) into a :class:`RouteTable`.
 
-        For every destination the next-hop array ``toward[v]`` is the
-        first neighbour of ``v`` (in adjacency order) that is strictly
-        closer to the destination -- exactly the vertex
-        :meth:`route`'s ``min(..., key=dist)`` picks -- so the batched
-        paths are identical to the per-pair ones.
+        Distances come from the topology's cached hop-distance rows
+        (:meth:`Topology.distance_rows`); the walk then advances every
+        unfinished pair one hop per step, each to the first neighbour of
+        its current node (in adjacency order) that is strictly closer to
+        its destination -- exactly the vertex :meth:`route`'s
+        ``min(..., key=dist)`` picks -- so the table's paths are identical
+        to the per-pair ones.  Unreachable pairs get no row.
         """
-        g = topo.graph
-        n = g.num_vertices
-        indptr, indices = g.csr()
-        order = list(dict.fromkeys(pairs))  # dedupe, keep first-seen order
-        data: List[int] = []
-        offsets: List[int] = [0]
-        pair_row: Dict[Tuple[int, int], int] = {}
-        counts = indptr[1:] - indptr[:-1]
-        rows_of = np.repeat(np.arange(n, dtype=np.int64), counts)
-        for dst in sorted({d for _, d in order}):
-            dist = bfs_distances(g, dst)
-            # toward[v]: first neighbour with dist == dist[v] - 1
-            closer = dist[indices] == dist[rows_of] - 1
-            hit_rows, first_at = np.unique(rows_of[closer], return_index=True)
-            toward = np.full(n, -1, dtype=np.int64)
-            toward[hit_rows] = indices[np.flatnonzero(closer)[first_at]]
-            for src, d in order:
-                if d != dst:
-                    continue
-                if dist[src] < 0:
-                    pair_row[(src, d)] = -1
-                    continue
-                path = [src]
-                cur = src
-                while cur != dst:
-                    cur = int(toward[cur])
-                    path.append(cur)
-                pair_row[(src, d)] = len(offsets) - 1
-                data.extend(path)
-                offsets.append(len(data))
+        n = topo.num_nodes
+        codes = _pair_codes(pairs, n)
+        src, dst = np.divmod(codes, n)
+        dist, drow = topo.distance_rows(dst)
+        hops = dist[drow, src].astype(np.int64)
+        ok = hops >= 0
+        rows = np.full(codes.size, -1, dtype=np.int64)
+        rows[ok] = np.arange(int(ok.sum()), dtype=np.int64)
+        cur, drow, left = src[ok], drow[ok], hops[ok]
+        offsets = np.zeros(cur.size + 1, dtype=np.int64)
+        np.cumsum(left + 1, out=offsets[1:])
+        data = np.empty(int(offsets[-1]), dtype=np.int64)
+        data[offsets[:-1]] = cur
+        nbrs = topo.memo("neighbour_matrix", lambda: _neighbour_matrix(topo.graph))
+        active = np.flatnonzero(left > 0)
+        step = 0
+        while active.size:
+            step += 1
+            cand = nbrs[cur[active]]
+            closer = (cand >= 0) & (
+                dist[drow[active, None], cand] == (left[active] - 1)[:, None]
+            )
+            nxt = cand[np.arange(active.size), closer.argmax(axis=1)]
+            cur[active] = nxt
+            left[active] -= 1
+            data[offsets[active] + step] = nxt
+            active = active[left[active] > 0]
         return RouteTable(
-            route_data=np.asarray(data, dtype=np.int64),
-            route_offsets=np.asarray(offsets, dtype=np.int64),
-            pair_row=pair_row,
+            route_data=data, route_offsets=offsets, pair_codes=codes,
+            pair_rows=rows, num_nodes=n,
         )
+
+
+def _neighbour_matrix(g) -> np.ndarray:
+    """Adjacency lists as an ``(n, max_degree)`` matrix in adjacency
+    order, padded with ``-1``."""
+    indptr, indices = g.csr()
+    deg = indptr[1:] - indptr[:-1]
+    out = np.full((g.num_vertices, int(deg.max(initial=0))), -1, dtype=np.int64)
+    owner = np.repeat(np.arange(g.num_vertices), deg)
+    out[owner, np.arange(indices.size) - indptr[owner]] = indices
+    return out
+
+
+def _pair_codes(pairs, n: int) -> np.ndarray:
+    """The sorted distinct ``src * n + dst`` codes of ``pairs``."""
+    if not isinstance(pairs, np.ndarray):
+        pairs = list(pairs)
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return np.unique(arr[:, 0] * n + arr[:, 1])
 
 
 class CanonicalRouter:
@@ -298,9 +316,13 @@ class RouteTable:
     """Batched routes in a flat CSR-style layout.
 
     Row ``r`` is the node sequence
-    ``route_data[route_offsets[r] : route_offsets[r + 1]]``.  ``pair_row``
-    maps each resolved ``(src, dst)`` pair to its row, or to ``-1`` when
-    the router failed the pair (the packet is dropped at injection).
+    ``route_data[route_offsets[r] : route_offsets[r + 1]]``.
+    ``pair_codes`` holds the sorted ``src * num_nodes + dst`` code of
+    every pair the table resolved and ``pair_rows`` its row, ``-1`` when
+    the router failed the pair (the packet is dropped at injection), so
+    packets map to rows with one ``searchsorted`` (:meth:`rows_of`).
+    A table merged from several routing epochs has rows but no pair
+    index.
 
     The table is what the vectorized simulator consumes: routes are
     resolved once per *unique* pair instead of once per packet, and the
@@ -310,7 +332,13 @@ class RouteTable:
 
     route_data: np.ndarray
     route_offsets: np.ndarray
-    pair_row: Dict[Tuple[int, int], int]
+    pair_codes: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+    pair_rows: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64)
+    )
+    num_nodes: int = 0
 
     @classmethod
     def build(
@@ -319,38 +347,86 @@ class RouteTable:
         router,
         pairs: Iterable[Tuple[int, int]],
     ) -> "RouteTable":
-        """Resolve every unique pair through ``router`` into one table."""
+        """Resolve every unique pair through ``router.route`` into one
+        table."""
+        n = topo.num_nodes
+        codes = _pair_codes(pairs, n)
+        rows = np.full(codes.size, -1, dtype=np.int64)
         data: List[int] = []
         offsets: List[int] = [0]
-        pair_row: Dict[Tuple[int, int], int] = {}
-        for pair in pairs:
-            if pair in pair_row:
-                continue
-            src, dst = pair
-            path = router.route(topo, src, dst)
-            if path is None:
-                pair_row[pair] = -1
-                continue
-            pair_row[pair] = len(offsets) - 1
-            data.extend(path)
-            offsets.append(len(data))
+        for i, code in enumerate(codes.tolist()):
+            path = router.route(topo, code // n, code % n)
+            if path is not None:
+                rows[i] = len(offsets) - 1
+                data.extend(path)
+                offsets.append(len(data))
         return cls(
             route_data=np.asarray(data, dtype=np.int64),
             route_offsets=np.asarray(offsets, dtype=np.int64),
-            pair_row=pair_row,
+            pair_codes=codes,
+            pair_rows=rows,
+            num_nodes=n,
         )
 
     @property
     def num_routes(self) -> int:
         return len(self.route_offsets) - 1
 
+    @property
+    def pair_row(self) -> Mapping[Tuple[int, int], int]:
+        """Read-only ``(src, dst) -> row`` view of the pair index."""
+        return _PairRows(self)
+
+    def rows_of(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The row of every pair ``(src[i], dst[i])`` (``-1`` where the
+        router failed it); a pair the table never resolved raises."""
+        codes = src * self.num_nodes + dst
+        at = np.searchsorted(self.pair_codes, codes)
+        found = at < self.pair_codes.size
+        found[found] = self.pair_codes[at[found]] == codes[found]
+        if not found.all():
+            code = int(codes[np.argmin(found)])
+            raise ValueError(
+                "route_table has no entry for traffic pair "
+                f"{divmod(code, self.num_nodes)}; "
+                "build the table over every (src, dst) pair in the traffic"
+            )
+        return self.pair_rows[at]
+
     def lengths(self) -> np.ndarray:
         """Node count of every route (hops + 1), one entry per row."""
         return self.route_offsets[1:] - self.route_offsets[:-1]
 
+    def endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
+        """First and last node of every row: its pair's ``(src, dst)``."""
+        return (self.route_data[self.route_offsets[:-1]],
+                self.route_data[self.route_offsets[1:] - 1])
+
     def route_nodes(self, row: int) -> np.ndarray:
         """The node sequence of row ``row`` (a view, do not mutate)."""
         return self.route_data[self.route_offsets[row] : self.route_offsets[row + 1]]
+
+
+class _PairRows(Mapping):
+    """``(src, dst) -> row`` over a table's sorted pair codes."""
+
+    def __init__(self, table: RouteTable):
+        self._table = table
+
+    def __len__(self) -> int:
+        return int(self._table.pair_codes.size)
+
+    def __iter__(self) -> Iterator[Tuple[int, int]]:
+        n = self._table.num_nodes
+        return (divmod(c, n) for c in self._table.pair_codes.tolist())
+
+    def __getitem__(self, pair: Tuple[int, int]) -> int:
+        t = self._table
+        code = pair[0] * t.num_nodes + pair[1]
+        at = int(np.searchsorted(t.pair_codes, code))
+        if at == t.pair_codes.size or t.pair_codes[at] != code:
+            raise KeyError(pair)
+        return int(t.pair_rows[at])
 
 
 @dataclass(frozen=True)
@@ -390,11 +466,9 @@ def route_stats(
     if pairs is None:
         pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
     delivered = optimal = total_hops = total_shortest = 0
-    dist_cache: Dict[int, np.ndarray] = {}
-    for s, t in pairs:
-        if s not in dist_cache:
-            dist_cache[s] = bfs_distances(g, s)
-        shortest = int(dist_cache[s][t])
+    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    shortest_of = topo.hop_distances(ends[:, 0], ends[:, 1]).tolist()
+    for (s, t), shortest in zip(pairs, shortest_of):
         path = router.route(topo, s, t)
         if path is None:
             continue

@@ -63,7 +63,9 @@ __all__ = [
 # tenants columns (multi-tenant trace-driven workloads).
 # v3: SweepRecord grew the analytic_bound column, so cached payloads
 # from v2 no longer match the record schema
-CACHE_VERSION = 3
+# v4: traffic streams come from the repo's counter-based generator
+# (repro.network.traffic), so every seeded point simulates new traffic
+CACHE_VERSION = 4
 
 _SPEC_FIELDS = tuple(f.name for f in fields(PointSpec))
 _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))

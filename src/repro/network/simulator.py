@@ -14,8 +14,9 @@ Model
 - A packet follows a precomputed route (any router from
   :mod:`repro.network.routing`); on each cycle every link forwards the
   head of its queue to the next queue on its route.
-- Packets are injected by a traffic pattern: ``(cycle, src, dst)``
-  triples (see :mod:`repro.network.traffic`), non-negative cycles only.
+- Packets are injected by a traffic pattern: a ``(P, 3)`` array of
+  ``(cycle, src, dst)`` rows (see :mod:`repro.network.traffic`; any
+  sequence of triples works too), non-negative cycles only.
 
 Switching modes (``run(..., switching=...)``)
 ---------------------------------------------
@@ -85,11 +86,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.graphs.traversal import bfs_distances
 from repro.network.faults import _NEVER, FaultPlan
 from repro.network.flowcontrol import (
     FlowControl,
     FlowOutcome,
+    _validate_vct,
     reference_flow_run,
     resolve_flits,
 )
@@ -171,26 +172,29 @@ class SimResult:
         return sum(self.hops) / len(self.hops) if self.hops else 0.0
 
 
-def _misroute_hops(
-    topo: Topology, dist_cache: Dict[int, np.ndarray], src: int, dst: int, hops: int
-) -> int:
-    """Detour steps of a route: hops beyond the *healthy* topology's
-    graph distance, halved (on bipartite cube graphs the excess is always
-    even; elsewhere the odd remainder is floored away).
+def _misroutes(
+    topo: Topology, src: np.ndarray, dst: np.ndarray, hops: np.ndarray
+) -> np.ndarray:
+    """Detour steps of routes ``src -> dst`` of ``hops`` hops: hops beyond
+    the *healthy* topology's graph distance, halved (on bipartite cube
+    graphs the excess is always even; elsewhere the odd remainder is
+    floored away), zero for pairs the healthy topology cannot connect.
 
     Measuring against the undamaged topology -- not the Hamming distance
     -- means shortest-path routing reports zero on every cube, including
     the non-isometric ones where graph distance legitimately exceeds
     Hamming distance; what remains is exactly the stretch the router (or
-    the fault damage) added.  One BFS per destination, cached per run.
+    the fault damage) added.  Distances come from the topology's cached
+    hop-distance rows.
     """
-    dist = dist_cache.get(dst)
-    if dist is None:
-        dist = dist_cache[dst] = bfs_distances(topo.graph, dst)
-    d = int(dist[src])
-    if d < 0:
-        return 0
-    return max(0, (hops - d) // 2)
+    d = topo.hop_distances(src, dst).astype(np.int64)
+    return np.where(d < 0, 0, np.maximum(0, (hops - d) // 2))
+
+
+def _row_misroutes(topo: Topology, table: RouteTable) -> np.ndarray:
+    """:func:`_misroutes` of every row of ``table``."""
+    src, dst = table.endpoints()
+    return _misroutes(topo, src, dst, table.lengths() - 1)
 
 
 class _Prepared:
@@ -266,64 +270,90 @@ def _flow_result(
     )
 
 
-def _build_table(topo: Topology, router, pairs) -> RouteTable:
-    if hasattr(router, "build_table"):
-        return router.build_table(topo, pairs)
-    return RouteTable.build(topo, router, pairs)
-
-
-def _prepare(
-    topo: Topology,
-    router,
-    traffic: Sequence[Tuple[int, int, int]],
-    route_table: Optional[RouteTable],
-    faults: Optional[FaultPlan] = None,
-    dist_cache: Optional[Dict[int, np.ndarray]] = None,
-) -> _Prepared:
+def _validate_item(
+    traffic,
+    flow: FlowControl,
+    flits: Union[int, Sequence[int]],
+    tenants: Optional[Sequence[int]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The one validation of a run's inputs, shared by every engine:
+    returns the traffic as a ``(P, 3)`` int64 array and its per-packet
+    flit counts.  Rejects negative injection cycles, bad or misaligned
+    flit counts, misaligned tenant ids, multi-flit packets under
+    store-and-forward and packets too big for a vct buffer."""
+    if not isinstance(traffic, np.ndarray):
+        traffic = list(traffic)
     arr = np.asarray(traffic, dtype=np.int64).reshape(-1, 3)
     if arr.size and int(arr[:, 0].min()) < 0:
         raise ValueError(
             "injection cycles must be non-negative "
             f"(got {int(arr[:, 0].min())}); both engines count time from 0"
         )
+    flit_arr = resolve_flits(flits, len(arr))
+    if tenants is not None and len(tenants) != len(arr):
+        raise ValueError(
+            f"tenants must align with traffic: {len(tenants)} ids "
+            f"for {len(arr)} packets"
+        )
+    if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
+        raise ValueError(
+            "store-and-forward is a single-flit model; use "
+            "switching='wormhole' or 'vct' for multi-flit packets"
+        )
+    if flow.pipelined:
+        _validate_vct(flow, flit_arr)
+    return arr, flit_arr
+
+
+def _pid_tenants(
+    tenants: Optional[Sequence[int]], order: np.ndarray
+) -> Optional[List[int]]:
+    """Tenant ids of the routed packets in pid order (``order`` maps
+    pids to traffic rows)."""
+    if tenants is None:
+        return None
+    return np.asarray(tenants, dtype=np.int64)[order].tolist()
+
+
+def _build_table(topo: Topology, router, pairs) -> RouteTable:
+    if hasattr(router, "build_table"):
+        return router.build_table(topo, pairs)
+    return RouteTable.build(topo, router, pairs)
+
+
+def _pairs(codes: np.ndarray, n: int) -> np.ndarray:
+    """``src * n + dst`` codes back to a ``(k, 2)`` pair array."""
+    return np.stack(np.divmod(codes, n), axis=1)
+
+
+def _prepare(
+    topo: Topology,
+    router,
+    arr: np.ndarray,
+    route_table: Optional[RouteTable],
+    faults: Optional[FaultPlan] = None,
+) -> _Prepared:
+    """Resolve validated traffic (see :func:`_validate_item`) against a
+    route table: the given one, or one built over its distinct pairs."""
     perm = np.argsort(arr[:, 0], kind="stable")
     arr = arr[perm]
-    if dist_cache is None:
-        # healthy-topology BFS distances; callers running many runs over
-        # one topology (the batch engine) pass a shared cache instead
-        dist_cache = {}
     if faults is not None and faults.num_events:
         if route_table is not None:
             raise ValueError("pass either route_table or faults, not both")
-        return _prepare_faulted(topo, router, arr, faults, perm, dist_cache)
-    n = topo.num_nodes
-    codes, inverse = np.unique(arr[:, 1] * n + arr[:, 2], return_inverse=True)
-    pairs = [(int(c) // n, int(c) % n) for c in codes]
+        return _prepare_faulted(topo, router, arr, faults, perm)
+    src, dst = arr[:, 1], arr[:, 2]
     table = route_table
     if table is None:
-        table = _build_table(topo, router, pairs)
-    try:
-        rowmap = np.asarray([table.pair_row[p] for p in pairs], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(
-            f"route_table has no entry for traffic pair {exc.args[0]}; "
-            "build the table over every (src, dst) pair in the traffic"
-        ) from None
-    rows = rowmap[inverse] if len(pairs) else np.empty(0, dtype=np.int64)
+        n = topo.num_nodes
+        table = _build_table(topo, router, _pairs(np.unique(src * n + dst), n))
+    rows = table.rows_of(src, dst)
     routed = rows >= 0
-    lengths = table.lengths()
-    mis = np.zeros(table.num_routes, dtype=np.int64)
-    for pair, r in table.pair_row.items():
-        if r >= 0:
-            mis[r] = _misroute_hops(
-                topo, dist_cache, pair[0], pair[1], int(lengths[r]) - 1
-            )
     return _Prepared(
         table=table,
         inject=arr[routed, 0],
         row=rows[routed],
         num_dropped=int((~routed).sum()),
-        misroutes=mis,
+        misroutes=_row_misroutes(topo, table),
         link_dead={},
         order=perm[routed],
     )
@@ -331,7 +361,7 @@ def _prepare(
 
 def _prepare_faulted(
     topo: Topology, router, arr: np.ndarray, faults: FaultPlan,
-    perm: np.ndarray, dist_cache: Dict[int, np.ndarray],
+    perm: np.ndarray,
 ) -> _Prepared:
     """Epoch-split preparation: every fault cycle starts a routing epoch.
 
@@ -339,48 +369,36 @@ def _prepare_faulted(
     every fault already active (pairs with a dead endpoint drop at
     injection), then the per-epoch tables merge into one flat table --
     rows are unique per (epoch, pair), so the same pair can legitimately
-    route differently before and after a failure.  ``dist_cache`` holds
-    *healthy*-topology distances (epoch-independent), so it is safe to
-    share across runs and fault plans on one topology.
+    route differently before and after a failure.  Misroutes are
+    measured against the *healthy* topology's distances.
     """
     faults.validate(topo)
     n = topo.num_nodes
+    death = faults.node_death_array(n)
     boundaries = np.asarray(faults.cycles(), dtype=np.int64)
     epoch = np.searchsorted(boundaries, arr[:, 0], side="right")
     rows = np.full(arr.shape[0], -1, dtype=np.int64)
-    chunks: List[np.ndarray] = []
-    offsets = [0]
-    mis: List[int] = []
-    for e in np.unique(epoch):
+    data: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    offsets: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
+    num_rows = num_steps = 0
+    for e in np.unique(epoch).tolist():
         at = int(boundaries[e - 1]) if e > 0 else -1
         view = topo.with_faults(faults, at_cycle=at) if e > 0 else topo
-        dead = faults.dead_nodes_at(at) if e > 0 else frozenset()
         sel = np.flatnonzero(epoch == e)
-        codes, inverse = np.unique(arr[sel, 1] * n + arr[sel, 2], return_inverse=True)
-        pairs = [(int(c) // n, int(c) % n) for c in codes]
-        live = [p for p in pairs if p[0] not in dead and p[1] not in dead]
-        sub = _build_table(view, router, live)
-        rowmap = np.empty(len(pairs), dtype=np.int64)
-        for i, pair in enumerate(pairs):
-            r = -1 if (pair[0] in dead or pair[1] in dead) else sub.pair_row[pair]
-            if r < 0:
-                rowmap[i] = -1
-                continue
-            nodes_seq = sub.route_nodes(r)
-            rowmap[i] = len(offsets) - 1
-            chunks.append(np.asarray(nodes_seq, dtype=np.int64))
-            offsets.append(offsets[-1] + nodes_seq.size)
-            mis.append(
-                _misroute_hops(
-                    topo, dist_cache, pair[0], pair[1], int(nodes_seq.size) - 1
-                )
-            )
-        rows[sel] = rowmap[inverse]
+        src, dst = arr[sel, 1], arr[sel, 2]
+        live = (death[src] > at) & (death[dst] > at)
+        sub = _build_table(
+            view, router, _pairs(np.unique(src[live] * n + dst[live]), n)
+        )
+        r = np.full(sel.size, -1, dtype=np.int64)
+        r[live] = sub.rows_of(src[live], dst[live])
+        rows[sel] = np.where(r >= 0, r + num_rows, -1)
+        data.append(sub.route_data)
+        offsets.append(sub.route_offsets[1:] + num_steps)
+        num_rows += sub.num_routes
+        num_steps += sub.route_data.size
     table = RouteTable(
-        route_data=(np.concatenate(chunks) if chunks
-                    else np.empty(0, dtype=np.int64)),
-        route_offsets=np.asarray(offsets, dtype=np.int64),
-        pair_row={},
+        route_data=np.concatenate(data), route_offsets=np.concatenate(offsets),
     )
     routed = rows >= 0
     return _Prepared(
@@ -388,7 +406,7 @@ def _prepare_faulted(
         inject=arr[routed, 0],
         row=rows[routed],
         num_dropped=int((~routed).sum()),
-        misroutes=np.asarray(mis, dtype=np.int64),
+        misroutes=_row_misroutes(topo, table),
         link_dead=faults.link_death_map(topo),
         order=perm[routed],
     )
@@ -441,60 +459,38 @@ class ReferenceSimulator:
         carries :attr:`SimResult.tenant_stats`.
         """
         flow = _as_flow(switching)
-        traffic = list(traffic)
-        flit_arr = resolve_flits(flits, len(traffic))
-        if tenants is not None and len(tenants) != len(traffic):
-            raise ValueError(
-                f"tenants must align with traffic: {len(tenants)} ids "
-                f"for {len(traffic)} packets"
-            )
-        if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-            raise ValueError(
-                "store-and-forward is a single-flit model; use "
-                "switching='wormhole' or 'vct' for multi-flit packets"
-            )
+        arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
         faulted = faults is not None and faults.num_events > 0
         if route_table is None and not faulted:
-            if traffic and min(t[0] for t in traffic) < 0:
-                raise ValueError(
-                    "injection cycles must be non-negative "
-                    f"(got {min(t[0] for t in traffic)}); "
-                    "both engines count time from 0"
-                )
             inject: List[int] = []
             routes: List[List[int]] = []
-            mis_of: List[int] = []
             nf: List[int] = []
             pid_tenants: List[int] = []
+            legs: List[Tuple[int, int, int]] = []  # (src, dst, hops)
             dropped = 0
-            dist_cache: Dict[int, np.ndarray] = {}
-            order = sorted(range(len(traffic)), key=lambda j: traffic[j][0])
-            for j in order:
-                cycle, src, dst = traffic[j]
+            order = np.argsort(arr[:, 0], kind="stable")
+            for j, (cycle, src, dst) in zip(order.tolist(), arr[order].tolist()):
                 path = self.router.route(self.topo, src, dst)
                 if path is None:
                     dropped += 1
                 else:
                     inject.append(cycle)
                     routes.append(path)
+                    legs.append((src, dst, len(path) - 1))
                     nf.append(int(flit_arr[j]))
                     if tenants is not None:
                         pid_tenants.append(int(tenants[j]))
-                    mis_of.append(
-                        _misroute_hops(self.topo, dist_cache, src, dst, len(path) - 1)
-                    )
+            leg = np.asarray(legs, dtype=np.int64).reshape(-1, 3)
+            mis_of = _misroutes(self.topo, leg[:, 0], leg[:, 1], leg[:, 2]).tolist()
             link_dead: Dict[Tuple[int, int], int] = {}
         else:
-            prep = _prepare(self.topo, self.router, traffic, route_table, faults)
+            prep = _prepare(self.topo, self.router, arr, route_table, faults)
             routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
             inject = prep.inject.tolist()
             dropped = prep.num_dropped
-            mis_of = [int(prep.misroutes[r]) for r in prep.row]
+            mis_of = prep.misroutes[prep.row].tolist()
             nf = flit_arr[prep.order].tolist()
-            pid_tenants = (
-                [int(tenants[j]) for j in prep.order]
-                if tenants is not None else []
-            )
+            pid_tenants = _pid_tenants(tenants, prep.order) or []
             link_dead = prep.link_dead
         if flow.pipelined:
             outcome = reference_flow_run(
@@ -634,19 +630,8 @@ class VectorizedSimulator:
         per-packet ``tenants`` included.
         """
         flow = _as_flow(switching)
-        traffic = list(traffic)
-        flit_arr = resolve_flits(flits, len(traffic))
-        if tenants is not None and len(tenants) != len(traffic):
-            raise ValueError(
-                f"tenants must align with traffic: {len(tenants)} ids "
-                f"for {len(traffic)} packets"
-            )
-        if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
-            raise ValueError(
-                "store-and-forward is a single-flit model; use "
-                "switching='wormhole' or 'vct' for multi-flit packets"
-            )
-        prep = _prepare(self.topo, self.router, traffic, route_table, faults)
+        arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
+        prep = _prepare(self.topo, self.router, arr, route_table, faults)
         num = len(prep.row)
         if num == 0:
             tstats: Tuple[TenantStats, ...] = ()
@@ -675,10 +660,7 @@ class VectorizedSimulator:
             outcome, prep.inject, nhops, prep.misroutes[prep.row],
             prep.num_dropped,
             all_tenants=tenants,
-            pid_tenants=(
-                [int(tenants[j]) for j in prep.order]
-                if tenants is not None else None
-            ),
+            pid_tenants=_pid_tenants(tenants, prep.order),
         )
 
 

@@ -60,6 +60,8 @@ from functools import lru_cache, partial
 from statistics import fmean, pstdev
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.analytic.bounds import analytic_saturation_bound
 from repro.network.batch import BatchedSimulator, BatchItem
 from repro.network.collectives import COLLECTIVES, run_collective
@@ -297,7 +299,7 @@ def _point_flow(spec: PointSpec) -> "str | FlowControl":
 
 def _point_traffic(
     spec: PointSpec, topo: Topology, plan: Optional[FaultPlan]
-) -> List[Tuple[int, int, int]]:
+) -> np.ndarray:
     num_packets = max(1, round(spec.load * topo.num_nodes * spec.inject_window))
     return make_traffic(
         spec.pattern, topo, num_packets, spec.inject_window, seed=spec.seed,
@@ -335,6 +337,28 @@ def _point_workload(
         spec.workload, topo, spec.inject_window, seed=spec.seed,
         load_scale=spec.load, faults=plan,
     )
+
+
+def _point_packets(
+    spec: PointSpec,
+    topo: Topology,
+    plan: Optional[FaultPlan],
+    traces: Optional[Mapping[str, Trace]],
+):
+    """A pattern or workload point's traffic, its per-packet tenant ids
+    (``None`` for single-tenant points) and its tenant names."""
+    if not spec.workload:
+        return _point_traffic(spec, topo, plan), None, ()
+    compiled = _point_workload(spec, topo, plan, traces)
+    return compiled.traffic, compiled.tenants, compiled.names
+
+
+def _point_flits(spec: PointSpec, num_packets: int) -> "int | np.ndarray":
+    """Per-packet flit counts of a point: seeded sizes under the
+    pipelined modes, single flits under store-and-forward."""
+    if spec.switching == "sf":
+        return 1
+    return flit_sizes(num_packets, spec.flits, seed=spec.seed)
 
 
 def _condense(
@@ -451,21 +475,11 @@ def run_point(
         result = coll.result
         rounds, round_bound = coll.rounds, coll.round_bound
     else:
-        tenants = None
-        if spec.workload:
-            compiled = _point_workload(spec, topo, plan, traces)
-            traffic: List[Tuple[int, int, int]] = list(compiled.traffic)
-            tenants = compiled.tenants
-            tenant_names = compiled.names
-        else:
-            traffic = _point_traffic(spec, topo, plan)
-        if pipelined:
-            sizes: "int | list" = flit_sizes(len(traffic), spec.flits, seed=spec.seed)
-        else:
-            sizes = 1
+        traffic, tenants, tenant_names = _point_packets(spec, topo, plan, traces)
         result = engine(topo, router).run(
             traffic, max_cycles=spec.max_cycles, faults=plan,
-            switching=flow, flits=sizes, tenants=tenants,
+            switching=flow, flits=_point_flits(spec, len(traffic)),
+            tenants=tenants,
         )
     return _condense(
         spec, topo, plan, result, rounds, round_bound,
@@ -562,26 +576,15 @@ def run_batch_points(
                 spec.router, _resolve_router(spec.router)()
             )
             plan = _point_plan(spec, topo)
-            tenants = None
-            tenant_names: Sequence[str] = ()
-            if spec.workload:
-                compiled = _point_workload(spec, topo, plan, traces)
-                traffic: List[Tuple[int, int, int]] = list(compiled.traffic)
-                tenants = compiled.tenants
-                tenant_names = compiled.names
-            else:
-                traffic = _point_traffic(spec, topo, plan)
-            # the exact switching/flits resolution of run_point, so a
-            # batched record can never diverge from the solo one
-            if spec.switching != "sf":
-                sizes: "int | list" = flit_sizes(
-                    len(traffic), spec.flits, seed=spec.seed
-                )
-            else:
-                sizes = 1
+            # the exact traffic/switching/flits resolution of run_point,
+            # so a batched record can never diverge from the solo one
+            traffic, tenants, tenant_names = _point_packets(
+                spec, topo, plan, traces
+            )
             items.append(BatchItem(
                 traffic=traffic, router=router, faults=plan,
-                switching=_point_flow(spec), flits=sizes, tenants=tenants,
+                switching=_point_flow(spec),
+                flits=_point_flits(spec, len(traffic)), tenants=tenants,
             ))
             plans.append(plan)
             names_of.append(tenant_names)

@@ -9,19 +9,37 @@ hypercube, the Fibonacci cube and the ``Q_d(1^s)`` family side by side.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+import threading
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.cubes.generalized import GeneralizedFibonacciCube, generalized_fibonacci_cube
 from repro.graphs.core import Graph
-from repro.graphs.traversal import all_pairs_distances, connected_components, is_connected
+from repro.graphs.traversal import (
+    all_pairs_distances,
+    bfs_distances_many,
+    connected_components,
+    is_connected,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults imports topology)
     from repro.network.faults import FaultPlan
 
 __all__ = ["Topology", "faulted_topology", "topology_of"]
+
+# guards every topology's memo: parse_topology hands one shared Topology
+# per spec to all of a process's sweep-service worker threads
+_MEMO_LOCK = threading.RLock()
+
+
+def _distance_dtype(num_nodes: int) -> type:
+    """The narrowest signed integer type holding any hop distance (at
+    most ``num_nodes - 1``) and the ``-1`` unreachable marker."""
+    if num_nodes <= 1 << 7:
+        return np.int8
+    return np.int16 if num_nodes <= 1 << 15 else np.int32
 
 
 @dataclass
@@ -33,12 +51,19 @@ class Topology:
     it.  ``allow_disconnected`` is set on masked fault views
     (:meth:`with_faults`), where failed nodes survive as isolated
     vertices so indices stay stable.
+
+    Arrays derived from the graph (hop-distance rows, structured traffic
+    maps) are built on first use and cached on the instance; see
+    :meth:`memo` and :meth:`distance_rows`.
     """
 
     name: str
     graph: Graph
     word_length: Optional[int] = None
     allow_disconnected: bool = False
+    _memo: Dict[Hashable, Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.graph.num_vertices == 0:
@@ -80,6 +105,50 @@ class Topology:
             "avg_distance": avg,
             "cost_degree_x_diameter": dmax * dia,
         }
+
+    # -- cached derived arrays ----------------------------------------------
+
+    def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """The value cached under ``key``, built by ``build()`` on first
+        use and kept for this topology's lifetime (treat it as
+        read-only)."""
+        with _MEMO_LOCK:
+            if key not in self._memo:
+                self._memo[key] = build()
+            return self._memo[key]
+
+    def distance_rows(self, dsts) -> Tuple[np.ndarray, np.ndarray]:
+        """Hop-distance rows for the destinations ``dsts``: ``(table,
+        row)`` with ``table[row[i], v]`` the graph distance from node
+        ``v`` to ``dsts[i]`` (``-1`` when unreachable).
+
+        Rows are built lazily, one batched BFS
+        (:func:`~repro.graphs.traversal.bfs_distances_many`) over the
+        destinations not seen before, and cached in the narrowest integer
+        dtype that fits, so the cache only holds rows some caller needed
+        and no topology pays for distances at construction.  Treat
+        ``table`` as read-only.
+        """
+        n = self.num_nodes
+        dsts = np.asarray(dsts, dtype=np.int64)
+        with _MEMO_LOCK:
+            row_of, table = self._memo.get("dist") or (
+                np.full(n, -1, dtype=np.int64),
+                np.empty((0, n), dtype=_distance_dtype(n)),
+            )
+            need = np.unique(dsts[row_of[dsts] < 0])
+            if need.size:
+                fresh = bfs_distances_many(self.graph, need, dtype=table.dtype)
+                row_of[need] = np.arange(len(table), len(table) + need.size)
+                table = np.concatenate((table, fresh))
+                self._memo["dist"] = (row_of, table)
+            return table, row_of[dsts]
+
+    def hop_distances(self, src, dst) -> np.ndarray:
+        """Graph distance of every pair ``(src[i], dst[i])`` (``-1`` when
+        unreachable), read from the cached :meth:`distance_rows`."""
+        table, row = self.distance_rows(dst)
+        return table[row, np.asarray(src, dtype=np.int64)]
 
     def node_word(self, index: int) -> str:
         """The binary-word address of a node (labels must be words)."""

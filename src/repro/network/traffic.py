@@ -4,15 +4,31 @@ Interconnection papers never judge a topology on uniform random traffic
 alone: adversarial permutations (transpose, bit reversal, tornado),
 hotspots and bursty sources are what separate a fat bisection from a thin
 one.  Every generator here produces the simulator's native format -- a
-list of ``(cycle, src, dst)`` triples, sorted, with ``src != dst`` -- and
-is deterministic given ``seed``.
+``(P, 3)`` int64 array of ``(cycle, src, dst)`` rows, sorted
+lexicographically, with ``src != dst`` -- and is deterministic given
+``seed``.
+
+Random draws come from one small counter-based generator written here
+(:func:`draw_words`): word ``i`` of a ``(seed, stream)`` pair is the
+SplitMix64 finaliser applied to ``key(seed, stream) + (i + 1) * gamma``,
+so any slice of a stream is one vectorised expression, and bounded
+integers come from the multiply-shift reduction
+``((word >> 32) * bound) >> 32`` (bias below ``bound / 2**32``).  Each
+pattern, and each field it draws (source, destination, cycle, ...),
+reads its own stream, so patterns at one seed are independent.  The
+generator uses 64-bit integer arithmetic only -- no floating-point
+transcendental, no ``random`` or NumPy distribution -- so the streams are
+pinned by this file: neither a NumPy upgrade nor a different CPU can move
+them (``tests/network/test_traffic.py`` pins their digests).
 
 Patterns are *topology-aware*: on word-addressed topologies (all the cube
 families) the structured patterns act on the binary node words, and fall
 back to an index-space mapping whenever the transformed word is not a
 vertex (generalized Fibonacci cubes are not closed under e.g. reversal
 for non-palindromic factors).  The fallback keeps every pattern total on
-every topology, so sweeps can run the same scenario grid everywhere.
+every topology, so sweeps can run the same scenario grid everywhere.  A
+structured pattern's destination map is computed once per topology and
+cached on it.
 
 The registry :data:`PATTERNS` / :func:`make_traffic` is what the sweep
 harness and the ``repro sweep`` CLI iterate over.  The collective
@@ -20,24 +36,25 @@ operations of :mod:`repro.network.collectives` are registered too
 (``broadcast``/``reduce``/``allgather``/``alltoall``/``ring``) in an
 *open-loop* form: the schedule's rounds become injection waves spread
 over the window (repeated from seeded roots until ``num_packets``
-triples exist), so collectives slot into the same load-sweep grids as
+rows exist), so collectives slot into the same load-sweep grids as
 every other pattern -- the *closed-loop* barriered form lives in
 :func:`repro.network.collectives.run_collective` and the sweep's
 ``--collective`` axis.  Flow-controlled runs
-(wormhole / virtual cut-through) pair a traffic list with per-packet
-flit counts from :func:`flit_sizes`, aligned entry for entry.  Under a fault plan
-(:class:`~repro.network.faults.FaultPlan`), :func:`make_traffic` removes
-the triples whose *source* is already dead at its injection cycle --
-failed nodes stop injecting, while dead destinations and in-flight
+(wormhole / virtual cut-through) pair a traffic array with per-packet
+flit counts from :func:`flit_sizes`, aligned row for row.  Under a fault
+plan (:class:`~repro.network.faults.FaultPlan`), :func:`make_traffic`
+removes the rows whose *source* is already dead at its injection cycle
+-- failed nodes stop injecting, while dead destinations and in-flight
 losses stay the simulator's accounting.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
-from repro.network.faults import _NEVER, FaultPlan
+import numpy as np
+
+from repro.network.faults import FaultPlan
 from repro.network.topology import Topology
 
 __all__ = [
@@ -45,6 +62,7 @@ __all__ = [
     "bit_reversal_traffic",
     "bursty_traffic",
     "collective_traffic",
+    "draw_words",
     "flit_sizes",
     "hotspot_traffic",
     "make_traffic",
@@ -54,7 +72,92 @@ __all__ = [
     "uniform_traffic",
 ]
 
-Traffic = List[Tuple[int, int, int]]
+Traffic = np.ndarray  # (P, 3) int64 rows (cycle, src, dst)
+
+# -- the counter-based generator ---------------------------------------------
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment (2**64 / golden ratio)
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+# a generator's stream ids are its base plus one offset per drawn field,
+# so two patterns at one seed draw independent traffic and adding a field
+# never shifts another
+_SRC, _DST, _CYCLE, _HOT, _ORDER, _LENGTH, _ROOT, _WAVE = range(8)
+_BASE = {
+    name: 16 * (i + 1)
+    for i, name in enumerate((
+        "uniform", "permutation", "transpose", "bitrev", "tornado",
+        "hotspot", "bursty", "broadcast", "reduce", "allgather", "alltoall",
+        "ring", "flits",
+    ))
+}
+
+
+def _mix_int(z: int) -> int:
+    """The SplitMix64 finaliser on one Python int (mod 2**64)."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def draw_words(seed: int, stream: int, index) -> np.ndarray:
+    """Raw 64-bit words ``index`` of the ``(seed, stream)`` sequence.
+
+    Word ``i`` is ``mix(key + (i + 1) * gamma)`` with
+    ``key = mix(mix(seed) + stream * gamma)``, all mod ``2**64`` --
+    SplitMix64's output sequence from state ``key``, addressed by
+    counter, so any set of indices is drawn in one vectorised pass and a
+    stream never depends on how it is sliced.
+    """
+    key = _mix_int((_mix_int(seed & _MASK) + stream * _GAMMA) & _MASK)
+    z = np.asarray(index, dtype=np.uint64) + np.uint64(1)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _below(words: np.ndarray, bound: int) -> np.ndarray:
+    """Multiply-shift reduction of words to ints in ``[0, bound)``."""
+    if not 0 < bound <= 1 << 32:
+        raise ValueError(f"bounded draw needs 0 < bound <= 2**32, got {bound}")
+    hi = words >> np.uint64(32)
+    return ((hi * np.uint64(bound)) >> np.uint64(32)).astype(np.int64)
+
+
+def _draw(seed: int, stream: int, count: int, bound: int) -> np.ndarray:
+    """``count`` ints uniform in ``[0, bound)`` from one stream."""
+    return _below(draw_words(seed, stream, np.arange(count, dtype=np.uint64)), bound)
+
+
+def _chance(fraction: float) -> np.uint64:
+    """The 53-bit threshold a word's top bits fall below with probability
+    ``fraction`` (exact: scaling a double by 2**53 rounds nothing)."""
+    return np.uint64(int(fraction * (1 << 53)))
+
+
+def _rows(cycle, src, dst, n: int) -> Traffic:
+    """The rows ``(cycle, src, dst)`` (nodes below ``n``) sorted
+    lexicographically: one sort of the packed key ``(cycle * n + src) *
+    n + dst`` when it fits in 63 bits, a three-key lexsort otherwise."""
+    cycle, src, dst = (np.asarray(a, dtype=np.int64) for a in (cycle, src, dst))
+    if cycle.size and (int(cycle.max()) + 1) * n * n >= 1 << 63:
+        out = np.stack((cycle, src, dst), axis=1)
+        return out[np.lexsort((dst, src, cycle))]
+    key = np.sort((cycle * n + src) * n + dst)
+    out = np.empty((key.size, 3), dtype=np.int64)
+    rest, out[:, 2] = np.divmod(key, n)
+    out[:, 0], out[:, 1] = np.divmod(rest, n)
+    return out
+
+
+# -- patterns -------------------------------------------------------------------
 
 
 def _check_args(topo: Topology, num_packets: int, inject_window: int) -> int:
@@ -67,26 +170,27 @@ def _check_args(topo: Topology, num_packets: int, inject_window: int) -> int:
     return topo.num_nodes
 
 
+def _other_than(words: np.ndarray, avoid: np.ndarray, n: int) -> np.ndarray:
+    """Uniform nodes in ``[0, n)`` other than ``avoid`` (row by row)."""
+    out = _below(words, n - 1)
+    return out + (out >= avoid)
+
+
 def uniform_traffic(
     topo: Topology,
     num_packets: int,
     inject_window: int,
     seed: int = 0,
 ) -> Traffic:
-    """Uniform random traffic: ``num_packets`` triples ``(cycle, src, dst)``
+    """Uniform random traffic: ``num_packets`` rows ``(cycle, src, dst)``
     with distinct ``src != dst`` drawn uniformly, injection cycles uniform
     over ``[0, inject_window)``.  Deterministic given ``seed``."""
     n = _check_args(topo, num_packets, inject_window)
-    rng = random.Random(seed)
-    out = []
-    for _ in range(num_packets):
-        s = rng.randrange(n)
-        t = rng.randrange(n - 1)
-        if t >= s:
-            t += 1
-        out.append((rng.randrange(inject_window), s, t))
-    out.sort()
-    return out
+    base = _BASE["uniform"]
+    idx = np.arange(num_packets, dtype=np.uint64)
+    src = _below(draw_words(seed, base + _SRC, idx), n)
+    dst = _other_than(draw_words(seed, base + _DST, idx), src, n)
+    return _rows(_draw(seed, base + _CYCLE, num_packets, inject_window), src, dst, n)
 
 
 def permutation_traffic(
@@ -98,22 +202,21 @@ def permutation_traffic(
     """Random-permutation traffic: one fixed-point-free permutation per run.
 
     The permutation is a uniformly random ``n``-cycle (successor map of a
-    shuffled node order), so every node sends to exactly one partner and
-    no node sends to itself -- the classic "permutation routing" workload.
+    shuffled node order, the order being the nodes sorted by a random
+    key), so every node sends to exactly one partner and no node sends to
+    itself -- the classic "permutation routing" workload.
     """
     n = _check_args(topo, num_packets, inject_window)
-    rng = random.Random(seed)
-    order = list(range(n))
-    rng.shuffle(order)
-    partner = [0] * n
-    for i, v in enumerate(order):
-        partner[v] = order[(i + 1) % n]
-    out = []
-    for _ in range(num_packets):
-        s = rng.randrange(n)
-        out.append((rng.randrange(inject_window), s, partner[s]))
-    out.sort()
-    return out
+    base = _BASE["permutation"]
+    order = np.argsort(
+        draw_words(seed, base + _ORDER, np.arange(n, dtype=np.uint64)),
+        kind="stable",
+    )
+    partner = np.empty(n, dtype=np.int64)
+    partner[order] = np.roll(order, -1)
+    src = _draw(seed, base + _SRC, num_packets, n)
+    cycle = _draw(seed, base + _CYCLE, num_packets, inject_window)
+    return _rows(cycle, src, partner[src], n)
 
 
 def _word_mapped(topo: Topology, src: int, mapper: Callable[[str], str]) -> Optional[int]:
@@ -132,8 +235,23 @@ def _index_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-def _avoid_self(src: int, dst: int, n: int) -> int:
-    return (src + 1) % n if dst == src else dst
+def _dst_map(
+    topo: Topology,
+    word_map: Callable[[str], str],
+    index_map: Callable[[int, int], int],
+) -> np.ndarray:
+    """Destination of every source: the word mapping when it lands on a
+    vertex, else the index mapping mod ``n``; a fixed point is sent to
+    the next node instead."""
+    n = topo.num_nodes
+    b = _index_bits(n)
+    dst_of = np.empty(n, dtype=np.int64)
+    for s in range(n):
+        t = _word_mapped(topo, s, word_map)
+        if t is None:
+            t = index_map(s, b) % n
+        dst_of[s] = (s + 1) % n if t == s else t
+    return dst_of
 
 
 def _structured_traffic(
@@ -141,26 +259,36 @@ def _structured_traffic(
     num_packets: int,
     inject_window: int,
     seed: int,
-    word_map: Optional[Callable[[str], str]],
-    index_map: Callable[[int, int], int],
+    name: str,
+    build: Callable[[], np.ndarray],
 ) -> Traffic:
-    """Shared engine of the deterministic src->dst patterns: use the word
-    mapping when given and it lands on a vertex, else the index mapping
-    mod ``n``."""
-    n = _check_args(topo, num_packets, inject_window)
-    rng = random.Random(seed)
-    b = _index_bits(n)
-    dst_of: List[int] = []
-    for s in range(n):
-        t = _word_mapped(topo, s, word_map) if word_map is not None else None
-        if t is None:
-            t = index_map(s, b) % n
-        dst_of.append(_avoid_self(s, t, n))
-    out = []
-    for _ in range(num_packets):
-        s = rng.randrange(n)
-        out.append((rng.randrange(inject_window), s, dst_of[s]))
-    out.sort()
+    """Shared engine of the deterministic src->dst patterns: uniform
+    sources gather their destination from the pattern's ``dst_of`` map,
+    built by ``build`` once per topology."""
+    _check_args(topo, num_packets, inject_window)
+    dst_of = topo.memo(("dst_of", name), build)
+    base = _BASE[name]
+    src = _draw(seed, base + _SRC, num_packets, topo.num_nodes)
+    cycle = _draw(seed, base + _CYCLE, num_packets, inject_window)
+    return _rows(cycle, src, dst_of[src], topo.num_nodes)
+
+
+def _transpose_word(w: str) -> str:
+    half = len(w) // 2
+    return w[half:] + w[:half]
+
+
+def _transpose_index(s: int, b: int) -> int:
+    half = b // 2
+    hi, lo = s >> half, s & ((1 << half) - 1)
+    return (lo << (b - half)) | hi
+
+
+def _reverse_index(s: int, b: int) -> int:
+    out = 0
+    for _ in range(b):
+        out = (out << 1) | (s & 1)
+        s >>= 1
     return out
 
 
@@ -172,18 +300,9 @@ def transpose_traffic(
 ) -> Traffic:
     """Matrix-transpose traffic: destination address swaps the two halves
     of the source address (words when possible, index bits otherwise)."""
-
-    def word_map(w: str) -> str:
-        half = len(w) // 2
-        return w[half:] + w[:half]
-
-    def index_map(s: int, b: int) -> int:
-        half = b // 2
-        hi, lo = s >> half, s & ((1 << half) - 1)
-        return (lo << (b - half)) | hi
-
     return _structured_traffic(
-        topo, num_packets, inject_window, seed, word_map, index_map
+        topo, num_packets, inject_window, seed, "transpose",
+        lambda: _dst_map(topo, _transpose_word, _transpose_index),
     )
 
 
@@ -195,16 +314,9 @@ def bit_reversal_traffic(
 ) -> Traffic:
     """Bit-reversal traffic: destination address is the reversed source
     address -- the FFT communication pattern."""
-
-    def index_map(s: int, b: int) -> int:
-        out = 0
-        for _ in range(b):
-            out = (out << 1) | (s & 1)
-            s >>= 1
-        return out
-
     return _structured_traffic(
-        topo, num_packets, inject_window, seed, lambda w: w[::-1], index_map
+        topo, num_packets, inject_window, seed, "bitrev",
+        lambda: _dst_map(topo, lambda w: w[::-1], _reverse_index),
     )
 
 
@@ -228,7 +340,8 @@ def tornado_traffic(
         )
     # tornado is defined on node positions, not addresses: no word mapping
     return _structured_traffic(
-        topo, num_packets, inject_window, seed, None, lambda s, b: (s + stride) % n
+        topo, num_packets, inject_window, seed, "tornado",
+        lambda: (np.arange(n, dtype=np.int64) + stride) % n,
     )
 
 
@@ -241,11 +354,11 @@ def hotspot_traffic(
     fraction: float = 0.5,
 ) -> Traffic:
     """Hotspot traffic: each packet targets ``hotspot`` with probability
-    ``fraction``, and a uniform random destination otherwise."""
-    # validate the node count with the argument checks, not deep inside the
-    # draw loop: a single-node topology would otherwise surface as a raw
-    # ``randrange(0)`` ValueError when the first hotspot packet picks its
-    # source from the empty "everyone but the hotspot" population
+    ``fraction`` (from any other source), and a uniform random
+    destination otherwise."""
+    # validate the node count with the argument checks, before any draw:
+    # a single-node topology has no source that could target a distinct
+    # hotspot
     if topo.num_nodes < 2:
         raise ValueError(
             "hotspot traffic needs at least two nodes "
@@ -257,22 +370,35 @@ def hotspot_traffic(
         raise ValueError(f"hotspot node {hotspot} out of range for {n} nodes")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"hotspot fraction must be in [0, 1], got {fraction}")
-    rng = random.Random(seed)
-    out = []
-    for _ in range(num_packets):
-        if rng.random() < fraction:
-            t = hotspot
-            s = rng.randrange(n - 1)
-            if s >= t:
-                s += 1
-        else:
-            s = rng.randrange(n)
-            t = rng.randrange(n - 1)
-            if t >= s:
-                t += 1
-        out.append((rng.randrange(inject_window), s, t))
-    out.sort()
-    return out
+    base = _BASE["hotspot"]
+    idx = np.arange(num_packets, dtype=np.uint64)
+    hot = (draw_words(seed, base + _HOT, idx) >> np.uint64(11)) < _chance(fraction)
+    src_words = draw_words(seed, base + _SRC, idx)
+    uniform_src = _below(src_words, n)
+    src = np.where(hot, _other_than(src_words, hotspot, n), uniform_src)
+    dst_words = draw_words(seed, base + _DST, idx)
+    dst = np.where(hot, hotspot, _other_than(dst_words, uniform_src, n))
+    return _rows(_draw(seed, base + _CYCLE, num_packets, inject_window), src, dst, n)
+
+
+def _burst_lengths(
+    seed: int, bursts: np.ndarray, cap: np.ndarray, mean_burst: int
+) -> np.ndarray:
+    """Geometric burst lengths (mean ``mean_burst``), each capped at
+    ``cap``: burst ``b`` grows while its trial words ``(b, 0), (b, 1),
+    ...`` of the length stream stay above the stop threshold."""
+    stop = np.uint64((1 << 53) // mean_burst)
+    length = np.ones(bursts.size, dtype=np.int64)
+    live = np.flatnonzero(cap > 1)
+    trial = 0
+    while live.size:
+        index = (bursts[live] << np.uint64(32)) | np.uint64(trial)
+        words = draw_words(seed, _BASE["bursty"] + _LENGTH, index)
+        live = live[(words >> np.uint64(11)) >= stop]
+        length[live] += 1
+        live = live[length[live] < cap[live]]
+        trial += 1
+    return length
 
 
 def bursty_traffic(
@@ -289,39 +415,56 @@ def bursty_traffic(
     n = _check_args(topo, num_packets, inject_window)
     if mean_burst < 1:
         raise ValueError(f"mean_burst must be at least 1, got {mean_burst}")
-    rng = random.Random(seed)
-    out: Traffic = []
-    while len(out) < num_packets:
-        s = rng.randrange(n)
-        t = rng.randrange(n - 1)
-        if t >= s:
-            t += 1
-        start = rng.randrange(inject_window)
-        length = 1
-        while rng.random() >= 1.0 / mean_burst:  # geometric, mean = mean_burst
-            length += 1
-        # cap the burst at the window edge: every pattern honours the
+    if num_packets == 0:
+        return np.empty((0, 3), dtype=np.int64)
+    # bursts are numbered, so drawing them in chunks until enough packets
+    # exist yields the same stream whatever the chunk size
+    base = _BASE["bursty"]
+    chunk = 2 * (num_packets // mean_burst) + 16
+    parts = []
+    total = first = 0
+    while total < num_packets:
+        b = np.arange(first, first + chunk, dtype=np.uint64)
+        src = _below(draw_words(seed, base + _SRC, b), n)
+        dst = _other_than(draw_words(seed, base + _DST, b), src, n)
+        start = _below(draw_words(seed, base + _CYCLE, b), inject_window)
+        # cap each burst at the window edge: every pattern honours the
         # documented [0, inject_window) contract, so the sweep harness's
         # load * nodes * window normalisation stays exact
-        length = min(length, num_packets - len(out), inject_window - start)
-        for k in range(length):
-            out.append((start + k, s, t))
-    out.sort()
-    return out
+        length = _burst_lengths(seed, b, inject_window - start, mean_burst)
+        parts.append((src, dst, start, length))
+        total += int(length.sum())
+        first += chunk
+    src, dst, start, length = (np.concatenate(col) for col in zip(*parts))
+    # keep the bursts that reach num_packets, truncating the last one
+    ends = np.cumsum(length)
+    used = int(np.searchsorted(ends, num_packets)) + 1
+    length = length[:used]
+    length[-1] -= int(ends[used - 1]) - num_packets
+    offset = np.arange(num_packets, dtype=np.int64) - np.repeat(
+        np.cumsum(length) - length, length
+    )
+    return _rows(
+        np.repeat(start[:used], length) + offset,
+        np.repeat(src[:used], length),
+        np.repeat(dst[:used], length),
+        n,
+    )
 
 
 def flit_sizes(
     num_packets: int,
     flits: "str | int" = "1",
     seed: int = 0,
-) -> List[int]:
+) -> np.ndarray:
     """Per-packet flit counts for the flow-controlled switching modes.
 
     ``flits`` is a compact spec: an int (or digit string) gives every
     packet that many flits; ``"lo-hi"`` draws each packet's size
     uniformly from ``[lo, hi]``, deterministic given ``seed``.  The
-    returned list aligns with a traffic list of ``num_packets`` triples
-    (generate it *after* any fault filtering so the two stay aligned).
+    returned ``(num_packets,)`` int64 array aligns with a traffic array
+    of ``num_packets`` rows (generate it *after* any fault filtering so
+    the two stay aligned).
     """
     if num_packets < 0:
         raise ValueError(f"num_packets must be non-negative, got {num_packets}")
@@ -342,9 +485,8 @@ def flit_sizes(
             f"bad flits spec {flits!r}: need 1 <= lo <= hi, got [{lo}, {hi}]"
         )
     if lo == hi:
-        return [lo] * num_packets
-    rng = random.Random(seed)
-    return [rng.randint(lo, hi) for _ in range(num_packets)]
+        return np.full(num_packets, lo, dtype=np.int64)
+    return lo + _draw(seed, _BASE["flits"], num_packets, hi - lo + 1)
 
 
 def collective_traffic(
@@ -356,12 +498,12 @@ def collective_traffic(
 ) -> Traffic:
     """Open-loop traffic from a collective's round schedule.
 
-    One repetition compiles the collective (from a seeded random root)
+    Repetition ``r`` compiles the collective from a seeded random root
     and maps its rounds onto injection waves inside the window: each
     round gets a seeded wave cycle drawn from ``[0, inject_window)``,
     the waves sorted so round order is preserved (later rounds never
     inject before earlier ones).  Repetitions (fresh roots) accumulate
-    until ``num_packets`` triples exist; the last one is truncated.
+    until ``num_packets`` rows exist; the last one is truncated.
     This is the *offered-load* view for pattern sweeps -- it respects
     round ordering but not delivery barriers; for true per-round
     barriers use :func:`repro.network.collectives.run_collective`.
@@ -370,20 +512,28 @@ def collective_traffic(
     from repro.network.collectives import collective_schedule
 
     n = _check_args(topo, num_packets, inject_window)
-    rng = random.Random(seed)
-    out: Traffic = []
-    while len(out) < num_packets:
-        root = rng.randrange(n)
+    base = _BASE.get(name, 0)  # an unknown name fails in collective_schedule
+    parts = []
+    total = rep = 0
+    while total < num_packets:
+        root = int(_below(draw_words(seed, base + _ROOT, [rep]), n)[0])
         rounds = collective_schedule(name, topo, root=root)
-        waves = sorted(rng.randrange(inject_window) for _ in rounds)
-        rep = [
-            (wave, u, v)
-            for wave, rnd in zip(waves, rounds)
-            for u, v in rnd
-        ]
-        out.extend(rep[: num_packets - len(out)])
-    out.sort()
-    return out
+        index = (np.uint64(rep) << np.uint64(32)) + np.arange(
+            len(rounds), dtype=np.uint64
+        )
+        waves = np.sort(
+            _below(draw_words(seed, base + _WAVE, index), inject_window)
+        )
+        pairs = np.asarray(
+            [pair for rnd in rounds for pair in rnd], dtype=np.int64
+        ).reshape(-1, 2)
+        cycles = np.repeat(waves, [len(rnd) for rnd in rounds])
+        take = min(num_packets - total, cycles.size)
+        parts.append(np.column_stack((cycles, pairs))[:take])
+        total += take
+        rep += 1
+    out = np.concatenate(parts) if parts else np.empty((0, 3), dtype=np.int64)
+    return _rows(out[:, 0], out[:, 1], out[:, 2], n)
 
 
 def _collective_pattern(name: str) -> Callable[..., Traffic]:
@@ -424,9 +574,9 @@ def make_traffic(
 ) -> Traffic:
     """Generate traffic by registry name (see :data:`PATTERNS`).
 
-    ``faults`` silences dead sources: triples whose source node has
-    failed at or before their injection cycle are removed, so offered
-    load comes from surviving nodes only.
+    ``faults`` silences dead sources: rows whose source node has failed
+    at or before their injection cycle are removed, so offered load
+    comes from surviving nodes only.
     """
     try:
         fn = PATTERNS[pattern]
@@ -437,6 +587,6 @@ def make_traffic(
         ) from None
     out = fn(topo, num_packets, inject_window, seed=seed, **kwargs)
     if faults is not None and faults.node_faults:
-        death = faults.node_death_cycles()
-        out = [t for t in out if death.get(t[1], _NEVER) > t[0]]
+        death = faults.node_death_array(topo.num_nodes)
+        out = out[death[out[:, 1]] > out[:, 0]]
     return out

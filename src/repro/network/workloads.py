@@ -20,7 +20,7 @@ This module makes those scenarios first-class:
   cycle, and when tenants contend for a slot the higher-priority packet
   wins while the loser is deferred to the next cycle (ties break by
   tenant order, then by each tenant's own packet order).  The output is
-  the simulator's native ``(cycle, src, dst)`` triples plus an aligned
+  the simulator's ``(cycle, src, dst)`` rows plus an aligned
   per-packet tenant id -- deterministic given the seed, so every engine
   and backend replays it bit-identically;
 - a recorded schedule is a versioned NDJSON **trace**
@@ -55,9 +55,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.network.faults import _NEVER, FaultPlan
+from repro.network.faults import FaultPlan
 from repro.network.topology import Topology
-from repro.network.traffic import PATTERNS, Traffic
+from repro.network.traffic import PATTERNS
 
 __all__ = [
     "CompiledWorkload",
@@ -293,12 +293,12 @@ def compile_workload(
         )
         entries.extend(
             (cycle, src, dst, ti, -tenant.priority, k)
-            for k, (cycle, src, dst) in enumerate(stream)
+            for k, (cycle, src, dst) in enumerate(stream.tolist())
         )
     entries = _arbitrate(entries, workload.rate)
     if faults is not None and faults.node_faults:
-        death = faults.node_death_cycles()
-        entries = [e for e in entries if death.get(e[1], _NEVER) > e[0]]
+        death = faults.node_death_array(n).tolist()
+        entries = [e for e in entries if death[e[1]] > e[0]]
     entries.sort(key=lambda e: (e[0], e[1], e[2], e[3], e[5]))
     return CompiledWorkload(
         traffic=tuple((c, s, d) for c, s, d, _, _, _ in entries),
@@ -493,11 +493,8 @@ def compile_trace(
     traffic = trace.traffic
     tenant_ids = trace.tenant_ids
     if faults is not None and faults.node_faults:
-        death = faults.node_death_cycles()
-        kept = [
-            k for k, (c, s, _) in enumerate(traffic)
-            if death.get(s, _NEVER) > c
-        ]
+        death = faults.node_death_array(n).tolist()
+        kept = [k for k, (c, s, _) in enumerate(traffic) if death[s] > c]
         traffic = tuple(traffic[k] for k in kept)
         tenant_ids = tuple(tenant_ids[k] for k in kept)
     return CompiledWorkload(

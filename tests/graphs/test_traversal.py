@@ -10,6 +10,7 @@ from repro.graphs.traversal import (
     all_pairs_distances,
     bfs_distances,
     bfs_distances_csr,
+    bfs_distances_many,
     connected_components,
     diameter,
     eccentricities,
@@ -64,6 +65,25 @@ class TestBfsEngines:
         g.add_edge(0, 1)
         dist = bfs_distances_csr(g, 2)
         assert dist.tolist() == [-1, -1, 0]
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_many_matches_deque(self, name):
+        g = GRAPHS[name]
+        sources = list(range(g.num_vertices))[::-1] + [0]
+        rows = bfs_distances_many(g, sources, dtype=np.int8)
+        assert rows.shape == (len(sources), g.num_vertices)
+        assert rows.dtype == np.int8
+        for row, s in zip(rows, sources):
+            assert np.array_equal(row, bfs_distances(g, s))
+
+    def test_many_with_isolated_and_disconnected_vertices(self):
+        # isolated vertices sit in the middle and at the end of the CSR
+        g = Graph.from_edges(7, [(0, 1), (1, 3), (4, 5)])
+        rows = bfs_distances_many(g, range(7))
+        for s in range(7):
+            assert np.array_equal(rows[s], bfs_distances(g, s))
+        assert bfs_distances_many(Graph(2), [1]).tolist() == [[-1, 0]]
+        assert bfs_distances_many(g, []).shape == (0, 7)
 
 
 class TestAllPairs:

@@ -205,7 +205,7 @@ def test_deadlocked_run_inside_a_batch():
         traffic = make_traffic("uniform", topo, 120, 2, seed=seed)
         items.append(BatchItem(
             traffic, router=router,
-            switching=tight if seed % 2 == 1 else roomy,
+            switching=tight if seed % 2 == 0 else roomy,
             flits=flit_sizes(len(traffic), "2-6", seed=seed),
         ))
     want = _sequential(topo, items)

@@ -1,5 +1,6 @@
 """Broadcast scheduling, the message simulator, fault trials, Hamiltonicity."""
 
+import numpy as np
 import pytest
 
 from repro.cubes.generalized import generalized_fibonacci_cube
@@ -95,7 +96,7 @@ class TestSimulator:
     def test_deterministic_traffic(self, gamma6):
         t1 = uniform_traffic(gamma6, 50, 10, seed=9)
         t2 = uniform_traffic(gamma6, 50, 10, seed=9)
-        assert t1 == t2
+        assert np.array_equal(t1, t2)
 
     def test_throughput_positive(self, gamma6):
         traffic = uniform_traffic(gamma6, 60, 30, seed=5)

@@ -1,10 +1,15 @@
 """Network substrate: topology metrics and routers."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 
 from repro.cubes.fibonacci import fibonacci_cube
 from repro.cubes.hypercube import hypercube
 from repro.graphs.core import Graph
+from repro.graphs.traversal import bfs_distances
 from repro.network.routing import BfsRouter, CanonicalRouter, GreedyRouter, route_stats
 from repro.network.topology import Topology, topology_of
 
@@ -55,6 +60,50 @@ class TestTopology:
     def test_bad_input_type(self):
         with pytest.raises(TypeError):
             topology_of(42)
+
+    def test_distance_rows_are_lazy_compact_and_exact(self):
+        topo = topology_of(("101", 7))
+        assert "dist" not in topo._memo  # nothing computed at build time
+        table, row = topo.distance_rows([5, 2, 5])
+        assert table.dtype == np.int8 and table.shape[0] == 2
+        for r, dst in zip(row, (5, 2, 5)):
+            assert np.array_equal(table[r], bfs_distances(topo.graph, dst))
+        assert topo.hop_distances([0, 3], [2, 5]).tolist() == [
+            bfs_distances(topo.graph, 2)[0], bfs_distances(topo.graph, 5)[3],
+        ]
+
+    def test_distance_rows_under_concurrent_growth(self):
+        """Sweep-service worker threads share one topology: rows added
+        by racing threads must never be mapped to the wrong destination."""
+        topo = topology_of(hypercube(9), name="Q9")
+        want = {d: bfs_distances(topo.graph, d) for d in range(topo.num_nodes)}
+        bad = []
+
+        def worker(k):
+            rng = np.random.default_rng(k)
+            try:
+                for _ in range(40):
+                    dsts = rng.integers(0, topo.num_nodes, size=3)
+                    table, row = topo.distance_rows(dsts)
+                    bad.extend(
+                        int(d) for d, r in zip(dsts, row)
+                        if not np.array_equal(table[r], want[int(d)])
+                    )
+            except IndexError as exc:  # a torn update can point past the table
+                bad.append(repr(exc))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 class TestRouters:

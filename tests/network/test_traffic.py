@@ -1,5 +1,9 @@
-"""The traffic-pattern library: shape, determinism, topology-awareness."""
+"""The traffic-pattern library: shape, determinism, topology-awareness,
+and the pinned random streams."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cubes.hypercube import hypercube
@@ -8,6 +12,7 @@ from repro.network.traffic import (
     PATTERNS,
     bit_reversal_traffic,
     bursty_traffic,
+    draw_words,
     flit_sizes,
     hotspot_traffic,
     make_traffic,
@@ -17,6 +22,11 @@ from repro.network.traffic import (
     uniform_traffic,
 )
 from tests.conftest import path_graph
+
+
+def lex_sorted(out):
+    """``out``'s rows sorted by (cycle, src, dst)."""
+    return out[np.lexsort((out[:, 2], out[:, 1], out[:, 0]))]
 
 
 @pytest.fixture(scope="module")
@@ -33,22 +43,22 @@ class TestEveryPattern:
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
     def test_wellformed(self, gamma6, pattern):
         out = make_traffic(pattern, gamma6, 80, 10, seed=1)
-        assert len(out) == 80
+        assert out.shape == (80, 3) and out.dtype == np.int64
         n = gamma6.num_nodes
-        for cycle, src, dst in out:
+        for cycle, src, dst in out.tolist():
             assert cycle >= 0
             assert 0 <= src < n and 0 <= dst < n
             assert src != dst
-        assert out == sorted(out, key=lambda t: t[0])
+        assert np.array_equal(out, lex_sorted(out))
 
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
     def test_deterministic_and_seed_sensitive(self, gamma6, pattern):
         a = make_traffic(pattern, gamma6, 60, 30, seed=4)
         b = make_traffic(pattern, gamma6, 60, 30, seed=4)
-        assert a == b
+        assert np.array_equal(a, b)
         # different seed must change *something* (cycles at minimum)
         c = make_traffic(pattern, gamma6, 60, 30, seed=5)
-        assert a != c
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("pattern", sorted(PATTERNS))
     def test_inject_window_zero_raises(self, gamma6, pattern):
@@ -205,21 +215,24 @@ class TestBursty:
 
     def test_capping_is_deterministic(self, gamma6):
         a = bursty_traffic(gamma6, 200, 5, seed=9, mean_burst=8)
-        assert a == bursty_traffic(gamma6, 200, 5, seed=9, mean_burst=8)
+        assert np.array_equal(
+            a, bursty_traffic(gamma6, 200, 5, seed=9, mean_burst=8)
+        )
 
 
 class TestFlitSizes:
     def test_fixed_spec(self):
-        assert flit_sizes(4, "3") == [3, 3, 3, 3]
-        assert flit_sizes(3, 2) == [2, 2, 2]
-        assert flit_sizes(0, "5") == []
+        assert np.array_equal(flit_sizes(4, "3"), [3, 3, 3, 3])
+        assert np.array_equal(flit_sizes(3, 2), [2, 2, 2])
+        assert flit_sizes(0, "5").shape == (0,)
+        assert flit_sizes(3, 2).dtype == np.int64
 
     def test_range_spec_is_deterministic_and_bounded(self):
         a = flit_sizes(500, "2-8", seed=3)
-        assert a == flit_sizes(500, "2-8", seed=3)
-        assert a != flit_sizes(500, "2-8", seed=4)
-        assert all(2 <= f <= 8 for f in a)
-        assert len(set(a)) > 1
+        assert np.array_equal(a, flit_sizes(500, "2-8", seed=3))
+        assert not np.array_equal(a, flit_sizes(500, "2-8", seed=4))
+        assert all(2 <= f <= 8 for f in a.tolist())
+        assert len(set(a.tolist())) > 1
 
     def test_bad_specs_raise(self):
         for spec in ("0", "5-2", "x", "1-y", "-3"):
@@ -227,6 +240,56 @@ class TestFlitSizes:
                 flit_sizes(5, spec)
         with pytest.raises(ValueError):
             flit_sizes(-1, "2")
+
+
+class TestStreamPins:
+    """The streams are pinned by repo code: these digests (sha256 of the
+    little-endian int64 rows) hold on every Python, NumPy and CPU the CI
+    matrix runs.  A diff here moves every sweep result, so it must come
+    with a CACHE_VERSION bump and regenerated goldens."""
+
+    DIGESTS = {
+        "allgather": "9e713117d48bfe0fa282650a82d3674d5219f952c73da7cc3ba3b29364d82c6d",
+        "alltoall": "62f44d95b1187738bd1c574db7de3b056d0368bd5a4112ca312f27e274e6ce88",
+        "bitrev": "4877d9ecdb29b75d8e601e8438a9eb86d0961299597076341bb33a545ae246de",
+        "broadcast": "52a52b0ca6ac04fd50bdda17771eaa48155f7dccbe2b0821bc47fc15b1e52524",
+        "bursty": "9c8f328b2c2137c4ad8139a428240b273b6a58dde6660882951b4e4f588c10b4",
+        "hotspot": "1cbf43960789f6e9e317d285a8d67d31589f057d41ce919ac05fcd39fb1a5243",
+        "permutation": "94ed399fb6f3b18f9016a79f6f526bed67a6c6211de74a9824df9dba29d03dc8",
+        "reduce": "74292d8b2ab834dc54d689f970bd3e870bfd0ac2eb7dfad928a8fb1c500c1834",
+        "ring": "5af19921d56c19dba6a3f809810020d2e68401a9e991ec4c5baa3eb12fe1f535",
+        "tornado": "d7ea193b34d5c7fa6aacfb6f571a756becad0d3de93c92a50aa1594bcd741714",
+        "transpose": "c4e520a9d0b27cb0a47eddc036da8e4fae614c5ba909e60bb5156c19feac0c6e",
+        "uniform": "637f7c5f66b3497f63dd61b96bb19265dfc0161faea1dce4312af2fd9e1af50f",
+    }
+    FLITS = "4c70560774fa9f7b8e7262d5dfb4a3202210a7de5d2a47efe5a7ed8f3d038285"
+
+    @staticmethod
+    def digest(arr) -> str:
+        return hashlib.sha256(np.asarray(arr).astype("<i8").tobytes()).hexdigest()
+
+    def test_every_pattern_is_pinned(self, gamma6):
+        assert sorted(self.DIGESTS) == sorted(PATTERNS)
+        for pattern, want in self.DIGESTS.items():
+            out = make_traffic(pattern, gamma6, 64, 16, seed=7)
+            assert out.shape == (64, 3), pattern
+            assert self.digest(out) == want, pattern
+
+    def test_flit_sizes_are_pinned(self):
+        assert self.digest(flit_sizes(64, "1-4", seed=7)) == self.FLITS
+
+    def test_first_raw_words(self):
+        # seed 0, stream 0 has key 0: SplitMix64's published outputs
+        assert [int(w) for w in draw_words(0, 0, range(3))] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F,
+        ]
+        assert [int(w) for w in draw_words(12345, 3, [0, 1, 2**40])] == [
+            0x7F0A735DB920D460, 0xFC4A56AE2C74BA78, 0xF5718D35C645802E,
+        ]
+
+    def test_streams_do_not_depend_on_slicing(self):
+        whole = draw_words(5, 2, range(100))
+        assert np.array_equal(whole[40:60], draw_words(5, 2, range(40, 60)))
 
 
 def test_simulator_reexports_uniform_traffic():

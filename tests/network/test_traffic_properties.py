@@ -4,15 +4,16 @@ PR 3 asserted the ``[0, inject_window)`` contract on a small fixed grid
 inside ``test_traffic.py``; this file promotes it to a standalone
 property suite: for every registered pattern, 50 seeded-random
 configurations (topology x packet count x window x seed) must satisfy
-the generator contract -- injection cycles inside the window, sorted
-output, in-range distinct endpoints, exact packet count -- and be
-deterministic under their seed.  The configurations are drawn from one
+the generator contract -- a ``(P, 3)`` int64 array with injection cycles
+inside the window, rows sorted by (cycle, src, dst), in-range distinct
+endpoints, exact packet count -- and be deterministic under their seed.  The configurations are drawn from one
 fixed meta-seed, so a failure is reproducible from the config index
 alone.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.network.sweep import parse_topology
@@ -43,20 +44,22 @@ CONFIGS = _configs()
 
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
 def test_pattern_contract_across_random_configs(pattern):
-    """Every generated triple honours the documented contract on every
+    """Every generated row honours the documented contract on every
     sampled configuration: ``0 <= cycle < inject_window``, sorted by
-    cycle, ``src != dst``, both in range, exactly ``num_packets``
-    triples."""
+    (cycle, src, dst), ``src != dst``, both in range, exactly
+    ``num_packets`` rows."""
     for i, cfg in enumerate(CONFIGS):
         topo = parse_topology(cfg["topology"])
         out = make_traffic(
             pattern, topo, cfg["packets"], cfg["window"], seed=cfg["seed"]
         )
         ctx = (pattern, i, cfg)
-        assert len(out) == cfg["packets"], ctx
-        assert out == sorted(out, key=lambda t: t[0]), ctx
+        assert out.shape == (cfg["packets"], 3), ctx
+        assert out.dtype == np.int64, ctx
+        order = np.lexsort((out[:, 2], out[:, 1], out[:, 0]))
+        assert np.array_equal(out, out[order]), ctx
         n = topo.num_nodes
-        for cycle, src, dst in out:
+        for cycle, src, dst in out.tolist():
             assert 0 <= cycle < cfg["window"], ctx
             assert 0 <= src < n and 0 <= dst < n, ctx
             assert src != dst, ctx
@@ -71,9 +74,11 @@ def test_pattern_determinism_under_seed(pattern):
         topo = parse_topology(cfg["topology"])
         a = make_traffic(pattern, topo, cfg["packets"], cfg["window"], seed=cfg["seed"])
         b = make_traffic(pattern, topo, cfg["packets"], cfg["window"], seed=cfg["seed"])
-        assert a == b, (pattern, i, cfg)
+        assert np.array_equal(a, b), (pattern, i, cfg)
     # seed sensitivity, on a config big enough that collisions cannot
     # happen by chance (tiny windows can legitimately collide)
     topo = parse_topology("11:6")
     base = make_traffic(pattern, topo, 200, 64, seed=0)
-    assert base != make_traffic(pattern, topo, 200, 64, seed=1), pattern
+    assert not np.array_equal(
+        base, make_traffic(pattern, topo, 200, 64, seed=1)
+    ), pattern

@@ -283,3 +283,69 @@ def test_unsorted_traffic_is_stable_sorted():
     vec = VectorizedSimulator(topo).run(traffic)
     assert ref == vec
     assert ref.delivered == 4
+
+
+# -- the vectorised route table against its per-pair oracle -------------------
+
+ORACLE_TOPOLOGIES = {
+    "Q_5": topology_of(hypercube(5), name="Q5"),
+    "Q_6(11)": topology_of(("11", 6)),
+    "Q_6(101)": topology_of(("101", 6)),
+    "Q_6(1010)": topology_of(("1010", 6)),  # not isometric
+}
+
+
+def _assert_table_is_route(topo):
+    """Every ordered pair's table row is exactly BfsRouter.route's path,
+    and a pair route() cannot serve has no row."""
+    router = BfsRouter()
+    n = topo.num_nodes
+    pairs = [(s, d) for s in range(n) for d in range(n)]
+    table = router.build_table(topo, pairs)
+    assert len(table.pair_row) == len(pairs)
+    unreachable = 0
+    for pair in pairs:
+        row = table.pair_row[pair]
+        expected = router.route(topo, *pair)
+        if expected is None:
+            assert row == -1, pair
+            unreachable += 1
+        else:
+            assert table.route_nodes(row).tolist() == expected, pair
+    return unreachable
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_TOPOLOGIES))
+def test_vectorised_table_equals_route_on_every_pair(name):
+    assert _assert_table_is_route(ORACLE_TOPOLOGIES[name]) == 0
+
+
+def test_vectorised_table_on_a_masked_view_drops_unreachable_pairs():
+    """On a fault-masked view the dead node is isolated: every pair
+    to or from it (but its own zero-hop pair) is unroutable."""
+    topo = ORACLE_TOPOLOGIES["Q_6(11)"]
+    dead = 5
+    u, v = next(e for e in topo.graph.edges() if dead not in e)
+    view = topo.with_faults(FaultPlan.static(nodes=[dead], links=[(u, v)]))
+    assert view is not topo
+    assert _assert_table_is_route(view) == 2 * (topo.num_nodes - 1)
+
+
+def test_adaptive_misroutes_match_the_per_pair_definition():
+    """Misroute counts read from the cached distance rows equal the
+    definition -- hops beyond the healthy topology's BFS distance,
+    halved -- for every row of an AdaptiveRouter table under faults."""
+    from repro.graphs.traversal import bfs_distances
+    from repro.network.simulator import _prepare, _validate_item
+
+    topo = TOPOLOGIES["fibonacci"]
+    plan = _fault_plans(topo)["static"]
+    traffic = make_traffic("uniform", topo, 400, 12, seed=5, faults=plan)
+    arr, _ = _validate_item(traffic, FlowControl(), 1, None)
+    prep = _prepare(topo, AdaptiveRouter(), arr, None, plan)
+    for r in range(prep.table.num_routes):
+        path = prep.table.route_nodes(r).tolist()
+        dist = int(bfs_distances(topo.graph, path[-1])[path[0]])
+        want = max(0, (len(path) - 1 - dist) // 2) if dist >= 0 else 0
+        assert prep.misroutes[r] == want, path
+    assert prep.misroutes.sum() > 0

@@ -160,8 +160,9 @@ class TestCompileWorkload:
         c = compile_workload("a:uniform:0.3;b:transpose:0.3;rate=0", topo, 8)
         from repro.network.traffic import PATTERNS
         n = topo.num_nodes
-        want = sorted(PATTERNS["uniform"](
-            topo, max(1, round(0.3 * n * 8)), 8, seed=TENANT_SEED_STRIDE))
+        want = sorted(map(tuple, PATTERNS["uniform"](
+            topo, max(1, round(0.3 * n * 8)), 8, seed=TENANT_SEED_STRIDE
+        ).tolist()))
         got = sorted(p for p, t in zip(c.traffic, c.tenants) if t == 0)
         assert got == want
 
@@ -183,16 +184,25 @@ class TestCompileWorkload:
         injection slot, the high-priority packet is never the one
         deferred past the other's grant cycle at that source."""
         topo = parse_topology("Q:3")
-        c = compile_workload("lo:uniform:1.0;hi:uniform:1.0:5;rate=1", topo, 4)
-        # per source, the mean arbitrated cycle of hi <= that of lo
-        by = {}
+        spec = "lo:uniform:1.0;hi:uniform:1.0:5"
+        c = compile_workload(spec + ";rate=1", topo, 4)
+        # rate=0 keeps every requested cycle, so it tells, per source,
+        # how many hi packets had been requested by each cycle
+        asked = compile_workload(spec + ";rate=0", topo, 4)
+        hi_asked, lo_granted, hi_granted = {}, {}, {}
+        for (cycle, src, _), t in zip(asked.traffic, asked.tenants):
+            if t == 1:
+                hi_asked.setdefault(src, []).append(cycle)
         for (cycle, src, _), t in zip(c.traffic, c.tenants):
-            by.setdefault(src, {0: [], 1: []})[t].append(cycle)
-        for src, cyc in by.items():
-            if cyc[0] and cyc[1]:
-                mean_lo = sum(cyc[0]) / len(cyc[0])
-                mean_hi = sum(cyc[1]) / len(cyc[1])
-                assert mean_hi <= mean_lo
+            (hi_granted if t == 1 else lo_granted).setdefault(src, []).append(cycle)
+        assert lo_granted and hi_granted
+        for src, cycles in lo_granted.items():
+            for cycle in cycles:
+                # a lo grant at `cycle` means no hi packet was waiting:
+                # every hi request up to it was granted before it
+                pending = sum(a <= cycle for a in hi_asked.get(src, ()))
+                served = sum(g < cycle for g in hi_granted.get(src, ()))
+                assert pending == served, (src, cycle)
 
     def test_faults_silence_dead_sources_after_arbitration(self):
         topo = parse_topology("Q:3")
