@@ -28,13 +28,14 @@ generalized Fibonacci cube:
 - :mod:`repro.network.traffic` -- seeded, topology-aware traffic pattern
   library (uniform, permutation, transpose, bit-reversal, tornado,
   hotspot, bursty);
-- :mod:`repro.network.batch` -- the batch axis over *runs*: K
-  independent replications, any mix of switching modes, advance in one
-  lock-step vectorized loop (disjoint link-id spaces, shared route
-  tables), bit-identical to K sequential runs;
+- :mod:`repro.network.batch` -- the batch-axis names over
+  ``VectorizedSimulator.run_batch``, the engine's one simulation path:
+  K independent replications, any mix of switching modes, advance in
+  one lock-step loop (disjoint link-id spaces, shared route tables),
+  bit-identical to K solo runs -- and a solo run is a one-item batch;
 - :mod:`repro.network.kernel` -- the fused advance kernel underneath
-  every vectorized entry point: one parameterised cycle loop covering
-  store-and-forward and wormhole/vct, solo runs and K-run batches;
+  ``run_batch``: one parameterised cycle loop covering
+  store-and-forward and wormhole/vct;
 - :mod:`repro.network.sweep` -- multiprocessing sweep harness producing
   saturation curves over (topology x router x pattern x faults x load)
   grids, with ``batch > 1`` packing compatible points into lock-step

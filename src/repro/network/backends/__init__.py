@@ -1,9 +1,9 @@
 """Backend registry for the fused advance kernel.
 
-:func:`repro.network.kernel.run_fused` funnels every vectorized entry
-point -- ``VectorizedSimulator.run``, ``vectorized_flow_run``,
-``BatchedSimulator.run_batch``, the sweep harness and the sweep service
--- through one inner loop.  This package makes that loop's
+:func:`repro.network.kernel.run_fused` is the one inner loop behind
+``VectorizedSimulator.run_batch`` -- and so behind every vectorized
+run: a solo ``run`` is a one-item batch, and the sweep harness and the
+sweep service run packed batches.  This package makes that loop's
 *implementation* a runtime choice: a backend supplies the two mode
 engines (the store-and-forward FIFO stepper and the finite-buffer
 flow-control stepper) for a prepared batch, and the registry picks

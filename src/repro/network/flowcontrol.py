@@ -56,10 +56,11 @@ uncontended ``k``-hop, ``F``-flit packet delivers with latency
 ``k + F`` (store-and-forward: ``k`` with its single-flit packets).
 
 Both engines -- :func:`reference_flow_run`, the readable per-packet
-spec, and :func:`vectorized_flow_run`, the array engine -- implement
-exactly these rules and must produce bit-identical outcomes; the
-equivalence suite enforces it across topologies, switching modes,
-routers and fault plans.
+spec, and the fused advance kernel of :mod:`repro.network.kernel`, the
+array engine behind ``VectorizedSimulator`` -- implement exactly these
+rules and must produce bit-identical outcomes; the equivalence suite
+enforces it across topologies, switching modes, routers and fault
+plans.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ __all__ = [
     "link_dimension",
     "reference_flow_run",
     "vc_of_hop",
-    "vectorized_flow_run",
 ]
 
 SWITCHING_MODES = ("sf", "wormhole", "vct")
@@ -403,48 +403,3 @@ def reference_flow_run(
         deadlocked=deadlocked,
     )
 
-
-# ---------------------------------------------------------------------------
-# Vectorized engine: the same semantics over flat NumPy state
-# ---------------------------------------------------------------------------
-
-
-def vectorized_flow_run(
-    topo: Topology,
-    flow: FlowControl,
-    link_seq: np.ndarray,
-    link_offsets: np.ndarray,
-    link_codes: np.ndarray,
-    first_link_at: np.ndarray,
-    nhops: np.ndarray,
-    inject: np.ndarray,
-    nf: np.ndarray,
-    link_dead: Dict[Tuple[int, int], int],
-    max_cycles: int,
-    backend=None,
-) -> FlowOutcome:
-    """Array implementation of :func:`reference_flow_run`'s semantics.
-
-    Since the advance kernels were fused, this is a one-run batch
-    through :func:`repro.network.kernel.run_fused`: buffer state lives
-    in flat per-extended-channel arrays (extended channel = physical
-    link id x VC), per-packet state in flat pid arrays, and every cycle
-    is a bounded number of NumPy gathers/scatters over the
-    occupied-buffer set.  Outcomes are bit-identical to the reference
-    loop (and to the same run inside any K-run batch).
-    """
-    # imported here: the kernel builds on this module's declarations
-    from repro.network.kernel import KernelRun, run_fused
-
-    run = KernelRun(
-        flow=flow,
-        inject=inject,
-        nhops=nhops,
-        first_link_at=first_link_at,
-        link_seq=link_seq,
-        link_offsets=link_offsets,
-        link_codes=link_codes,
-        nf=nf,
-        link_dead=link_dead,
-    )
-    return run_fused(topo, [run], max_cycles, backend=backend)[0]

@@ -1,16 +1,10 @@
 """The fused advance kernel: every cycle loop in one lock-step engine.
 
-Before this module existed the repository carried three overlapping
-per-cycle loops: the store-and-forward array loop in
-:mod:`repro.network.simulator`, the wormhole/virtual-cut-through loop in
-:mod:`repro.network.flowcontrol`, and the K-run lock-step batching loop
-in :mod:`repro.network.batch` (which only knew how to batch
-store-and-forward).  This module fuses them: **one** parameterised
-kernel advances K independent replications -- any mix of switching
-modes -- in a single cycle loop, and every vectorized entry point
-(``VectorizedSimulator.run``, ``vectorized_flow_run``,
-``BatchedSimulator.run_batch``) is now a thin wrapper over it with
-``K = 1`` or ``K = many``.
+One parameterised kernel advances K independent replications -- any mix
+of switching modes -- in a single cycle loop.  It is the only array
+cycle loop in the repository: ``VectorizedSimulator.run_batch``
+prepares a batch and hands it here, and a solo
+``VectorizedSimulator.run`` is simply a one-item batch (``K = 1``).
 
 Layout (the PR 5 batching discipline, extended to flow control):
 
@@ -33,7 +27,7 @@ Layout (the PR 5 batching discipline, extended to flow control):
   arrays (``cap_ext`` carries each run's ``buffer_depth``, the extended
   channel layout carries its ``num_vcs``), so wormhole and vct runs of
   different shapes co-batch freely;
-- **deadlock** is detected per run, with the solo engine's exact
+- **deadlock** is detected per run, with the reference engine's exact
   predicate (no move, live packets, no pending injection, no future
   fault event): a deadlocked run is frozen, its buffers recycled, and
   the survivors keep advancing;
@@ -43,10 +37,10 @@ Layout (the PR 5 batching discipline, extended to flow control):
   injection cycle in either regime, and all per-run accounting advances
   only on the run's own activity.
 
-Every outcome is **bit-identical** to a sequential
-``VectorizedSimulator.run`` of the same replication -- fault plans,
-in-flight drops, deadlock detection and cycle-cap truncation included --
-which ``tests/network/test_batch_equivalence.py`` and the
+Every outcome is **bit-identical** to the same replication run alone
+(and to :class:`~repro.network.simulator.ReferenceSimulator`) -- fault
+plans, in-flight drops, deadlock detection and cycle-cap truncation
+included -- which ``tests/network/test_batch_equivalence.py`` and the
 differential-fuzz batch pass enforce across all switching modes.
 """
 
@@ -344,7 +338,7 @@ class _SfEngine:
         self.qtail = np.full(num_links_total, -1, dtype=np.int64)
         self.qlen = np.zeros(num_links_total, dtype=np.int64)
 
-        # per-run accounting (the scalars of the solo loop, as arrays)
+        # per-run accounting (the reference loop's scalars, as arrays)
         self.in_flight_r = np.zeros(K, dtype=np.int64)
         self.last_busy_r = np.full(K, -1, dtype=np.int64)
         self.maxq_r = np.zeros(K, dtype=np.int64)
@@ -379,7 +373,7 @@ class _SfEngine:
             moved = True
         if self.in_flight:
             # a run with packets in flight is busy this cycle even if a
-            # fault empties it below (matches the solo engine)
+            # fault empties it below (matches the reference engine)
             self.last_busy_r[self.in_flight_r > 0] = cycle
             busy = np.flatnonzero(self.qlen)
             # queue depth per run, measured before any fault drop
@@ -460,15 +454,16 @@ class _SfEngine:
 class _FlowEngine:
     """K wormhole / virtual-cut-through runs over shared buffer arrays.
 
-    The per-cycle body is ``vectorized_flow_run``'s loop with run-indexed
-    accounting bolted on: per-run buffer capacities live in ``cap_ext``,
-    physical-link arbitration resolves through ``phys_of_ext`` (VC
-    counts differ per run, so ids cannot simply divide by V), and the
-    solo loop's scalar bookkeeping (arrivals, deliveries, drops, the
-    deadlock verdict) becomes length-K arrays.  A run that deadlocks is
-    frozen exactly where the solo engine would have stopped it -- same
-    predicate, same cycle -- and its buffers are recycled so the
-    surviving runs pay nothing for it.
+    The per-cycle body applies
+    :func:`~repro.network.flowcontrol.reference_flow_run`'s rules in
+    array form with run-indexed accounting: per-run buffer capacities
+    live in ``cap_ext``, physical-link arbitration resolves through
+    ``phys_of_ext`` (VC counts differ per run, so ids cannot simply
+    divide by V), and the reference loop's scalar bookkeeping
+    (arrivals, deliveries, drops, the deadlock verdict) becomes length-K
+    arrays.  A run that deadlocks is frozen exactly where the reference
+    engine would have stopped it -- same predicate, same cycle -- and
+    its buffers are recycled so the surviving runs pay nothing for it.
     """
 
     def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
@@ -566,7 +561,7 @@ class _FlowEngine:
 
         self.injecting = np.empty(0, dtype=np.int64)
         self.next_pid = 0
-        # per-run accounting (the solo loop's scalars, as arrays)
+        # per-run accounting (the reference loop's scalars, as arrays)
         self.arrived = np.zeros(K, dtype=np.int64)
         self.delivered_r = np.zeros(K, dtype=np.int64)
         self.dropped_r = np.zeros(K, dtype=np.int64)
@@ -752,7 +747,7 @@ class _FlowEngine:
         finished = self.active & (live == 0) & ~pending
         if finished.any():
             self.active[finished] = False
-        # the solo engine's deadlock predicate, per run: nothing moved,
+        # the reference engine's deadlock predicate, per run: nothing moved,
         # live packets, and no event (injection or fault) can unblock it
         dead = (
             self.active & ~moved_r & (live > 0) & ~pending

@@ -15,7 +15,8 @@ Requests (the ``op`` key dispatches):
 
 - ``{"op": "submit", "grid": {...}, "batch": K}`` -- run a sweep grid.
   ``grid`` holds :func:`~repro.network.sweep.expand_grid` keyword
-  arguments (``topologies`` is required; unknown keys are rejected).
+  arguments (``topologies`` is required; unknown keys are rejected);
+  the optional ``K`` must be a JSON integer of at least 1.
 - ``{"op": "jobs"}`` -- snapshot of every job this server has seen.
 - ``{"op": "ping"}`` -- liveness + protocol/version handshake.
 - ``{"op": "shutdown"}`` -- stop the server once in-flight jobs finish.
@@ -43,6 +44,7 @@ import json
 from dataclasses import fields
 from typing import Any, Dict
 
+from repro.network.service.cache import record_from_payload
 from repro.network.sweep import SweepRecord
 
 __all__ = [
@@ -87,13 +89,11 @@ def record_to_wire(record: SweepRecord) -> Dict[str, Any]:
     return {name: getattr(record, name) for name in _RECORD_FIELDS}
 
 
-def record_from_wire(payload: Dict[str, Any]) -> SweepRecord:
-    """Rebuild a streamed record, strictly: the key set must match the
-    SweepRecord schema exactly, so a server/client schema skew surfaces
-    as an error instead of silently misaligned columns."""
-    if not isinstance(payload, dict) or set(payload) != set(_RECORD_FIELDS):
-        raise ValueError("record payload does not match the SweepRecord schema")
-    return SweepRecord(**payload)
+# one strict decoder for the wire and the cache: the key set *and* every
+# value's exact type must match the SweepRecord schema, so a schema skew
+# or a frame carrying "avg_latency": 3 raises instead of drifting the
+# client's CSV away from `repro sweep`'s
+record_from_wire = record_from_payload
 
 
 def validate_grid(grid: Any) -> Dict[str, Any]:

@@ -26,7 +26,7 @@ import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.network.service.cache import ResultCache
 from repro.network.service.protocol import (
@@ -39,7 +39,7 @@ from repro.network.service.protocol import (
 from repro.network.sweep import (
     PointSpec,
     SweepRecord,
-    _spec_batchable,
+    _pack,
     expand_grid,
     run_batch_points,
 )
@@ -252,9 +252,12 @@ class SweepServer:
     async def _handle_submit(self, writer, msg: dict) -> None:
         try:
             grid = validate_grid(msg.get("grid"))
-            batch = int(msg.get("batch", self.batch))
-            if batch < 1:
-                raise ValueError(f"batch must be at least 1, got {batch}")
+            batch = msg.get("batch", self.batch)
+            # a JSON integer: 2.7, "3" and true are client bugs, not sizes
+            if type(batch) is not int or batch < 1:
+                raise ValueError(
+                    f"batch must be an integer of at least 1, got {batch!r}"
+                )
             # grid expansion builds topologies to validate fault plans;
             # run it off-loop so a huge grid cannot stall the server
             specs = await self._run_io(lambda: expand_grid(**grid))
@@ -310,15 +313,17 @@ class SweepServer:
         missing = [i for i, rec in enumerate(hits) if rec is None]
 
         async def run_chunk(chunk: List[int]):
+            cells = [missing[j] for j in chunk]
             records = await self._run_sim(
                 partial(run_batch_points, backend=self.backend),
-                [specs[i] for i in chunk],
+                [specs[i] for i in cells],
             )
-            return chunk, records
+            return cells, records
 
+        # run_sweep's packing, so records match the one-shot harness
         tasks = [
             asyncio.ensure_future(run_chunk(chunk))
-            for chunk in _pack(specs, missing, batch)
+            for chunk in _pack([specs[i] for i in missing], batch)
         ]
         try:
             for fut in asyncio.as_completed(tasks):
@@ -361,21 +366,3 @@ class SweepServer:
             self._pool.io_executor, partial(fn, *args)
         )
 
-
-def _pack(
-    specs: Sequence[PointSpec], missing: Sequence[int], batch: int
-) -> List[List[int]]:
-    """Chunk the missing cell indices into worker tasks with
-    :func:`run_sweep`'s grouping: batchable cells sharing a (topology,
-    cycle cap) pack together up to ``batch`` wide, everything else runs
-    alone-in-order, so records match the one-shot harness exactly."""
-    groups: Dict[object, List[int]] = {}
-    for i in missing:
-        s = specs[i]
-        key = (s.topology, s.max_cycles) if _spec_batchable(s) else None
-        groups.setdefault(key, []).append(i)
-    return [
-        members[j:j + batch]
-        for members in groups.values()
-        for j in range(0, len(members), batch)
-    ]

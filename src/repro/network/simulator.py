@@ -35,19 +35,21 @@ Two engines implement the *same* deterministic semantics:
 
 - :class:`ReferenceSimulator` -- the readable per-packet/deque loop, the
   executable specification;
-- :class:`VectorizedSimulator` -- the production engine: routes are
-  batched into a flat CSR :class:`~repro.network.routing.RouteTable`,
-  per-packet state lives in NumPy arrays, and the cycle loop itself is
-  the fused advance kernel of :mod:`repro.network.kernel` -- the same
-  lock-step engine that batches K replications at once -- invoked here
-  with K = 1.  Per-link FIFOs are intrusive linked lists over flat
-  arrays, each cycle advances every contended link with a handful of
-  array gathers instead of a Python loop over packets, and idle gaps
-  between injections are skipped outright.  The kernel's inner loop is
-  supplied by a selectable backend (:mod:`repro.network.backends`:
-  ``numpy``, the compiled ``native`` kernel, or ``auto``).  Both
-  engines -- and every backend -- produce bit-identical
-  :class:`SimResult` values, which the equivalence tests enforce.
+- :class:`VectorizedSimulator` -- the production engine, with one
+  simulation path: :meth:`~VectorizedSimulator.run_batch` advances K
+  independent replications (:class:`BatchItem`) in lock step, and **a
+  solo run is a one-item batch**.  Routes are flattened into a CSR
+  :class:`~repro.network.routing.RouteTable` (one table per router
+  instance over the union of the unfaulted items' pairs), per-packet
+  state lives in NumPy arrays, and the cycle loop itself is the fused
+  advance kernel of :mod:`repro.network.kernel`: intrusive per-link
+  FIFOs over flat arrays, a handful of array gathers per cycle instead
+  of a Python loop over packets, idle gaps skipped outright.  The
+  kernel's inner loop is supplied by a selectable backend
+  (:mod:`repro.network.backends`: ``numpy``, the compiled ``native``
+  kernel, or ``auto``).  Both engines -- every backend, every batch
+  size -- produce bit-identical :class:`SimResult` values, which the
+  equivalence tests enforce.
 
 Faults
 ------
@@ -69,7 +71,8 @@ queue while a cycle is being forwarded join *behind* everything already
 queued that cycle.
 
 ``NetworkSimulator`` is the vectorized engine (kept as the public name
-for backward compatibility).
+for backward compatibility), and so is
+:class:`repro.network.batch.BatchedSimulator`.
 
 Outputs: per-packet latency and hop counts, average/percentile latency,
 throughput (delivered packets per cycle), drop and misroute counters,
@@ -101,6 +104,7 @@ from repro.network.traffic import uniform_traffic
 from repro.network.workloads import TenantStats, tenant_stats_of
 
 __all__ = [
+    "BatchItem",
     "FlowControl",
     "NetworkSimulator",
     "ReferenceSimulator",
@@ -200,11 +204,13 @@ def _row_misroutes(topo: Topology, table: RouteTable) -> np.ndarray:
 class _Prepared:
     """Traffic resolved against a route table, in array form.
 
-    Packets are stable-sorted by injection cycle and numbered 0..P-1 in
-    that order; pairs the router cannot serve are dropped up front and
-    only counted in ``injected``.  ``misroutes`` holds one detour count
-    per table row; ``link_dead`` maps directed links to the first cycle
-    they stop forwarding (empty without faults); ``order`` gives each
+    Built from cycle-sorted traffic ``arr`` (``perm`` is the stable sort
+    that ordered it) and each packet's table row, ``-1`` where the
+    router cannot serve the pair.  Packets are numbered 0..P-1 in
+    injection order; unroutable ones are dropped up front and only
+    counted in ``injected``.  ``misroutes`` holds one detour count per
+    table row; ``link_dead`` maps directed links to the first cycle they
+    stop forwarding (empty without faults); ``order`` gives each
     surviving packet's index into the traffic sequence as passed, so
     per-packet attributes (flit counts) follow the stable sort.
     """
@@ -212,16 +218,17 @@ class _Prepared:
     __slots__ = ("table", "inject", "row", "num_dropped", "misroutes",
                  "link_dead", "order")
 
-    def __init__(self, table: RouteTable, inject: np.ndarray, row: np.ndarray,
-                 num_dropped: int, misroutes: np.ndarray,
-                 link_dead: Dict[Tuple[int, int], int], order: np.ndarray):
+    def __init__(self, table: RouteTable, arr: np.ndarray, perm: np.ndarray,
+                 rows: np.ndarray, misroutes: np.ndarray,
+                 link_dead: Dict[Tuple[int, int], int]):
+        routed = rows >= 0
         self.table = table
-        self.inject = inject
-        self.row = row
-        self.num_dropped = num_dropped
+        self.inject = arr[routed, 0]
+        self.row = rows[routed]
+        self.num_dropped = int((~routed).sum())
         self.misroutes = misroutes
         self.link_dead = link_dead
-        self.order = order
+        self.order = perm[routed]
 
 
 def _as_flow(switching: Union[str, FlowControl, None]) -> FlowControl:
@@ -334,34 +341,41 @@ def _prepare(
     faults: Optional[FaultPlan] = None,
 ) -> _Prepared:
     """Resolve validated traffic (see :func:`_validate_item`) against a
-    route table: the given one, or one built over its distinct pairs."""
-    perm = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[perm]
+    route table: the given one, one built over its distinct pairs, or
+    per-epoch fault-masked ones under a fault plan."""
     if faults is not None and faults.num_events:
         if route_table is not None:
             raise ValueError("pass either route_table or faults, not both")
-        return _prepare_faulted(topo, router, arr, faults, perm)
-    src, dst = arr[:, 1], arr[:, 2]
-    table = route_table
+        return _prepare_faulted(topo, router, arr, faults)
+    return _prepare_shared(topo, router, [arr], route_table)[0]
+
+
+def _prepare_shared(
+    topo: Topology,
+    router,
+    arrs: Sequence[np.ndarray],
+    table: Optional[RouteTable] = None,
+) -> List[_Prepared]:
+    """Map unfaulted runs' validated traffic onto one route table -- the
+    given one, or one built over the union of their pairs -- and one
+    per-row misroute array.  Routes are deterministic per pair, so the
+    union table holds exactly the paths a per-run build would."""
     if table is None:
         n = topo.num_nodes
-        table = _build_table(topo, router, _pairs(np.unique(src * n + dst), n))
-    rows = table.rows_of(src, dst)
-    routed = rows >= 0
-    return _Prepared(
-        table=table,
-        inject=arr[routed, 0],
-        row=rows[routed],
-        num_dropped=int((~routed).sum()),
-        misroutes=_row_misroutes(topo, table),
-        link_dead={},
-        order=perm[routed],
-    )
+        union = np.unique(np.concatenate([a[:, 1] * n + a[:, 2] for a in arrs]))
+        table = _build_table(topo, router, _pairs(union, n))
+    mis = _row_misroutes(topo, table)
+    preps = []
+    for arr in arrs:
+        perm = np.argsort(arr[:, 0], kind="stable")
+        arr = arr[perm]
+        rows = table.rows_of(arr[:, 1], arr[:, 2])
+        preps.append(_Prepared(table, arr, perm, rows, mis, {}))
+    return preps
 
 
 def _prepare_faulted(
-    topo: Topology, router, arr: np.ndarray, faults: FaultPlan,
-    perm: np.ndarray,
+    topo: Topology, router, arr: np.ndarray, faults: FaultPlan
 ) -> _Prepared:
     """Epoch-split preparation: every fault cycle starts a routing epoch.
 
@@ -373,6 +387,8 @@ def _prepare_faulted(
     measured against the *healthy* topology's distances.
     """
     faults.validate(topo)
+    perm = np.argsort(arr[:, 0], kind="stable")
+    arr = arr[perm]
     n = topo.num_nodes
     death = faults.node_death_array(n)
     boundaries = np.asarray(faults.cycles(), dtype=np.int64)
@@ -400,15 +416,9 @@ def _prepare_faulted(
     table = RouteTable(
         route_data=np.concatenate(data), route_offsets=np.concatenate(offsets),
     )
-    routed = rows >= 0
     return _Prepared(
-        table=table,
-        inject=arr[routed, 0],
-        row=rows[routed],
-        num_dropped=int((~routed).sum()),
-        misroutes=_row_misroutes(topo, table),
-        link_dead=faults.link_death_map(topo),
-        order=perm[routed],
+        table, arr, perm, rows, _row_misroutes(topo, table),
+        faults.link_death_map(topo),
     )
 
 
@@ -580,20 +590,47 @@ class ReferenceSimulator:
         )
 
 
+@dataclass(frozen=True)
+class BatchItem:
+    """One replication of a batch: traffic plus its run configuration.
+
+    ``router=None`` uses the owning simulator's default.  Replications
+    without faults that share one router *instance* also share a single
+    route-table build, so a sweep packer should construct one router
+    object per router kind and reuse it across its items.
+    ``switching``, ``flits`` and ``tenants`` mirror
+    :meth:`VectorizedSimulator.run`'s parameters; any mix of modes is
+    batched natively, and items carrying per-packet tenant ids get
+    :attr:`SimResult.tenant_stats`.
+    """
+
+    traffic: "np.ndarray | Sequence[Tuple[int, int, int]]"
+    router: object = None
+    faults: Optional[FaultPlan] = None
+    switching: Union[str, FlowControl] = "sf"
+    flits: Union[int, Sequence[int]] = 1
+    tenants: Optional[Sequence[int]] = None
+
+
 class VectorizedSimulator:
     """Array-based engine (same semantics, NumPy speed), for every mode.
 
-    All routes are flattened into a CSR route table and converted to
-    directed-link-id sequences once; the prepared run is then handed to
-    the fused advance kernel (:func:`repro.network.kernel.run_fused`) as
-    a one-run batch.  The kernel keeps per-link FIFOs as intrusive
-    linked lists over flat pid arrays (store-and-forward) or per
-    (link, VC) finite-buffer state (wormhole / vct), advances every
-    contended link per cycle with a handful of array gathers, skips idle
-    gaps between injections in O(1), and reproduces
+    :meth:`run_batch` is the one simulation path: it prepares K
+    replications on this topology -- routes flattened into CSR route
+    tables and converted to directed-link-id sequences once per table --
+    and hands them to the fused advance kernel
+    (:func:`repro.network.kernel.run_fused`), which advances all of them
+    in one lock-step cycle loop; :meth:`run` is a one-item batch.  The
+    kernel keeps per-link FIFOs as intrusive linked lists over flat pid
+    arrays (store-and-forward) or per (link, VC) finite-buffer state
+    (wormhole / vct), gives every replication a disjoint id space,
+    advances every contended link per cycle with a handful of array
+    gathers, skips idle gaps in O(1), and reproduces
     :class:`ReferenceSimulator`'s queue discipline -- injections first,
-    then forwards, pid-sorted within each group -- exactly.
+    then forwards, pid-sorted within each group -- exactly, whatever
+    the batch around a run.
 
+    ``router`` is the default for items that do not carry their own;
     ``backend`` selects the kernel implementation for this simulator's
     runs (a name or :class:`~repro.network.backends.Backend` instance;
     ``None`` defers to ``$REPRO_BACKEND`` / ``auto``).
@@ -604,64 +641,102 @@ class VectorizedSimulator:
         self.router = router if router is not None else BfsRouter()
         self.backend = backend
 
-    # -- route-table flattening -------------------------------------------
-
-    def _link_arrays(
-        self, table: RouteTable
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """See the module-level :func:`_link_arrays` (kept as a method
-        for backward compatibility)."""
-        return _link_arrays(self.topo.num_nodes, table)
-
     def run(
         self,
         traffic: Sequence[Tuple[int, int, int]],
         max_cycles: int = 100000,
-        route_table: Optional[RouteTable] = None,
         faults: Optional[FaultPlan] = None,
         switching: Union[str, FlowControl] = "sf",
         flits: Union[int, Sequence[int]] = 1,
         tenants: Optional[Sequence[int]] = None,
     ) -> SimResult:
-        """Simulate until all deliverable packets arrive (or ``max_cycles``).
+        """Simulate until all deliverable packets arrive (or ``max_cycles``):
+        a one-item :meth:`run_batch`.
 
         Semantics (and results) are identical to
         :meth:`ReferenceSimulator.run`, fault plans, switching modes and
         per-packet ``tenants`` included.
         """
-        flow = _as_flow(switching)
-        arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
-        prep = _prepare(self.topo, self.router, arr, route_table, faults)
-        num = len(prep.row)
-        if num == 0:
-            tstats: Tuple[TenantStats, ...] = ()
-            if tenants is not None:
-                tstats = tenant_stats_of(tenants, (), (), ())
-            return SimResult(
-                cycles=1, injected=prep.num_dropped, delivered=0,
-                latencies=(), max_queue=0, dropped=prep.num_dropped,
-                tenant_stats=tstats,
+        return self.run_batch(
+            [BatchItem(traffic, None, faults, switching, flits, tenants)],
+            max_cycles,
+        )[0]
+
+    def run_batch(
+        self,
+        items: Sequence[BatchItem],
+        max_cycles: int = 100000,
+    ) -> List[SimResult]:
+        """Simulate every item and return one :class:`SimResult` each,
+        in item order.  A result depends only on its own item: bit for
+        bit what the item gives alone, or under
+        :class:`ReferenceSimulator`, with the same ``max_cycles`` -- the
+        batch-equivalence suite enforces it across every switching mode.
+
+        Validation (negative injection cycles, multi-flit traffic under
+        store-and-forward, bad flit specs, packets too big for a vct
+        buffer) raises eagerly for the whole batch -- every item is
+        checked before any item simulates.  Faulted items prepare alone
+        (epoch-split tables cannot be shared); unfaulted items sharing a
+        router instance share one union route table.
+        """
+        items = list(items)
+        flows = [_as_flow(item.switching) for item in items]
+        checked = [
+            _validate_item(item.traffic, flow, item.flits, item.tenants)
+            for item, flow in zip(items, flows)
+        ]
+        preps: List[Optional[_Prepared]] = [None] * len(items)
+        groups: Dict[int, Tuple[object, List[int]]] = {}
+        for i, (item, (arr, _)) in enumerate(zip(items, checked)):
+            router = item.router if item.router is not None else self.router
+            if item.faults is not None and item.faults.num_events:
+                preps[i] = _prepare_faulted(self.topo, router, arr, item.faults)
+            else:
+                groups.setdefault(id(router), (router, []))[1].append(i)
+        for router, members in groups.values():
+            shared = _prepare_shared(
+                self.topo, router, [checked[i][0] for i in members]
             )
-        link_seq, link_offsets, link_codes = self._link_arrays(prep.table)
-        nhops = prep.table.lengths()[prep.row] - 1
-        run = KernelRun(
-            flow=flow,
-            inject=prep.inject,
-            nhops=nhops,
-            first_link_at=link_offsets[prep.row],
-            link_seq=link_seq,
-            link_offsets=link_offsets,
-            link_codes=link_codes,
-            nf=flit_arr[prep.order],
-            link_dead=prep.link_dead,
-        )
-        outcome = run_fused(self.topo, [run], max_cycles, backend=self.backend)[0]
-        return _flow_result(
-            outcome, prep.inject, nhops, prep.misroutes[prep.row],
-            prep.num_dropped,
-            all_tenants=tenants,
-            pid_tenants=_pid_tenants(tenants, prep.order),
-        )
+            for i, prep in zip(members, shared):
+                preps[i] = prep
+        # items sharing a route table share its link arrays; the kernel
+        # assigns every run a disjoint global id range
+        cache: Dict[int, tuple] = {}
+        runs: List[KernelRun] = []
+        nhops_list: List[np.ndarray] = []
+        for prep, flow, (_, flit_arr) in zip(preps, flows, checked):
+            if id(prep.table) not in cache:
+                cache[id(prep.table)] = (
+                    _link_arrays(self.topo.num_nodes, prep.table),
+                    prep.table.lengths(),
+                )
+            (link_seq, link_offsets, link_codes), lengths = cache[id(prep.table)]
+            nhops = lengths[prep.row] - 1
+            nhops_list.append(nhops)
+            runs.append(KernelRun(
+                flow=flow,
+                inject=prep.inject,
+                nhops=nhops,
+                first_link_at=link_offsets[prep.row],
+                link_seq=link_seq,
+                link_offsets=link_offsets,
+                link_codes=link_codes,
+                nf=flit_arr[prep.order],
+                link_dead=prep.link_dead,
+            ))
+        outcomes = run_fused(self.topo, runs, max_cycles, backend=self.backend)
+        return [
+            _flow_result(
+                out, prep.inject, nhops, prep.misroutes[prep.row],
+                prep.num_dropped,
+                all_tenants=item.tenants,
+                pid_tenants=_pid_tenants(item.tenants, prep.order),
+            )
+            for out, prep, nhops, item in zip(
+                outcomes, preps, nhops_list, items
+            )
+        ]
 
 
 class NetworkSimulator(VectorizedSimulator):

@@ -8,15 +8,16 @@ topology.  This module runs those grids at scale:
 - a sweep point is a fully picklable :class:`PointSpec` (topology,
   router and fault plan are *names/specs*, rebuilt inside the worker),
   so grids parallelise with :mod:`multiprocessing` across cores;
-- ``batch > 1`` packs compatible points -- open-loop pattern points
-  sharing a topology and cycle cap, every switching mode included --
-  into lock-step batches for
-  :class:`~repro.network.batch.BatchedSimulator`, so K replications
-  advance in *one* fused-kernel cycle loop and share one route-table
-  build; multiprocessing then distributes whole batches, not points.
-  Results are bit-identical to the unbatched sweep (the ``batch``
-  column records each record's co-batch size); collective points are
-  closed-loop and run point-by-point;
+- every point runs through one path, :func:`run_batch_points`; the
+  ``batch`` knob only sets how wide :func:`_pack` cuts its tasks.
+  ``batch > 1`` packs open-loop points sharing a topology and cycle cap,
+  every switching mode included, into lock-step
+  :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` runs,
+  so K replications advance in *one* fused-kernel cycle loop and share
+  one route-table build; multiprocessing distributes whole tasks.
+  Results are bit-identical whatever the packing (the ``batch`` column
+  records each record's co-batch size); collective points are
+  closed-loop and always run alone;
 - each point generates seeded traffic from :mod:`repro.network.traffic`,
   runs the vectorized simulator -- under the point's
   :class:`~repro.network.faults.FaultPlan` when one is given -- and
@@ -63,7 +64,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analytic.bounds import analytic_saturation_bound
-from repro.network.batch import BatchedSimulator, BatchItem
 from repro.network.collectives import COLLECTIVES, run_collective
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import SWITCHING_MODES, FlowControl
@@ -74,7 +74,7 @@ from repro.network.routing import (
     DimensionOrderRouter,
     GreedyRouter,
 )
-from repro.network.simulator import VectorizedSimulator
+from repro.network.simulator import BatchItem, VectorizedSimulator
 from repro.network.topology import Topology, topology_of
 from repro.network.traffic import PATTERNS, flit_sizes, make_traffic
 from repro.network.workloads import (
@@ -436,7 +436,8 @@ def run_point(
     backend=None,
     traces: Optional[Mapping[str, Trace]] = None,
 ) -> SweepRecord:
-    """Run one grid point: build, generate, simulate, condense.
+    """Run one grid point: build, generate, simulate, condense -- a
+    one-spec :func:`run_batch_points`.
 
     Pattern points generate ``load``-normalised open-loop traffic;
     collective points (``spec.collective`` non-empty) compile and run
@@ -449,42 +450,28 @@ def run_point(
     the spec -- records are bit-identical across backends, so the point
     and its cache key describe the simulation, not the machinery.
     """
+    return run_batch_points([spec], backend=backend, traces=traces)[0]
+
+
+def _run_collective(spec: PointSpec, backend=None) -> SweepRecord:
+    """A collective point, run alone: its barriers re-plan traffic
+    between rounds, so it never co-batches and reports ``batch=1``."""
     topo = parse_topology(spec.topology)
     router = _resolve_router(spec.router)()
     plan = _point_plan(spec, topo)
-    pipelined = spec.switching != "sf"
-    flow = _point_flow(spec)
-    engine = (
-        VectorizedSimulator if backend is None
-        else partial(VectorizedSimulator, backend=backend)
-    )
-    rounds = round_bound = 0
-    tenant_names: Sequence[str] = ()
-    if spec.collective:
-        if spec.collective not in COLLECTIVES:
-            raise ValueError(
-                f"unknown collective {spec.collective!r}; "
-                f"choose from {sorted(COLLECTIVES)}"
-            )
-        coll = run_collective(
-            topo, spec.collective, root=spec.seed % topo.num_nodes,
-            router=router, engine=engine, switching=flow,
-            flits=spec.flits if pipelined else 1, flit_seed=spec.seed,
-            faults=plan, max_cycles=spec.max_cycles,
+    if spec.collective not in COLLECTIVES:
+        raise ValueError(
+            f"unknown collective {spec.collective!r}; "
+            f"choose from {sorted(COLLECTIVES)}"
         )
-        result = coll.result
-        rounds, round_bound = coll.rounds, coll.round_bound
-    else:
-        traffic, tenants, tenant_names = _point_packets(spec, topo, plan, traces)
-        result = engine(topo, router).run(
-            traffic, max_cycles=spec.max_cycles, faults=plan,
-            switching=flow, flits=_point_flits(spec, len(traffic)),
-            tenants=tenants,
-        )
-    return _condense(
-        spec, topo, plan, result, rounds, round_bound,
-        tenant_names=tenant_names,
+    coll = run_collective(
+        topo, spec.collective, root=spec.seed % topo.num_nodes,
+        router=router, engine=partial(VectorizedSimulator, backend=backend),
+        switching=_point_flow(spec),
+        flits=spec.flits if spec.switching != "sf" else 1,
+        flit_seed=spec.seed, faults=plan, max_cycles=spec.max_cycles,
     )
+    return _condense(spec, topo, plan, coll.result, coll.rounds, coll.round_bound)
 
 
 def normalize_spec(spec: PointSpec) -> PointSpec:
@@ -525,45 +512,36 @@ def normalize_spec(spec: PointSpec) -> PointSpec:
     return spec
 
 
-def _spec_batchable(spec: PointSpec) -> bool:
-    """Points the lock-step batch engine advances natively: every
-    open-loop pattern point, switching mode regardless (the fused kernel
-    batches sf and wormhole/vct alike).  Collectives are closed-loop --
-    their barriers re-plan traffic between phases -- so they run
-    point-by-point."""
-    return not spec.collective
-
-
 def run_batch_points(
     specs: Sequence[PointSpec],
     backend=None,
     traces: Optional[Mapping[str, Trace]] = None,
 ) -> List[SweepRecord]:
-    """Run a group of grid points, co-batching the compatible ones.
+    """Run a group of grid points, co-batching the open-loop ones.
 
-    Batchable points (see :func:`_spec_batchable`) sharing a topology
-    and cycle cap are packed into one
-    :class:`~repro.network.batch.BatchedSimulator` lock-step run -- one
-    router instance per router name, so replications also share route
-    tables; switching modes mix freely within a pack, and workload
-    points batch natively (their per-packet tenant ids ride on the
-    :class:`~repro.network.batch.BatchItem`).  Only closed-loop
-    collective points run through :func:`run_point`.  Records
-    come back in ``specs`` order and are bit-identical to the unbatched
-    ones, except that ``batch`` records each point's co-batch size.
+    Pattern and workload points sharing a topology and cycle cap are
+    packed into one lock-step
+    :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` --
+    one router instance per router name, so replications also share
+    route tables; switching modes mix freely within a pack, and
+    workload points' per-packet tenant ids ride on the
+    :class:`~repro.network.batch.BatchItem`.  Closed-loop collective
+    points run alone.  Records come back in ``specs`` order and are
+    bit-identical whatever the grouping, except that ``batch`` records
+    each point's co-batch size.
 
-    This is the unit :func:`run_sweep` distributes over its
-    multiprocessing pool when ``batch > 1`` (whole batches, not
-    points).
+    This is the one point-execution path: :func:`run_point` is a
+    one-spec call, and :func:`run_sweep` and the sweep service run the
+    tasks :func:`_pack` cuts.
     """
     specs = list(specs)
     records: List[Optional[SweepRecord]] = [None] * len(specs)
     groups: Dict[Tuple[str, int], List[int]] = {}
     for i, spec in enumerate(specs):
-        if _spec_batchable(spec):
-            groups.setdefault((spec.topology, spec.max_cycles), []).append(i)
+        if spec.collective:
+            records[i] = _run_collective(spec, backend)
         else:
-            records[i] = run_point(spec, backend=backend, traces=traces)
+            groups.setdefault((spec.topology, spec.max_cycles), []).append(i)
     for (tspec, max_cycles), members in groups.items():
         topo = parse_topology(tspec)
         routers: Dict[str, object] = {}
@@ -576,8 +554,6 @@ def run_batch_points(
                 spec.router, _resolve_router(spec.router)()
             )
             plan = _point_plan(spec, topo)
-            # the exact traffic/switching/flits resolution of run_point,
-            # so a batched record can never diverge from the solo one
             traffic, tenants, tenant_names = _point_packets(
                 spec, topo, plan, traces
             )
@@ -588,7 +564,7 @@ def run_batch_points(
             ))
             plans.append(plan)
             names_of.append(tenant_names)
-        outcomes = BatchedSimulator(topo, backend=backend).run_batch(
+        outcomes = VectorizedSimulator(topo, backend=backend).run_batch(
             items, max_cycles=max_cycles
         )
         for i, plan, result, tenant_names in zip(
@@ -688,6 +664,23 @@ def expand_grid(
     ))
 
 
+def _pack(specs: Sequence[PointSpec], batch: int) -> List[List[int]]:
+    """Cut spec indices into :func:`run_batch_points` tasks: open-loop
+    points sharing a (topology, cycle cap) pack together, in grid order,
+    up to ``batch`` wide; every collective point is a task of its own.
+    The one packing of :func:`run_sweep` and the sweep service, so their
+    records -- ``batch`` column included -- match exactly."""
+    groups: Dict[object, List[int]] = {}
+    for i, s in enumerate(specs):
+        key = i if s.collective else (s.topology, s.max_cycles)
+        groups.setdefault(key, []).append(i)
+    return [
+        members[j:j + batch]
+        for members in groups.values()
+        for j in range(0, len(members), batch)
+    ]
+
+
 def _execute(
     specs: Sequence[PointSpec],
     processes: int = 1,
@@ -696,7 +689,8 @@ def _execute(
     traces: Optional[Mapping[str, Trace]] = None,
 ) -> List[SweepRecord]:
     """Run already-validated specs, preserving order: the execution half
-    of :func:`run_sweep` (also what the sweep service's workers use).
+    of :func:`run_sweep`.  The :func:`_pack` tasks run in order, or
+    spread over a multiprocessing pool when ``processes > 1``.
 
     ``backend`` crosses process boundaries, so with ``processes > 1`` it
     must be a backend *name* (or ``None``) -- backend objects hold
@@ -705,40 +699,19 @@ def _execute(
     so the mapping pickles to pool workers.
     """
     specs = list(specs)
-    if batch <= 1:
-        if processes > 1 and len(specs) > 1:
-            with multiprocessing.Pool(processes) as pool:
-                return pool.map(
-                    partial(run_point, backend=backend, traces=traces), specs
-                )
-        return [run_point(s, backend=backend, traces=traces) for s in specs]
-    # pack compatible specs into batch tasks; the pool (when used)
-    # distributes whole batches, and records reassemble in grid order
-    groups: Dict[object, List[PointSpec]] = {}
-    for s in specs:
-        key = (s.topology, s.max_cycles) if _spec_batchable(s) else None
-        groups.setdefault(key, []).append(s)
-    tasks = [
-        members[i:i + batch]
-        for members in groups.values()
-        for i in range(0, len(members), batch)
-    ]
+    chunks = _pack(specs, batch)
+    tasks = [[specs[i] for i in chunk] for chunk in chunks]
+    run = partial(run_batch_points, backend=backend, traces=traces)
     if processes > 1 and len(tasks) > 1:
         with multiprocessing.Pool(processes) as pool:
-            outs = pool.map(
-                partial(run_batch_points, backend=backend, traces=traces),
-                tasks,
-            )
+            outs = pool.map(run, tasks)
     else:
-        outs = [
-            run_batch_points(task, backend=backend, traces=traces)
-            for task in tasks
-        ]
-    by_spec = {
-        spec: rec for task, recs in zip(tasks, outs)
-        for spec, rec in zip(task, recs)
-    }
-    return [by_spec[s] for s in specs]
+        outs = [run(task) for task in tasks]
+    records: List[Optional[SweepRecord]] = [None] * len(specs)
+    for chunk, recs in zip(chunks, outs):
+        for i, rec in zip(chunk, recs):
+            records[i] = rec
+    return records  # type: ignore[return-value]
 
 
 def run_sweep(
@@ -775,12 +748,11 @@ def run_sweep(
     point's pattern/load axes are normalised away, so one collective
     entry contributes exactly one point per (topology, router, faults,
     flow, seed) cell.  ``batch > 1`` packs up to that many compatible
-    points (open-loop pattern points sharing topology and cycle cap,
-    any mix of switching modes)
-    into each lock-step :class:`~repro.network.batch.BatchedSimulator`
-    run -- records stay bit-identical, only the ``batch`` column and the
-    wall-clock change.  ``processes > 1`` distributes the work over a
-    multiprocessing pool (whole batches when batching); specs are
+    points (open-loop points sharing topology and cycle cap, any mix of
+    switching modes) into each lock-step run (see :func:`_pack`) --
+    records stay bit-identical, only the ``batch`` column and the
+    wall-clock change.  ``processes > 1`` distributes the packed tasks
+    over a multiprocessing pool; specs are
     validated eagerly via :func:`expand_grid` (unknown names, impossible
     fault plans and bad flit specs raise before any worker starts).
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.network.service import ResultCache, point_key
 from repro.network.service.cache import CACHE_VERSION, canonical_encoding
+from repro.network.service.protocol import record_from_wire, record_to_wire
 from repro.network.sweep import PointSpec, run_sweep
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -151,6 +152,18 @@ def dump_golden_keys() -> None:
     (GOLDEN / "point_keys.json").write_text(json.dumps(doc, indent=2) + "\n")
 
 
+# schema-shaped record payloads with one wrong-typed value: the cache
+# and the wire share one strict decoder, and both must reject every one
+TYPE_CORRUPTIONS = [
+    ("avg_latency", "3.5"),   # string where a float belongs
+    ("avg_latency", 3),       # int where a float belongs (CSV drift)
+    ("delivered", 7.0),       # float where an int belongs
+    ("delivered", True),      # bool must not pass for int
+    ("deadlocked", 0),        # int must not pass for bool
+    ("topology", None),
+]
+
+
 class TestResultCacheStore:
     def test_round_trip(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -222,14 +235,7 @@ class TestResultCacheStore:
         path.write_text(json.dumps(doc))
         assert cache.get(spec) is None
 
-    @pytest.mark.parametrize("field_name, bad_value", [
-        ("avg_latency", "3.5"),   # string where a float belongs
-        ("avg_latency", 3),       # int where a float belongs (CSV drift)
-        ("delivered", 7.0),       # float where an int belongs
-        ("delivered", True),      # bool must not pass for int
-        ("deadlocked", 0),        # int must not pass for bool
-        ("topology", None),
-    ])
+    @pytest.mark.parametrize("field_name, bad_value", TYPE_CORRUPTIONS)
     def test_type_corrupt_entry_is_a_miss(self, tmp_path, field_name, bad_value):
         """A schema-shaped entry with a wrong-typed value (bit rot, a
         hand-edited file) must read as corrupt, not as a hit."""
@@ -246,6 +252,19 @@ class TestResultCacheStore:
         assert not path.exists()
         cache.put(spec, record)
         assert cache.get(spec) == record
+
+    @pytest.mark.parametrize("field_name, bad_value", TYPE_CORRUPTIONS)
+    def test_type_corrupt_wire_record_is_rejected(self, field_name, bad_value):
+        """The same corruptions arriving in a ``record`` frame raise
+        instead of reaching the client's CSV: the wire decodes with the
+        cache's strict decoder."""
+        [record] = run_sweep(["Q:3"], patterns=("uniform",), loads=(0.2,),
+                             inject_window=8)
+        payload = record_to_wire(record)
+        assert record_from_wire(payload) == record
+        payload[field_name] = bad_value
+        with pytest.raises(ValueError, match=field_name):
+            record_from_wire(payload)
 
     def test_misfiled_entry_is_a_miss(self, tmp_path):
         """An entry whose stored key does not match its address (renamed

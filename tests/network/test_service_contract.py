@@ -41,6 +41,14 @@ GOLDEN_GRID = dict(
 )
 
 
+# test_sweep.py's TestBatchAxis.GRID: 8 open-loop points per topology,
+# so batch=3 cuts each topology into chunks of 3 + 3 + 2
+BATCH_AXIS_GRID = dict(
+    topologies=["Q:4", "11:5"], patterns=["uniform", "tornado"],
+    loads=[0.2, 0.5], seeds=[0, 1], inject_window=8,
+)
+
+
 @contextmanager
 def running_server(**kwargs):
     """A live server on an ephemeral port, torn down with the test."""
@@ -165,6 +173,40 @@ def test_batched_submit_matches_unbatched_modulo_batch_column(served):
     records = client.submit(GOLDEN_GRID, batch=8)
     assert [replace(r, batch=1) for r in records] == run_sweep(**GOLDEN_GRID)
     assert {r.batch for r in records} == {8}
+
+
+def test_partial_batches_match_run_sweep_including_the_batch_column(served):
+    """The server packs missing cells exactly as run_sweep does, so
+    even chunks that end short of ``batch`` stream the same records,
+    ``batch`` column included."""
+    _, client = served
+    records = client.submit(BATCH_AXIS_GRID, batch=3)
+    assert records == run_sweep(batch=3, **BATCH_AXIS_GRID)
+    assert sorted(r.batch for r in records) == [2] * 4 + [3] * 12
+
+
+@pytest.mark.parametrize("batch", [2.7, "3", True, 0, -1, None])
+def test_submit_batch_must_be_a_json_integer(served, batch):
+    """A raw-socket submit whose ``batch`` is not a JSON integer of at
+    least 1 gets an error event; nothing is coerced (2.7 must not run
+    at batch 2) and the server keeps serving."""
+    import socket
+
+    server, client = served
+    request = {"op": "submit", "grid": GOLDEN_GRID, "batch": batch}
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(json.dumps(request).encode() + b"\n")
+        data = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            data += chunk
+    [line] = data.decode().splitlines()
+    msg = json.loads(line)
+    assert msg["event"] == "error"
+    assert "batch must be an integer of at least 1" in msg["message"]
+    assert client.jobs() == []
 
 
 def test_mixed_axes_grid_round_trips_the_wire(served):
