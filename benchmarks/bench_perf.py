@@ -5,7 +5,7 @@ DESIGN.md calls out, so regressions in the fast paths are measurable.
 
 - cube construction: automaton sweep vs per-word filtering;
 - isometry: vectorised DP vs per-vertex BFS reference;
-- counting: transfer matrix vs enumeration;
+- counting: the stepped vertex counting system vs enumeration;
 - BFS: CSR frontier sweep vs deque.
 """
 
@@ -52,7 +52,8 @@ class TestIsometryEngines:
 
 
 class TestCounting:
-    """Ablation: transfer-matrix counting vs enumeration."""
+    """Ablation: the vertex counting system (the avoidance automaton's
+    live states, stepped once per position) vs enumeration."""
 
     def test_automaton_count_d24(self, benchmark):
         assert benchmark(count_vertices_automaton, "11", 24) == 121393

@@ -8,9 +8,11 @@ verify harness:
 
 - :mod:`repro.analytic.fsm` -- avoidance FSMs with a full language
   algebra (union / intersection / complement / minimization);
-- :mod:`repro.analytic.enumeration` -- transfer-matrix counting systems
-  with linear-recurrence extraction (``smart_enumeration``) for exact
-  node and edge counts at arbitrary ``d``;
+- :mod:`repro.analytic.enumeration` -- the one counting machine: a
+  marked product of an FSM that follows every word of a partial
+  subcube gives exact node, edge and square counts at arbitrary ``d``
+  (the counters of :mod:`repro.words.counting` wrap it), with
+  linear-recurrence extraction (``smart_enumeration``);
 - :mod:`repro.analytic.bounds` -- direction-cut profiles, an analytic
   bisection-width estimate and the uniform-traffic saturation bound
   (the classical ``2B/N`` channel-load model);
@@ -34,6 +36,7 @@ from repro.analytic.enumeration import (
     CountingSystem,
     berlekamp_massey,
     edge_system,
+    square_system,
     vertex_system,
 )
 from repro.analytic.fsm import FSM
@@ -51,5 +54,6 @@ __all__ = [
     "edge_system",
     "parse_cube_name",
     "saturation_bound",
+    "square_system",
     "vertex_system",
 ]

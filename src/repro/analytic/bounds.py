@@ -4,8 +4,9 @@ Every dimension ``i`` of a ``d``-dimensional cube defines a *direction
 cut*: split the vertices by bit ``i``.  Because edges flip exactly one
 bit, the edges crossing that cut are precisely the direction-``i``
 edges, so the whole cut profile -- part sizes and crossing width per
-direction -- falls out of the same automaton DP that counts edges, and
-the direction cuts together tile the edge set
+direction -- falls out of an automaton DP over the same word pairs the
+edge system tracks, split at each position, and the direction cuts
+together tile the edge set
 (``sum_i crossing(i) == |E|``, an invariant the tests enforce).
 
 The **bisection estimate** picks the most balanced direction cut

@@ -1,49 +1,56 @@
-"""Transfer-matrix counting systems with linear-recurrence extraction.
+"""Subcube counting systems with linear-recurrence extraction.
 
-Every regular address language gives its cube family two exact counting
-problems -- vertices (accepted words of length ``d``) and edges
-(accepted pairs differing in one bit) -- and both are path-counting
-problems in a fixed digraph, so both satisfy *integer linear
-recurrences* of order at most the digraph size.  A
-:class:`CountingSystem` packages the digraph as ``(matrix, start,
+Every regular address language gives its cube family a tower of exact
+counting problems: vertices (accepted words of length ``d``), edges
+(accepted word pairs differing in one bit) and squares (accepted word
+quads spanning two bits) are the subcubes of dimension ``k = 0, 1, 2``.
+One construction counts them all -- the *marked product* of the
+language's FSM.  Its states follow the automaton states of every word of
+a partial subcube: one word before the first flipped position, and after
+``j`` flipped positions the ``2^j`` words the flips span.  A flipped
+position is ``0`` in the base word, so each ``k``-dimensional subcube is
+exactly one path of length ``d`` that flips ``k`` times and ends with
+all ``2^k`` words accepted.  The product is built reachable (BFS from
+the start) and live-trimmed (states that cannot reach acceptance are
+dropped); for a single factor of length at most 8 it has at most 8, 44
+and 136 states for ``k = 0, 1, 2``.
+
+A :class:`CountingSystem` packages the digraph as ``(matrix, start,
 accept)`` and offers three evaluation routes:
 
-- :meth:`CountingSystem.term` -- one huge ``d`` via binary matrix
-  powering, :math:`O(m^3 \\log d)`;
-- :meth:`CountingSystem.series` -- the first ``n`` terms by
-  vector--matrix iteration, :math:`O(n m^2)`;
+- :meth:`CountingSystem.term` -- one ``d`` by stepping the weight vector
+  ``d`` times along the nonzero matrix entries, :math:`O(d \\cdot
+  \\text{transitions})` big-integer additions and memory independent of
+  ``d``;
+- :meth:`CountingSystem.series` -- the first ``n`` terms from the same
+  walk;
 - :meth:`CountingSystem.smart_enumeration` -- extract the minimal
   recurrence once (Berlekamp--Massey over exact rationals), then extend
   at :math:`O(r)` per term.  For the Fibonacci cube this *discovers*
   ``V(d) = V(d-1) + V(d-2)`` from the machine.
 
-The recurrence coefficients are provably integers: the minimal
-polynomial of the sequence divides the (monic, integer) characteristic
-polynomial of the transfer matrix, and Gauss's lemma keeps monic
-integer divisors integer.  :func:`berlekamp_massey` still runs over
-:class:`fractions.Fraction` internally and the integrality is checked,
-not assumed.
-
-The edge digraph is the *pair-marked* construction: phase-0 states
-track one word before the flipped position, a flip jumps to a phase-1
-state pair (bit-0 branch, bit-1 branch), and phase-1 pairs consume the
-shared suffix bits.  Accepted paths of length ``d`` are exactly the
-edges of the ``d``-dimensional cube, so edge counts inherit the whole
-recurrence toolkit.
+Path counts in a fixed digraph satisfy *integer linear recurrences* of
+order at most the digraph size: the minimal polynomial of the sequence
+divides the (monic, integer) characteristic polynomial of the transfer
+matrix, and Gauss's lemma keeps monic integer divisors integer.
+:func:`berlekamp_massey` still runs over :class:`fractions.Fraction`
+internally and the integrality is checked, not assumed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Sequence, Tuple
 
-from repro.analytic.fsm import FSM
-from repro.words.automaton import matrix_power
+if TYPE_CHECKING:  # FSM imports this module for its own counting
+    from repro.analytic.fsm import FSM
 
 __all__ = [
     "CountingSystem",
     "berlekamp_massey",
     "edge_system",
+    "square_system",
     "vertex_system",
 ]
 
@@ -91,7 +98,7 @@ class CountingSystem:
     vector marking the states whose weight is counted at the end.
     """
 
-    __slots__ = ("matrix", "start", "accept", "_recurrence", "_prefix")
+    __slots__ = ("matrix", "start", "accept", "_rows", "_recurrence", "_prefix")
 
     def __init__(
         self,
@@ -107,6 +114,10 @@ class CountingSystem:
         self.matrix = [list(map(int, row)) for row in matrix]
         self.start = list(map(int, start))
         self.accept = list(map(int, accept))
+        # the nonzero entries of each row: a step costs O(transitions)
+        self._rows = [
+            [(t, w) for t, w in enumerate(row) if w] for row in self.matrix
+        ]
         self._recurrence: "List[int] | None" = None
         self._prefix: List[int] = []
 
@@ -116,31 +127,37 @@ class CountingSystem:
 
     # -- direct evaluation ---------------------------------------------------
 
+    def _vectors(self) -> Iterator[List[int]]:
+        """The weight vectors ``start . matrix^j`` for j = 0, 1, ...; a
+        step follows only the nonzero entries of the nonzero states."""
+        vec = list(self.start)
+        rows = self._rows
+        while True:
+            yield vec
+            nxt = [0] * len(vec)
+            for s, w in enumerate(vec):
+                if w:
+                    for t, m in rows[s]:
+                        nxt[t] += w * m
+            vec = nxt
+
+    def _count(self, vec: List[int]) -> int:
+        return sum(w * a for w, a in zip(vec, self.accept))
+
     def term(self, d: int) -> int:
-        """The ``d``-th term by binary matrix powering (huge ``d`` ok)."""
+        """The ``d``-th term by stepping the weight vector ``d`` times:
+        :math:`O(d \\cdot \\text{transitions})` additions of integers of
+        :math:`O(d)` bits, with live memory independent of ``d`` (one
+        vector of :attr:`size` entries)."""
         if d < 0:
             raise ValueError(f"index must be non-negative, got {d}")
-        power = matrix_power(self.matrix, d)
-        return sum(
-            self.start[s] * power[s][t] * self.accept[t]
-            for s in range(self.size) for t in range(self.size)
-        )
+        return self._count(next(islice(self._vectors(), d, None)))
 
     def series(self, n: int) -> List[int]:
-        """The first ``n`` terms (indices ``0 .. n-1``) by iterating the
-        row vector -- one matrix application per term."""
+        """The first ``n`` terms (indices ``0 .. n-1``) from one walk."""
         if n < 0:
             raise ValueError(f"count must be non-negative, got {n}")
-        vec = list(self.start)
-        out: List[int] = []
-        m = self.size
-        for _ in range(n):
-            out.append(sum(vec[t] * self.accept[t] for t in range(m)))
-            vec = [
-                sum(vec[s] * self.matrix[s][t] for s in range(m))
-                for t in range(m)
-            ]
-        return out
+        return [self._count(vec) for vec in islice(self._vectors(), n)]
 
     # -- smart enumeration ---------------------------------------------------
 
@@ -181,51 +198,79 @@ class CountingSystem:
         return out
 
     def smart_term(self, d: int) -> int:
-        """The ``d``-th term, recurrence-extended (linear in ``d``;
-        prefer :meth:`term` when ``d`` is astronomically large)."""
+        """The ``d``-th term, recurrence-extended (linear in ``d``)."""
         if d < 0:
             raise ValueError(f"index must be non-negative, got {d}")
         return self.smart_enumeration(d + 1)[d]
 
 
-def vertex_system(fsm: FSM) -> CountingSystem:
+def _marked_product(fsm: "FSM", k: int) -> CountingSystem:
+    """The ``k``-dimensional subcube system of ``fsm``'s language.
+
+    A state is the tuple of automaton states of the ``2^j`` words spanned
+    after ``j <= k`` flips, starting from ``(0,)``.  A shared bit moves
+    every word; a flip (while ``j < k``) doubles the tuple into the
+    bit-0 words followed by the bit-1 words.  Reachable states are
+    numbered in BFS order (bit 0, bit 1, flip), then every state that
+    cannot reach an accepting one -- ``2^k`` words, all accepted -- is
+    dropped, keeping that order.
+    """
+    table = fsm.table
+    full = 1 << k
+    ids: Dict[Tuple[int, ...], int] = {(0,): 0}
+    order: List[Tuple[int, ...]] = [(0,)]
+    succ: List[List[int]] = []
+    for words in order:  # grows while we scan it: BFS
+        step = [tuple(table[s][bit] for s in words) for bit in (0, 1)]
+        if len(words) < full:
+            step.append(step[0] + step[1])
+        row = []
+        for nxt in step:
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            row.append(ids[nxt])
+        succ.append(row)
+    accept = [
+        len(words) == full and all(s in fsm.accepting for s in words)
+        for words in order
+    ]
+    pred: List[List[int]] = [[] for _ in order]
+    for s, row in enumerate(succ):
+        for t in row:
+            pred[t].append(s)
+    live = list(accept)
+    stack = [t for t, ok in enumerate(accept) if ok]
+    while stack:
+        for s in pred[stack.pop()]:
+            if not live[s]:
+                live[s] = True
+                stack.append(s)
+    kept = [s for s, ok in enumerate(live) if ok]
+    new = {s: i for i, s in enumerate(kept)}
+    mat = [[0] * len(new) for _ in new]
+    for s, i in new.items():
+        for t in succ[s]:
+            if t in new:
+                mat[i][new[t]] += 1
+    start = [int(i == 0) for i in range(len(kept))]
+    return CountingSystem(mat, start, [int(accept[s]) for s in kept])
+
+
+def vertex_system(fsm: "FSM") -> CountingSystem:
     """Vertex counts of the cube family of ``fsm``'s language:
     term ``d`` is the number of accepted length-``d`` words."""
-    n = fsm.num_states
-    start = [1 if s == 0 else 0 for s in range(n)]
-    accept = [1 if s in fsm.accepting else 0 for s in range(n)]
-    return CountingSystem(fsm.transfer_matrix(), start, accept)
+    return _marked_product(fsm, 0)
 
 
-def edge_system(fsm: FSM) -> CountingSystem:
-    """Edge counts of the cube family of ``fsm``'s language.
+def edge_system(fsm: "FSM") -> CountingSystem:
+    """Edge counts of the cube family of ``fsm``'s language: term ``d``
+    counts the accepted pairs ``{w, w + e_i}`` with ``w_i = 0``."""
+    return _marked_product(fsm, 1)
 
-    States of the pair-marked digraph: ``m`` phase-0 states (one word,
-    before the flip) then ``m^2`` phase-1 pairs ``(s, t)`` tracking the
-    bit-0 / bit-1 branches after the flip, indexed ``m + s*m + t``.
-    Accepted length-``d`` paths are exactly the edges ``{w, w + e_i}``
-    with ``w_i = 0``, counted once each.
-    """
-    m = fsm.num_states
-    size = m + m * m
-    mat = [[0] * size for _ in range(size)]
-    for s in range(m):
-        t0, t1 = fsm.table[s]
-        # phase 0: consume one un-flipped bit
-        mat[s][t0] += 1
-        mat[s][t1] += 1
-        # or flip here: w takes bit 0, w + e_i takes bit 1
-        mat[s][m + t0 * m + t1] += 1
-    for s in range(m):
-        for t in range(m):
-            row = m + s * m + t
-            for bit in (0, 1):
-                s2 = fsm.table[s][bit]
-                t2 = fsm.table[t][bit]
-                mat[row][m + s2 * m + t2] += 1
-    start = [1 if i == 0 else 0 for i in range(size)]
-    accept = [0] * size
-    for s in fsm.accepting:
-        for t in fsm.accepting:
-            accept[m + s * m + t] = 1
-    return CountingSystem(mat, start, accept)
+
+def square_system(fsm: "FSM") -> CountingSystem:
+    """Square counts of the cube family of ``fsm``'s language: term
+    ``d`` counts the accepted quads ``{w, w + e_i, w + e_j, w + e_i +
+    e_j}`` with ``i < j`` and ``w_i = w_j = 0``."""
+    return _marked_product(fsm, 2)

@@ -3,11 +3,12 @@
 The address set of every cube family in the paper is a *regular
 language*: the hypercube accepts everything, :math:`Q_d(f)` the words
 avoiding ``f``, :math:`Q_d(F)` the words avoiding a set.  This module
-lifts the KMP / Aho--Corasick machinery of :mod:`repro.words` into a
+lifts the Aho--Corasick machinery of :mod:`repro.words` into a
 general complete-DFA type closed under union, intersection, complement
 and minimization, so composite address languages ("avoids ``11`` *or*
 avoids ``000``", "avoids ``101`` *and* ``010``") get the same exact
-transfer-matrix counting as the primitive families.
+subcube counting (:mod:`repro.analytic.enumeration`) as the primitive
+families.
 
 Conventions: states are ``0 .. n-1`` with start state ``0``; ``table``
 is total (every state has both transitions), so the dead/forbidden
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.words.aho import MultiFactorAutomaton
-from repro.words.automaton import matrix_power
+from repro.analytic.enumeration import vertex_system
 
 __all__ = ["FSM"]
 
@@ -69,8 +69,10 @@ class FSM:
         the words containing no member of ``F`` (the address language of
         :math:`Q_d(F)` at every ``d`` simultaneously).  Built on the
         Aho--Corasick automaton, so subsumed factors are already dropped."""
-        auto = MultiFactorAutomaton(factors)
-        return cls(auto.table, range(auto.forbidden))
+        # imported here: repro.words counts through this package
+        from repro.words.aho import MultiFactorAutomaton
+
+        return MultiFactorAutomaton(factors).fsm()
 
     @classmethod
     def universal(cls) -> "FSM":
@@ -194,23 +196,12 @@ class FSM:
 
     # -- counting -----------------------------------------------------------
 
-    def transfer_matrix(self) -> List[List[int]]:
-        """``M[s][t]``: number of bits (0, 1 or 2) from ``s`` to ``t``.
-        ``sum_{t accepting} (M^d)[0][t]`` counts accepted length-``d``
-        words -- the vertex count of the cube the language defines."""
-        n = self.num_states
-        mat = [[0] * n for _ in range(n)]
-        for s in range(n):
-            for bit in (0, 1):
-                mat[s][self.table[s][bit]] += 1
-        return mat
-
     def count_words(self, d: int) -> int:
-        """Number of accepted words of length ``d`` (exact, any ``d``)."""
+        """Number of accepted words of length ``d`` (exact, any ``d``):
+        the vertex count of the cube the language defines."""
         if d < 0:
             raise ValueError(f"length must be non-negative, got {d}")
-        row = matrix_power(self.transfer_matrix(), d)[0]
-        return sum(row[t] for t in self.accepting)
+        return vertex_system(self).term(d)
 
     # -- plumbing -----------------------------------------------------------
 

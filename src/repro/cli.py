@@ -8,7 +8,8 @@ Subcommands
     Verdict for :math:`Q_D(F) \\hookrightarrow Q_D` (theorems, then brute
     force with ``--bruteforce``).
 ``gfc counts F D``
-    Vertices/edges/squares of :math:`Q_D(F)` via the automaton counters.
+    Vertices/edges/squares of :math:`Q_D(F)` via the subcube counting
+    systems (exact for ``D`` in the thousands).
 ``gfc structure F D``
     Degree/diameter report (Proposition 6.1 view).
 ``gfc network F D``
@@ -40,9 +41,10 @@ Subcommands
     hypercube-vs-Fibonacci verdict, as text or a stable JSON report.
 ``gfc analytic``
     The predict side of predict-then-verify: ``analytic counts`` gives
-    exact node/edge counts (and the discovered linear recurrences) of
-    cube topologies at arbitrary dimension via the avoidance-FSM
-    transfer matrices; ``analytic bounds`` adds the direction-cut
+    exact node/edge counts (and the discovered linear recurrences of
+    the node, edge and square sequences) of cube topologies at
+    arbitrary dimension via the avoidance FSM's subcube counting
+    systems; ``analytic bounds`` adds the direction-cut
     bisection estimate and the uniform-traffic saturation bound
     ``theta* = crossing*N / (n0*n1)`` (the classical ``2B/N`` with
     ``B`` the bisection channel count); ``analytic compare``
@@ -242,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_acnt.add_argument(
         "--recurrence", action="store_true",
         help="also print the discovered linear recurrences for the "
-             "node and edge sequences",
+             "node, edge and square sequences",
     )
     p_abnd = ana_sub.add_parser(
         "bounds",
@@ -669,7 +671,11 @@ def _cmd_analytic(args) -> int:
     if args.analytic_command == "compare":
         return _cmd_analytic_compare(args)
     from repro.analytic import analytic_summary, cube_model
-    from repro.analytic.enumeration import edge_system, vertex_system
+    from repro.analytic.enumeration import (
+        edge_system,
+        square_system,
+        vertex_system,
+    )
 
     for spec in args.specs:
         summary = analytic_summary(spec)
@@ -698,6 +704,7 @@ def _cmd_analytic(args) -> int:
             fsm = cube_model(tuple(factors))
             for label, system in (
                 ("node", vertex_system(fsm)), ("edge", edge_system(fsm)),
+                ("square", square_system(fsm)),
             ):
                 rec = system.linear_recurrence()
                 terms = " + ".join(

@@ -12,9 +12,62 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-from repro.words.automaton import matrix_mult, matrix_power
-
 __all__ = ["LinearRecurrence", "AffineRecurrence"]
+
+
+def matrix_mult(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Exact integer matrix product (no overflow: Python big ints).
+
+    Degenerate shapes are first-class: ``[] @ [] == []``, and an
+    ``n x 0`` times ``0 x anything`` product is the ``n x 0`` zero
+    matrix.  Ragged rows or an inner-dimension mismatch raise
+    :class:`ValueError` instead of silently mis-multiplying.
+    """
+    n, k = len(a), len(b)
+    m2 = len(b[0]) if b else 0
+    inner = len(a[0]) if a else 0
+    if any(len(row) != inner for row in a):
+        raise ValueError("left matrix has ragged rows")
+    if any(len(row) != m2 for row in b):
+        raise ValueError("right matrix has ragged rows")
+    if a and inner != k:
+        raise ValueError(
+            f"inner dimensions do not match: {n}x{inner} @ {k}x{m2}"
+        )
+    out = [[0] * m2 for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            v = ai[t]
+            if v:
+                bt = b[t]
+                for j in range(m2):
+                    oi[j] += v * bt[j]
+    return out
+
+
+def matrix_power(mat: Sequence[Sequence[int]], e: int) -> List[List[int]]:
+    """Exact integer matrix power by binary exponentiation.
+
+    ``e == 0`` returns the ``n x n`` identity (the empty ``0 x 0``
+    identity for an empty matrix); non-square input raises
+    :class:`ValueError` up front rather than deep inside the squaring
+    loop.
+    """
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError(f"matrix must be square, got rows {[len(r) for r in mat]}")
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    base = [list(row) for row in mat]
+    while e:
+        if e & 1:
+            result = matrix_mult(result, base)
+        base = matrix_mult(base, base)
+        e >>= 1
+    return result
 
 
 class AffineRecurrence:

@@ -3,7 +3,9 @@
 - :mod:`repro.cubes.hypercube` -- the d-cube :math:`Q_d`, Hamming
   distances, canonical paths (Section 2);
 - :mod:`repro.cubes.generalized` -- the generalized Fibonacci cube
-  :math:`Q_d(f)` (the paper's central object);
+  :math:`Q_d(f)` (the paper's central object), built on
+  ``AvoidingCube``, the vertex set and induced graph it shares with
+  the multi-factor cubes :math:`Q_d(F)` of :mod:`repro.cubes.multifactor`;
 - :mod:`repro.cubes.fibonacci` -- the classical Fibonacci cube
   :math:`\\Gamma_d = Q_d(11)`, its Zeckendorf labelling, and the Lucas
   cube (a closely related family used in the extension experiments);

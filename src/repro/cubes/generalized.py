@@ -7,9 +7,13 @@ graph, and cube-specific operations (Hamming distance between vertices,
 neighbourhood in the *host* cube, bitwise-majority median closure).
 
 Construction is vectorised: the vertex set comes from the automaton sweep
-of :func:`repro.words.enumerate.avoiding_int_array`, and for each of the
-``d`` directions the edge set is one XOR + sorted membership query over
-the whole vertex array.
+of :meth:`repro.words.aho.MultiFactorAutomaton.avoiding_int_array`, and
+for each of the ``d`` directions the edge set is one XOR + sorted
+membership query over the whole vertex array.  :class:`AvoidingCube`
+holds that vertex set and induced graph for any avoidance automaton;
+:class:`GeneralizedFibonacciCube` and
+:class:`repro.cubes.multifactor.MultiFactorCube` are its one-factor and
+factor-set cases.
 """
 
 from __future__ import annotations
@@ -21,38 +25,26 @@ import numpy as np
 
 from repro.graphs.core import Graph
 from repro.graphs.median import majority_word
-from repro.words.core import int_to_word, validate_word, word_to_int
-from repro.words.enumerate import avoiding_int_array
+from repro.words.aho import MultiFactorAutomaton
+from repro.words.automaton import FactorAutomaton
+from repro.words.core import int_to_word, word_to_int
 
-__all__ = ["GeneralizedFibonacciCube", "generalized_fibonacci_cube"]
+__all__ = ["AvoidingCube", "GeneralizedFibonacciCube", "generalized_fibonacci_cube"]
 
 
-class GeneralizedFibonacciCube:
-    """The graph :math:`Q_d(f)` with its word structure retained.
+class AvoidingCube:
+    """The subgraph of :math:`Q_d` induced by the words an avoidance
+    automaton accepts: the vertex set as a sorted array of integer codes
+    and the induced graph, shared by :math:`Q_d(f)` and :math:`Q_d(F)`.
 
-    Parameters
-    ----------
-    f:
-        Non-empty forbidden factor over ``{0, 1}``.
-    d:
-        Word length (cube dimension), ``d >= 0``.
-
-    Notes
-    -----
-    For ``d < len(f)`` no word can contain ``f``, so
-    :math:`Q_d(f) = Q_d`; for ``d == len(f)`` exactly the word ``f``
-    itself is removed (Lemma 2.1 territory).
+    ``automaton`` is a :class:`~repro.words.aho.MultiFactorAutomaton`
+    (a :class:`~repro.words.automaton.FactorAutomaton` for one factor).
     """
 
-    def __init__(self, f: str, d: int):
-        validate_word(f, name="forbidden factor")
-        if not f:
-            raise ValueError("forbidden factor must be non-empty")
-        if d < 0:
-            raise ValueError(f"dimension must be non-negative, got {d}")
-        self.f = f
+    def __init__(self, automaton: MultiFactorAutomaton, d: int):
+        self.automaton = automaton
         self.d = d
-        self.codes: np.ndarray = avoiding_int_array(f, d)
+        self.codes: np.ndarray = automaton.avoiding_int_array(d)
         self._graph: Optional[Graph] = None
         self._index = {int(c): i for i, c in enumerate(self.codes)}
 
@@ -128,6 +120,31 @@ class GeneralizedFibonacciCube:
     @property
     def num_edges(self) -> int:
         return self.graph().num_edges
+
+
+class GeneralizedFibonacciCube(AvoidingCube):
+    """The graph :math:`Q_d(f)` with its word structure retained.
+
+    Parameters
+    ----------
+    f:
+        Non-empty forbidden factor over ``{0, 1}``.
+    d:
+        Word length (cube dimension), ``d >= 0``.
+
+    Notes
+    -----
+    For ``d < len(f)`` no word can contain ``f``, so
+    :math:`Q_d(f) = Q_d`; for ``d == len(f)`` exactly the word ``f``
+    itself is removed (Lemma 2.1 territory).
+    """
+
+    def __init__(self, f: str, d: int):
+        automaton = FactorAutomaton(f)
+        if d < 0:
+            raise ValueError(f"dimension must be non-negative, got {d}")
+        super().__init__(automaton, d)
+        self.f = f
 
     def degree_sequence(self) -> List[int]:
         return sorted(self.graph().degrees())

@@ -4,8 +4,9 @@ The extension invited by the paper's definition: forbid a *set* ``F`` of
 factors instead of a single one.  :math:`Q_d(F)` is the subgraph of
 :math:`Q_d` induced by the words avoiding every member of ``F``.
 
-:class:`MultiFactorCube` is duck-compatible with
-:class:`repro.cubes.generalized.GeneralizedFibonacciCube` (``codes``,
+:class:`MultiFactorCube` shares its vertex set and induced graph with
+:class:`repro.cubes.generalized.GeneralizedFibonacciCube` through their
+common base :class:`repro.cubes.generalized.AvoidingCube` (``codes``,
 ``d``, ``graph()``, ``word_of``, ...), so the isometry engines, structure
 reports and network machinery run on it unchanged -- which is what the
 extension benchmarks exploit.
@@ -22,88 +23,22 @@ Facts worth noting (and tested):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Tuple
 
-import numpy as np
-
-from repro.graphs.core import Graph
+from repro.cubes.generalized import AvoidingCube
 from repro.words.aho import MultiFactorAutomaton
-from repro.words.core import int_to_word, word_to_int
 
 __all__ = ["MultiFactorCube", "multi_factor_cube"]
 
 
-class MultiFactorCube:
+class MultiFactorCube(AvoidingCube):
     """The graph :math:`Q_d(F)` for a set ``F`` of forbidden factors."""
 
     def __init__(self, factors: Iterable[str], d: int):
         if d < 0:
             raise ValueError(f"dimension must be non-negative, got {d}")
-        self.automaton = MultiFactorAutomaton(factors)
+        super().__init__(MultiFactorAutomaton(factors), d)
         self.factors: Tuple[str, ...] = self.automaton.factors
-        self.d = d
-        self.codes: np.ndarray = self.automaton.avoiding_int_array(d)
-        self._graph: Optional[Graph] = None
-        self._index = {int(c): i for i, c in enumerate(self.codes)}
-
-    # -- vertex set (same surface as GeneralizedFibonacciCube) -------------
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self.codes.size)
-
-    def __len__(self) -> int:
-        return self.num_vertices
-
-    def __contains__(self, word) -> bool:
-        if isinstance(word, str):
-            if len(word) != self.d:
-                return False
-            code = word_to_int(word)
-        else:
-            code = int(word)
-        return code in self._index
-
-    def words(self) -> List[str]:
-        return [int_to_word(int(c), self.d) for c in self.codes]
-
-    def word_of(self, index: int) -> str:
-        return int_to_word(int(self.codes[index]), self.d)
-
-    def code_of(self, index: int) -> int:
-        return int(self.codes[index])
-
-    def index_of_word(self, word: str) -> int:
-        if len(word) != self.d:
-            raise KeyError(f"word {word!r} has wrong length for d={self.d}")
-        return self._index[word_to_int(word)]
-
-    # -- graph ---------------------------------------------------------------
-
-    def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = self._build_graph()
-        return self._graph
-
-    def _build_graph(self) -> Graph:
-        codes = self.codes
-        n = int(codes.size)
-        g = Graph(n)
-        if n:
-            for i in range(self.d):
-                bit = np.int64(1) << np.int64(i)
-                partners = codes ^ bit
-                pos = np.minimum(np.searchsorted(codes, partners), n - 1)
-                hit = codes[pos] == partners
-                lower = (codes & bit) == 0
-                for u_idx in np.flatnonzero(hit & lower):
-                    g.add_edge(int(u_idx), int(pos[u_idx]))
-        g.set_labels(self.words())
-        return g
-
-    @property
-    def num_edges(self) -> int:
-        return self.graph().num_edges
 
     def __repr__(self) -> str:
         return (

@@ -3,7 +3,7 @@ Fibonacci cubes.
 
 - :mod:`repro.invariants.counts` -- vertex/edge/square counters (brute
   force on the graph, recurrences (1)--(6), closed forms of Propositions
-  6.2 and 6.3, and the automaton counters for huge ``d``);
+  6.2 and 6.3, and the subcube counting systems for huge ``d``);
 - :mod:`repro.invariants.structure` -- Proposition 6.1 (maximum degree and
   diameter equal ``d`` for embeddable cubes) plus general degree/diameter
   reports;

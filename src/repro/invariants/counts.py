@@ -11,8 +11,11 @@ triangulate:
    :math:`|E(H_d)|` (convolution and the /5 form), and Proposition 6.3
    for :math:`|S(H_d)|`.
 
-The generic automaton counters of :mod:`repro.words.counting` provide a
-fourth source valid for any factor and huge ``d``.
+The counters of :mod:`repro.words.counting` provide a fourth source,
+valid for any factor and huge ``d``: the marked-product subcube systems
+of :mod:`repro.analytic.enumeration`, one construction for all three
+counts, stepped ``d`` times.  Brute force, the recurrences and the
+closed forms stay independent of that machine, so they are its oracles.
 """
 
 from __future__ import annotations

@@ -9,13 +9,16 @@ This package provides:
 
 - :mod:`repro.words.core` -- primitive operations (complement, reverse,
   blocks, factor tests, bit flips, Hamming distance, int conversions);
-- :mod:`repro.words.automaton` -- the KMP factor automaton used both for
-  linear-time factor avoidance tests and for transfer-matrix counting;
+- :mod:`repro.words.aho` -- the Aho--Corasick automaton of a factor set,
+  for linear-time avoidance tests and enumeration;
+- :mod:`repro.words.automaton` -- :class:`FactorAutomaton`, its
+  one-factor case;
 - :mod:`repro.words.enumerate` -- enumeration of all factor-avoiding words
   of a given length (the vertex sets of generalized Fibonacci cubes);
 - :mod:`repro.words.counting` -- exact big-integer counting of vertices,
-  edges and squares of :math:`Q_d(f)` for *huge* ``d`` via product
-  automata, without enumerating anything.
+  edges and squares of :math:`Q_d(f)` for *huge* ``d``, without
+  enumerating anything: thin wrappers over the marked-product counting
+  systems of :mod:`repro.analytic.enumeration`.
 """
 
 from repro.words.core import (
@@ -34,8 +37,8 @@ from repro.words.core import (
     word_add,
     word_to_int,
 )
-from repro.words.automaton import FactorAutomaton, kmp_failure
 from repro.words.aho import MultiFactorAutomaton
+from repro.words.automaton import FactorAutomaton
 from repro.words.gray import (
     gray_code,
     gray_rank,
@@ -87,7 +90,6 @@ __all__ = [
     "autocorrelation",
     "correlation_polynomial",
     "count_avoiding_gf",
-    "kmp_failure",
     "avoiding_int_array",
     "count_avoiding_bruteforce",
     "iter_avoiding",

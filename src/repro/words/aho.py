@@ -5,16 +5,17 @@ natural next step -- explicitly invited by the definition -- is a set
 ``F`` of forbidden factors: :math:`Q_d(F)` keeps the words avoiding every
 member of ``F``.  Classical instances:
 
-- ``F = {f}`` recovers :math:`Q_d(f)` (the automaton degenerates to KMP);
+- ``F = {f}`` recovers :math:`Q_d(f)` (:class:`repro.words.automaton.FactorAutomaton`
+  is this one-factor case);
 - Lucas-like cubes arise from positional constraints, and several
   "daisy-cube" style families are intersections of factor conditions.
 
 :class:`MultiFactorAutomaton` is the standard Aho--Corasick construction
 (goto trie + failure links, output propagated through failures) with all
-pattern-accepting states merged into one absorbing *forbidden* state, so
-the surviving automaton plays exactly the same role the KMP automaton
-plays in :mod:`repro.words.automaton`: linear-time avoidance tests, DFS
-enumeration, and transfer-matrix counting.
+pattern-accepting states merged into one absorbing *forbidden* state.
+It gives linear-time avoidance tests and the enumeration of avoiding
+words; its vertex and edge counts go through the subcube counting
+systems of :mod:`repro.analytic.enumeration`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro.words.automaton import matrix_power
+from repro.analytic.enumeration import edge_system, vertex_system
+from repro.analytic.fsm import FSM
 from repro.words.core import validate_word
 
 __all__ = ["MultiFactorAutomaton"]
@@ -43,8 +45,8 @@ class MultiFactorAutomaton:
         (superstrings of other factors, e.g. ``110`` next to ``11``) are
         *dropped at construction*: a word containing the superstring
         already contains the substring, so they define the same language
-        but would inflate the trie -- and therefore every transfer-matrix
-        count -- for nothing.  ``factors`` holds the surviving minimal
+        but would inflate the trie -- and therefore every counting
+        system -- for nothing.  ``factors`` holds the surviving minimal
         set.
     """
 
@@ -164,7 +166,14 @@ class MultiFactorAutomaton:
                     stack.append((prefix + chars[bit], nxt, depth + 1))
 
     def avoiding_int_array(self, d: int) -> np.ndarray:
-        """Sorted ``int64`` codes of all avoiding words (cf. the KMP twin)."""
+        """Sorted ``int64`` codes of all length-``d`` avoiding words.
+
+        The code of a word puts its first letter in the most significant
+        bit (see :func:`repro.words.core.word_to_int`), so the array is
+        sorted both numerically and lexicographically.  One vectorised
+        pass per position carries the surviving prefix codes together
+        with their automaton states.
+        """
         if d < 0:
             raise ValueError(f"length must be non-negative, got {d}")
         if d > 62:
@@ -187,36 +196,22 @@ class MultiFactorAutomaton:
 
     # -- counting ------------------------------------------------------------
 
-    def transfer_matrix(self) -> List[List[int]]:
-        """Transfer matrix over the live states (cf. the KMP twin)."""
-        m = self.forbidden
-        mat = [[0] * m for _ in range(m)]
-        for s in range(m):
-            for bit in (0, 1):
-                t = self.table[s][bit]
-                if t != m:
-                    mat[s][t] += 1
-        return mat
+    def fsm(self) -> FSM:
+        """The avoidance language as an :class:`~repro.analytic.fsm.FSM`
+        (the live states accept, the forbidden state is its dead state)."""
+        return FSM(self.table, range(self.forbidden))
 
     def count_vertices(self, d: int) -> int:
-        """``|V(Q_d(F))|`` by matrix power -- exact for huge ``d``."""
+        """``|V(Q_d(F))|``, exact for any ``d``."""
         if d < 0:
             raise ValueError(f"length must be non-negative, got {d}")
-        power = matrix_power(self.transfer_matrix(), d)
-        return sum(power[0])
+        return vertex_system(self.fsm()).term(d)
 
     def count_edges(self, d: int) -> int:
-        """``|E(Q_d(F))|`` by the streaming pair DP (cf. the KMP twin).
-
-        ``O(states^2)`` memory whatever ``d`` is: the forward sweep
-        carries prefix weights and live word-pair weights instead of
-        materializing a suffix table per position.
-        """
+        """``|E(Q_d(F))|``, exact for any ``d``."""
         if d < 0:
             raise ValueError(f"length must be non-negative, got {d}")
-        from repro.words.counting import _count_edges_streaming
-
-        return _count_edges_streaming(self.table, self.forbidden, d)
+        return edge_system(self.fsm()).term(d)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"MultiFactorAutomaton({list(self.factors)!r}, states={self.num_states})"

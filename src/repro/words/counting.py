@@ -1,35 +1,27 @@
 """Exact counting of vertices, edges and squares of :math:`Q_d(f)`.
 
-All three counters run in time polynomial in ``|f|`` and (poly-)logarithmic
-or linear in ``d`` with exact big-integer arithmetic, so they remain exact
-for ``d`` in the thousands where enumeration is hopeless.  They power the
-large-``d`` series of experiments E1--E4 and validate the recurrences
-(1)--(6) of Section 6 far beyond the enumerable range.
+Vertices, edges and squares are the subcubes of dimension 0, 1 and 2,
+and all three counters are one-line wrappers over the marked-product
+systems of :mod:`repro.analytic.enumeration`: the avoidance FSM of ``f``
+is multiplied out to follow every word of a partial subcube, and the
+system's weight vector is stepped ``d`` times.  The cost is
+:math:`O(d \\cdot \\text{transitions})` exact big-integer additions with
+live memory independent of ``d`` (a system has at most 8, 44 and 136
+states for ``|f| <= 8``), so the counts stay exact for ``d`` in the
+thousands where enumeration is hopeless.  They power the large-``d``
+series of experiments E1--E4 and validate the recurrences (1)--(6) of
+Section 6 far beyond the enumerable range.
 
-Vertices
-    Words of length ``d`` avoiding ``f``: a transfer-matrix power of the
-    KMP automaton (:math:`O(|f|^3 \\log d)`).
-
-Edges
-    Unordered pairs of avoiding words differing in exactly one bit.  We
-    count ordered pairs where the flipped bit goes ``0 -> 1`` (counting
-    each edge once) with a two-phase scan over the flip position: before
-    the flip both words coincide (one automaton state), after it we track
-    the *pair* of states of the two words.
-
-Squares
-    4-cycles of :math:`Q_d(f)`.  Every square of a hypercube subgraph is
-    determined by a base word ``w`` with zeros in two positions
-    ``i < j`` such that all four of ``w, w+e_i, w+e_j, w+e_i+e_j`` avoid
-    ``f``.  A three-phase scan tracks 1, 2, then 4 automaton states.
+A square is counted in the normal form ``{w, w+e_i, w+e_j, w+e_i+e_j}``
+with ``i < j`` and ``w_i = w_j = 0``, an edge as ``{w, w+e_i}`` with
+``w_i = 0``; each subcube is picked exactly once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-from repro.words.automaton import FactorAutomaton, matrix_power
-from repro.words.core import validate_word
+from repro.analytic.enumeration import edge_system, square_system, vertex_system
+from repro.analytic.fsm import FSM
+from repro.words.automaton import FactorAutomaton
 
 __all__ = [
     "count_vertices_automaton",
@@ -38,191 +30,23 @@ __all__ = [
 ]
 
 
-def _require(f: str, d: int) -> FactorAutomaton:
-    validate_word(f, name="forbidden factor")
-    if not f:
-        raise ValueError("forbidden factor must be non-empty")
+def _avoidance_fsm(f: str, d: int) -> FSM:
+    auto = FactorAutomaton(f)
     if d < 0:
         raise ValueError(f"length must be non-negative, got {d}")
-    return FactorAutomaton(f)
+    return auto.fsm()
 
 
 def count_vertices_automaton(f: str, d: int) -> int:
-    """``|V(Q_d(f))|``: number of length-``d`` words avoiding ``f``.
-
-    Uses the transfer-matrix power, so ``d`` may be arbitrarily large.
-    """
-    auto = _require(f, d)
-    mat = auto.transfer_matrix()
-    power = matrix_power(mat, d)
-    return sum(power[0])
+    """``|V(Q_d(f))|``: number of length-``d`` words avoiding ``f``."""
+    return vertex_system(_avoidance_fsm(f, d)).term(d)
 
 
 def count_edges_automaton(f: str, d: int) -> int:
-    """``|E(Q_d(f))|``: edges of the generalized Fibonacci cube.
-
-    Linear in ``d`` (one dict-DP sweep per position), quadratic in the
-    number of automaton states.  Each edge ``{w, w + e_i}`` is counted at
-    its unique flip position ``i`` with the orientation ``w_i = 0``.
-
-    The sweep is a *streaming* forward DP in ``O(states^2)`` memory:
-    ``prefix[s]`` counts the avoiding prefixes ending in state ``s``
-    (words that have not flipped yet), ``pairs[(s, t)]`` counts the
-    (prefix, flip-position) choices whose two runs -- ``w`` through
-    state ``s``, ``w + e_i`` through state ``t`` -- are both still
-    alive.  Each position either extends every pending pair by one
-    shared bit or turns a prefix into a new pair via the flip, so no
-    per-position suffix table is ever materialized (the old
-    implementation kept ``d + 1`` dicts of up to ``states^2`` entries,
-    which is exactly the memory that blows up at large ``d``).
-    """
-    auto = _require(f, d)
-    return _count_edges_streaming(auto.table, auto.forbidden, d)
-
-
-def _count_edges_streaming(table, forbidden: int, d: int) -> int:
-    """The shared streaming pair DP over any absorbing-forbidden-state
-    transition table (used by both the KMP and the Aho--Corasick
-    counters)."""
-    total_pairs: Dict[Tuple[int, int], int] = {}
-    prefix: Dict[int, int] = {0: 1}
-    for _ in range(d):
-        nxt_pairs: Dict[Tuple[int, int], int] = {}
-        # pending pairs consume one bit shared by both words (outside the
-        # flip position the words agree)
-        for (s, t), v in total_pairs.items():
-            for bit in (0, 1):
-                s2 = table[s][bit]
-                t2 = table[t][bit]
-                if s2 != forbidden and t2 != forbidden:
-                    key = (s2, t2)
-                    nxt_pairs[key] = nxt_pairs.get(key, 0) + v
-        # or this position is the flip: w takes bit 0, w + e_i takes bit 1
-        for s, v in prefix.items():
-            s0 = table[s][0]
-            s1 = table[s][1]
-            if s0 != forbidden and s1 != forbidden:
-                key = (s0, s1)
-                nxt_pairs[key] = nxt_pairs.get(key, 0) + v
-        total_pairs = nxt_pairs
-        nxt_prefix: Dict[int, int] = {}
-        for s, v in prefix.items():
-            for bit in (0, 1):
-                s2 = table[s][bit]
-                if s2 != forbidden:
-                    nxt_prefix[s2] = nxt_prefix.get(s2, 0) + v
-        prefix = nxt_prefix
-    # a pair that survives to the end is one edge per (prefix, flip) choice
-    return sum(total_pairs.values())
+    """``|E(Q_d(f))|``: edges of the generalized Fibonacci cube."""
+    return edge_system(_avoidance_fsm(f, d)).term(d)
 
 
 def count_squares_automaton(f: str, d: int) -> int:
-    """``|S(Q_d(f))|``: number of 4-cycles (squares) of :math:`Q_d(f)`.
-
-    A square is an unordered 4-cycle ``{w, w+e_i, w+e_j, w+e_i+e_j}`` with
-    ``i < j`` and ``w_i = w_j = 0``; that normal form picks each square
-    exactly once.  The scan keeps:
-
-    - phase A (before ``i``): one shared state;
-    - phase B (between ``i`` and ``j``): the state pair of the bit-0
-      branch (covering ``w`` and ``w+e_j``) and the bit-1 branch
-      (covering ``w+e_i`` and ``w+e_i+e_j``);
-    - phase C (after ``j``): all four states.
-
-    Cost ``O(d * states^4)`` with small constants (|f| <= 8 in practice).
-    """
-    auto = _require(f, d)
-    table = auto.table
-    forbidden = auto.forbidden
-    m = forbidden
-
-    def step_alive(s: int, bit: int) -> int:
-        t = table[s][bit]
-        return -1 if t == forbidden else t
-
-    # suffix_quad[L][(a,b,c,e)] = number of length-L words keeping all four
-    # runs alive, built incrementally from L = 0 upward.
-    quad: Dict[Tuple[int, int, int, int], int] = {}
-    # we lazily enumerate only reachable quads; start from "all suffixes of
-    # length 0" = weight 1 for every state combination actually queried.
-    # For clarity (states are few) we materialize the full table.
-    states4 = [
-        (a, b, c, e) for a in range(m) for b in range(m) for c in range(m) for e in range(m)
-    ]
-    quad = {k: 1 for k in states4}
-    suffix_quad = [dict(quad)]
-    for _ in range(d):
-        nxt: Dict[Tuple[int, int, int, int], int] = {}
-        prev = suffix_quad[-1]
-        for key in states4:
-            a, b, c, e = key
-            acc = 0
-            for bit in (0, 1):
-                a2 = step_alive(a, bit)
-                if a2 < 0:
-                    continue
-                b2 = step_alive(b, bit)
-                if b2 < 0:
-                    continue
-                c2 = step_alive(c, bit)
-                if c2 < 0:
-                    continue
-                e2 = step_alive(e, bit)
-                if e2 < 0:
-                    continue
-                acc += prev.get((a2, b2, c2, e2), 0)
-            if acc:
-                nxt[key] = acc
-        suffix_quad.append(nxt)
-
-    # pair sweep for phase B, also from the right: suffix_pair_at[L] maps a
-    # state pair to the number of (length-L, flip-at-end) continuations...
-    # Instead of nesting sweeps we do a single left-to-right pass carrying:
-    #   prefixA[s]           -- weights before the first flip
-    #   prefixB[(s0, s1)]    -- weights between the flips (bit0/bit1 branch)
-    total = 0
-    prefixA: Dict[int, int] = {0: 1}
-    prefixB: Dict[Tuple[int, int], int] = {}
-    for pos in range(d):
-        remaining = d - pos - 1
-        # Option 1: position `pos` is the second flip j for a pending pair.
-        for (s0, s1), v in prefixB.items():
-            # w has bit 0 at j; w+e_j has bit 1; same for the bit-1 branch.
-            a = step_alive(s0, 0)   # w
-            b = step_alive(s0, 1)   # w + e_j
-            c = step_alive(s1, 0)   # w + e_i
-            e = step_alive(s1, 1)   # w + e_i + e_j
-            if a >= 0 and b >= 0 and c >= 0 and e >= 0:
-                total += v * suffix_quad[remaining].get((a, b, c, e), 0)
-        # Option 2: position `pos` is the first flip i (w_i = 0).
-        newB: Dict[Tuple[int, int], int] = {}
-        for s, v in prefixA.items():
-            s0 = step_alive(s, 0)  # branch of w and w+e_j
-            s1 = step_alive(s, 1)  # branch of w+e_i and w+e_i+e_j
-            if s0 >= 0 and s1 >= 0:
-                key = (s0, s1)
-                newB[key] = newB.get(key, 0) + v
-        # Advance pending B pairs over a non-flip position (both words share
-        # the same bit of w at this position -- but careful: the two words in
-        # a branch share the bit, and the two branches ALSO share it, since
-        # between i and j all four words agree with w outside {i, j}).
-        nxtB: Dict[Tuple[int, int], int] = {}
-        for (s0, s1), v in prefixB.items():
-            for bit in (0, 1):
-                a = step_alive(s0, bit)
-                b = step_alive(s1, bit)
-                if a >= 0 and b >= 0:
-                    key = (a, b)
-                    nxtB[key] = nxtB.get(key, 0) + v
-        for key, v in newB.items():
-            nxtB[key] = nxtB.get(key, 0) + v
-        prefixB = nxtB
-        # Advance A over a non-flip position.
-        nxtA: Dict[int, int] = {}
-        for s, v in prefixA.items():
-            for bit in (0, 1):
-                s2 = step_alive(s, bit)
-                if s2 >= 0:
-                    nxtA[s2] = nxtA.get(s2, 0) + v
-        prefixA = nxtA
-    return total
+    """``|S(Q_d(f))|``: number of 4-cycles (squares) of :math:`Q_d(f)`."""
+    return square_system(_avoidance_fsm(f, d)).term(d)

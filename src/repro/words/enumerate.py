@@ -1,8 +1,10 @@
 """Enumeration of factor-avoiding words (vertex sets of :math:`Q_d(f)`).
 
-Two enumeration engines are provided:
+Both engines are the factor automaton's
+(:class:`repro.words.automaton.FactorAutomaton`, the one-factor case of
+:class:`repro.words.aho.MultiFactorAutomaton`):
 
-- :func:`iter_avoiding` walks the KMP automaton depth-first, so only the
+- :func:`iter_avoiding` walks the automaton depth-first, so only the
   surviving prefixes are extended -- output is lexicographic and the cost
   is proportional to the number of nodes of the surviving prefix tree (in
   particular it never touches the :math:`2^d` rejected words that a naive
@@ -22,7 +24,6 @@ from typing import Iterator, List
 import numpy as np
 
 from repro.words.automaton import FactorAutomaton
-from repro.words.core import validate_word
 
 __all__ = [
     "iter_avoiding",
@@ -39,25 +40,7 @@ def iter_avoiding(f: str, d: int) -> Iterator[str]:
     :math:`Q_d(f)`.  ``d == 0`` yields the empty word (which avoids every
     non-empty ``f``).
     """
-    validate_word(f, name="forbidden factor")
-    if not f:
-        raise ValueError("forbidden factor must be non-empty")
-    if d < 0:
-        raise ValueError(f"length must be non-negative, got {d}")
-    auto = FactorAutomaton(f)
-    # Iterative DFS with an explicit stack of (prefix_bits, state, depth).
-    # Bits pushed in reverse order so '0' is explored before '1'.
-    chars = "01"
-    stack: List[tuple] = [("", 0, 0)]
-    while stack:
-        prefix, state, depth = stack.pop()
-        if depth == d:
-            yield prefix
-            continue
-        for bit in (1, 0):
-            nxt = auto.table[state][bit]
-            if nxt != auto.forbidden:
-                stack.append((prefix + chars[bit], nxt, depth + 1))
+    return FactorAutomaton(f).iter_avoiding(d)
 
 
 def list_avoiding(f: str, d: int) -> List[str]:
@@ -71,37 +54,8 @@ def avoiding_int_array(f: str, d: int) -> np.ndarray:
     The code of a word puts its first letter in the most significant bit
     (see :func:`repro.words.core.word_to_int`), so the returned array is
     sorted both numerically and lexicographically.
-
-    Implementation: one vectorised pass per position.  We carry the array
-    of surviving prefix codes together with the array of their automaton
-    states; appending a bit is a concatenation of the two surviving
-    branches, re-sorted by construction order.
     """
-    validate_word(f, name="forbidden factor")
-    if not f:
-        raise ValueError("forbidden factor must be non-empty")
-    if d < 0:
-        raise ValueError(f"length must be non-negative, got {d}")
-    if d > 62:
-        raise ValueError(f"int64 codes support d <= 62, got {d}")
-    auto = FactorAutomaton(f)
-    table = np.array(auto.table, dtype=np.int64)  # shape (m+1, 2)
-    codes = np.zeros(1, dtype=np.int64)
-    states = np.zeros(1, dtype=np.int64)
-    forbidden = auto.forbidden
-    for _ in range(d):
-        # branch on appended bit: code' = code*2 + bit
-        next0 = table[states, 0]
-        next1 = table[states, 1]
-        keep0 = next0 != forbidden
-        keep1 = next1 != forbidden
-        codes2 = codes << 1
-        codes = np.concatenate([codes2[keep0], (codes2 | 1)[keep1]])
-        states = np.concatenate([next0[keep0], next1[keep1]])
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        states = states[order]
-    return codes
+    return FactorAutomaton(f).avoiding_int_array(d)
 
 
 def count_avoiding_bruteforce(f: str, d: int) -> int:

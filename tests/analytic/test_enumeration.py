@@ -1,6 +1,8 @@
-"""Counting systems: series vs matrix powers vs extracted recurrences,
-including the d = 200 speed contract of the analytic layer."""
+"""Counting systems: stepped terms vs series vs extracted recurrences,
+checked against independent oracles, including the d = 200 speed
+contract of the analytic layer."""
 
+import itertools
 import time
 
 import pytest
@@ -9,11 +11,17 @@ from repro.analytic.enumeration import (
     CountingSystem,
     berlekamp_massey,
     edge_system,
+    square_system,
     vertex_system,
 )
 from repro.analytic.fsm import FSM
 from repro.combinat.sequences import fibonacci
-from repro.words.counting import count_edges_automaton, count_vertices_automaton
+from repro.invariants.counts import (
+    brute_counts,
+    recurrences_111,
+    squares_110_closed,
+)
+from repro.words.correlation import count_avoiding_gf
 
 
 class TestBerlekampMassey:
@@ -28,11 +36,11 @@ class TestBerlekampMassey:
 
 
 class TestVertexSystem:
-    def test_matches_kmp_counter(self):
+    def test_matches_correlation_gf(self):
         for f in ("11", "000", "101", "0110"):
             system = vertex_system(FSM.from_factors([f]))
             for d in range(12):
-                assert system.term(d) == count_vertices_automaton(f, d)
+                assert system.term(d) == count_avoiding_gf(f, d)
 
     def test_series_matches_term(self):
         system = vertex_system(FSM.from_factors(["101"]))
@@ -46,11 +54,11 @@ class TestVertexSystem:
 
 
 class TestEdgeSystem:
-    def test_matches_streaming_counter(self):
+    def test_matches_brute_force(self):
         for f in ("11", "000", "101"):
             system = edge_system(FSM.from_factors([f]))
             for d in range(11):
-                assert system.term(d) == count_edges_automaton(f, d)
+                assert system.term(d) == brute_counts(f, d).edges
 
     def test_hypercube_edges(self):
         system = edge_system(FSM.universal())
@@ -61,6 +69,65 @@ class TestEdgeSystem:
     def test_recurrence_extends_exactly(self):
         system = edge_system(FSM.from_factors(["11"]))
         assert system.smart_term(60) == system.term(60)
+
+
+class TestSquareSystem:
+    def test_hypercube_squares(self):
+        # Q_d has C(d, 2) * 2^(d-2) squares
+        system = square_system(FSM.universal())
+        for d in range(12):
+            expected = d * (d - 1) // 2 * 2 ** (d - 2) if d >= 2 else 0
+            assert system.term(d) == expected
+
+    def test_proposition_6_3_by_smart_enumeration(self):
+        system = square_system(FSM.from_factors(["110"]))
+        assert system.smart_enumeration(101) == [
+            squares_110_closed(d) for d in range(101)]
+
+    def test_equation_3_by_smart_enumeration(self):
+        system = square_system(FSM.from_factors(["111"]))
+        assert system.smart_enumeration(101) == [
+            c.squares for c in recurrences_111(100)]
+
+    def test_series_matches_term(self):
+        system = square_system(FSM.from_factors(["1010"]))
+        assert system.series(15) == [system.term(d) for d in range(15)]
+
+
+class TestMarkedProduct:
+    """The one construction behind all three systems: reachable and
+    live-trimmed, so its size is bounded by the word tuples that can
+    still all be accepted."""
+
+    def test_state_bounds_for_factors_up_to_length_8(self):
+        sizes = [0, 0, 0]
+        for n in range(1, 9):
+            for bits in itertools.product("01", repeat=n):
+                fsm = FSM.from_factors(["".join(bits)])
+                for k, build in enumerate(
+                    (vertex_system, edge_system, square_system)
+                ):
+                    sizes[k] = max(sizes[k], build(fsm).size)
+        assert sizes == [8, 44, 136]
+
+    def test_dead_states_are_trimmed(self):
+        # avoiding "1" keeps only the all-zeros word: one self-looping
+        # vertex state, and no flip can keep both of its words alive, so
+        # the edge and square products trim down to nothing
+        fsm = FSM.from_factors(["1"])
+        assert vertex_system(fsm).matrix == [[1]]
+        for build in (edge_system, square_system):
+            assert build(fsm).size == 0
+            assert build(fsm).series(5) == [0] * 5
+
+    def test_empty_language_gives_the_empty_system(self):
+        nothing = FSM.universal().complement()
+        for build in (vertex_system, edge_system, square_system):
+            system = build(nothing)
+            assert system.size == 0
+            assert system.series(4) == [0] * 4
+            assert system.term(50) == 0
+            assert system.linear_recurrence() == []
 
 
 class TestSpeedContract:

@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from repro.analytic.enumeration import edge_system, vertex_system
+from repro.analytic.enumeration import edge_system, square_system, vertex_system
 from repro.analytic.fsm import FSM
 from repro.cubes.fibonacci import fibonacci_cube
 from repro.cubes.generalized import generalized_fibonacci_cube
 from repro.cubes.hypercube import hypercube
+from repro.invariants.counts import brute_counts
 from repro.network.topology import topology_of
 from repro.words.core import all_words, contains_factor
 from repro.words.counting import count_vertices_automaton
@@ -57,6 +58,44 @@ class TestBruteForceAgreement:
                 if w[i] == "0" and w[:i] + "1" + w[i + 1:] in kept
             )
             assert system.term(d) == brute
+
+
+def brute_squares(fsm, d):
+    """Squares of the cube of ``fsm``'s language by enumeration: base
+    words ``w`` with zeros at ``i < j`` whose four corners are accepted."""
+    kept = {w for w in all_words(d) if fsm.accepts(w)}
+
+    def up(w, i):
+        return w[:i] + "1" + w[i + 1:]
+
+    return sum(
+        1 for w in kept for i in range(d) for j in range(i + 1, d)
+        if w[i] == w[j] == "0"
+        and up(w, i) in kept and up(w, j) in kept and up(up(w, i), j) in kept
+    )
+
+
+COMPOSITE_LANGUAGES = {
+    "union": FSM.from_factors(["11"]).union(FSM.from_factors(["000"])),
+    "intersection": FSM.from_factors(["101"]).intersection(
+        FSM.from_factors(["0110"])),
+    "complement": FSM.from_factors(["010"]).complement(),
+    "complement-union": FSM.from_factors(["11"]).complement().union(
+        FSM.from_factors(["00"])),
+}
+
+
+class TestSquareSystemOracles:
+    @pytest.mark.parametrize("f", random_factors(seed=7))
+    def test_squares_match_brute_counts(self, f):
+        system = square_system(FSM.from_factors([f]))
+        assert system.series(13) == [brute_counts(f, d).squares for d in range(13)]
+
+    @pytest.mark.parametrize("name", sorted(COMPOSITE_LANGUAGES))
+    def test_composite_languages_match_brute_force(self, name):
+        fsm = COMPOSITE_LANGUAGES[name]
+        system = square_system(fsm)
+        assert system.series(9) == [brute_squares(fsm, d) for d in range(9)]
 
 
 class TestTopologyAgreement:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.combinat.recurrence import AffineRecurrence, LinearRecurrence
+from repro.combinat.recurrence import (
+    AffineRecurrence,
+    LinearRecurrence,
+    matrix_mult,
+    matrix_power,
+)
 from repro.combinat.sequences import fibonacci, tribonacci
 
 
@@ -60,3 +65,63 @@ class TestLinearRecurrence:
         rec = LinearRecurrence([1], [1])
         with pytest.raises(ValueError):
             rec.at(-3)
+
+
+class TestMatrixHelpers:
+    def test_mult_identity(self):
+        a = [[1, 2], [3, 4]]
+        eye = [[1, 0], [0, 1]]
+        assert matrix_mult(a, eye) == a
+        assert matrix_mult(eye, a) == a
+
+    def test_power_zero_is_identity(self):
+        a = [[2, 1], [1, 1]]
+        assert matrix_power(a, 0) == [[1, 0], [0, 1]]
+
+    def test_power_matches_repeated_mult(self):
+        a = [[2, 1], [1, 1]]
+        expected = a
+        for _ in range(4):
+            expected = matrix_mult(expected, a)
+        assert matrix_power(a, 5) == expected
+
+    def test_power_negative_raises(self):
+        with pytest.raises(ValueError):
+            matrix_power([[1]], -1)
+
+    def test_fibonacci_via_matrix(self):
+        fib = [[1, 1], [1, 0]]
+        p = matrix_power(fib, 10)
+        assert p[0][1] == 55  # F_10
+
+
+class TestMatrixDegenerateInputs:
+    """The hardened helpers: degenerate shapes are defined, malformed
+    shapes raise instead of corrupting downstream counts."""
+
+    def test_empty_times_empty(self):
+        assert matrix_mult([], []) == []
+
+    def test_empty_power(self):
+        assert matrix_power([], 0) == []
+        assert matrix_power([], 7) == []
+
+    def test_one_by_one(self):
+        assert matrix_mult([[3]], [[5]]) == [[15]]
+        assert matrix_power([[3]], 4) == [[81]]
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError):
+            matrix_mult([[1, 2], [3]], [[1], [2]])
+        with pytest.raises(ValueError):
+            matrix_mult([[1]], [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            matrix_power([[1, 2], [3]], 2)
+
+    def test_inner_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            matrix_mult([[1, 2]], [[1, 2]])
+
+    def test_non_square_power_raises(self):
+        with pytest.raises(ValueError):
+            matrix_power([[1, 2]], 2)

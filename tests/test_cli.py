@@ -34,6 +34,32 @@ class TestCommands:
         assert "= 232" in out  # F_13 - 1 vertices
         assert "= 743" in out  # edges
 
+    def test_counts_large_d(self, capsys):
+        # an |f| = 8 factor at d = 1000: each count steps a fixed-size
+        # counting system 1000 times
+        from repro.words.correlation import count_avoiding_gf
+
+        assert main(["counts", "11010011", "1000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.split(" = ")[0] for ln in lines] == [
+            "|V(Q_1000(11010011))|", "|E(Q_1000(11010011))|",
+            "|S(Q_1000(11010011))|",
+        ]
+        assert lines[0].endswith(f" = {count_avoiding_gf('11010011', 1000)}")
+
+    def test_analytic_counts_recurrences(self, capsys):
+        assert main(["analytic", "counts", "11:200", "--recurrence"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        labels = [ln.split(":")[0].strip() for ln in lines[1:]]
+        assert labels == [
+            "nodes", "edges",
+            "node recurrence", "edge recurrence", "square recurrence",
+        ]
+        assert lines[-1] == (
+            " square recurrence: a(n) = 3*a(n-1) + -5*a(n-3) + 3*a(n-5) "
+            "+ 1*a(n-6) (order 6)"
+        )
+
     def test_structure(self, capsys):
         assert main(["structure", "11", "5"]) == 0
         out = capsys.readouterr().out

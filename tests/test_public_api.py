@@ -1,6 +1,12 @@
 """Public API surface and package-level doctests."""
 
 import doctest
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import repro
 
@@ -53,3 +59,19 @@ class TestSurface:
         assert report.isometric
         verdict = classify("1100", 6)
         assert verdict.status is repro.Status.ISOMETRIC
+
+
+@pytest.mark.parametrize("module", [
+    "repro.words", "repro.analytic", "repro.analytic.fsm",
+    "repro.words.counting", "repro.cubes",
+])
+def test_imports_first_in_a_fresh_interpreter(module):
+    # repro.words counts through repro.analytic, whose FSM builds on
+    # repro.words.aho: either package must import cleanly on its own
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr

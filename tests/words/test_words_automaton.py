@@ -1,32 +1,14 @@
-"""Unit tests for the KMP factor automaton."""
+"""Unit tests for the factor automaton (the one-factor Aho--Corasick case)."""
+
+import itertools
 
 import pytest
 
-from repro.words.automaton import (
-    FactorAutomaton,
-    kmp_failure,
-    matrix_mult,
-    matrix_power,
-)
+from repro.analytic.enumeration import vertex_system
+from repro.words.aho import MultiFactorAutomaton
+from repro.words.automaton import FactorAutomaton
 
 from tests.conftest import naive_all_words
-
-
-class TestFailureFunction:
-    def test_no_borders(self):
-        assert kmp_failure("10") == [0, 0]
-
-    def test_classic(self):
-        assert kmp_failure("1011") == [0, 0, 1, 1]
-
-    def test_periodic(self):
-        assert kmp_failure("1010") == [0, 0, 1, 2]
-
-    def test_all_same(self):
-        assert kmp_failure("1111") == [0, 1, 2, 3]
-
-    def test_single(self):
-        assert kmp_failure("0") == [0]
 
 
 class TestAutomaton:
@@ -63,92 +45,30 @@ class TestAutomaton:
     def test_num_states(self):
         assert FactorAutomaton("1101").num_states == 5
 
-    def test_safe_successors_avoid_forbidden(self):
-        auto = FactorAutomaton("11")
-        # from state 1 (just read a 1), reading 1 would be forbidden
-        succ = auto.safe_successors(1)
-        assert ("0", 0) not in succ  # bits are ints
-        bits = [bit for bit, _ in succ]
-        assert bits == [0]
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_is_the_prefix_automaton(self, n):
+        # state s reads "the longest suffix of the input that is a prefix
+        # of f has length s": check every transition against that
+        # definition, computed naively from the prefix f[:s]
+        for bits in itertools.product("01", repeat=n):
+            f = "".join(bits)
+            auto = FactorAutomaton(f)
+            assert auto.pattern == f
+            assert auto.table == MultiFactorAutomaton([f]).table
+            for s in range(len(f)):
+                for bit in "01":
+                    read = f[:s] + bit
+                    want = max(k for k in range(len(read) + 1)
+                               if read.endswith(f[:k]))
+                    assert auto.step(s, bit) == want, (f, s, bit)
+            assert auto.table[auto.forbidden] == (auto.forbidden,) * 2
 
-    def test_transfer_matrix_row_sums(self):
-        # every non-forbidden state has exactly 2 outgoing bits, of which
-        # the matrix keeps those not entering the forbidden state
-        auto = FactorAutomaton("111")
-        mat = auto.transfer_matrix()
-        for s, row in enumerate(mat):
-            assert sum(row) in (1, 2)
-
-    def test_transfer_matrix_counts_words(self):
-        auto = FactorAutomaton("11")
-        mat = auto.transfer_matrix()
-        power = matrix_power(mat, 5)
-        # F_{7} = 13 words of length 5 avoid 11
-        assert sum(power[0]) == 13
-
-
-class TestMatrixHelpers:
-    def test_mult_identity(self):
-        a = [[1, 2], [3, 4]]
-        eye = [[1, 0], [0, 1]]
-        assert matrix_mult(a, eye) == a
-        assert matrix_mult(eye, a) == a
-
-    def test_power_zero_is_identity(self):
-        a = [[2, 1], [1, 1]]
-        assert matrix_power(a, 0) == [[1, 0], [0, 1]]
-
-    def test_power_matches_repeated_mult(self):
-        a = [[2, 1], [1, 1]]
-        expected = a
-        for _ in range(4):
-            expected = matrix_mult(expected, a)
-        assert matrix_power(a, 5) == expected
-
-    def test_power_negative_raises(self):
-        with pytest.raises(ValueError):
-            matrix_power([[1]], -1)
-
-    def test_fibonacci_via_matrix(self):
-        fib = [[1, 1], [1, 0]]
-        p = matrix_power(fib, 10)
-        assert p[0][1] == 55  # F_10
-
-
-class TestMatrixDegenerateInputs:
-    """The hardened helpers: degenerate shapes are defined, malformed
-    shapes raise instead of corrupting downstream counts."""
-
-    def test_empty_times_empty(self):
-        assert matrix_mult([], []) == []
-
-    def test_empty_power(self):
-        assert matrix_power([], 0) == []
-        assert matrix_power([], 7) == []
-
-    def test_one_by_one(self):
-        assert matrix_mult([[3]], [[5]]) == [[15]]
-        assert matrix_power([[3]], 4) == [[81]]
-
-    def test_ragged_rows_raise(self):
-        with pytest.raises(ValueError):
-            matrix_mult([[1, 2], [3]], [[1], [2]])
-        with pytest.raises(ValueError):
-            matrix_mult([[1]], [[1, 2], [3]])
-        with pytest.raises(ValueError):
-            matrix_power([[1, 2], [3]], 2)
-
-    def test_inner_dimension_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            matrix_mult([[1, 2]], [[1, 2]])
-
-    def test_non_square_power_raises(self):
-        with pytest.raises(ValueError):
-            matrix_power([[1, 2]], 2)
+    def test_vertex_system_counts_words(self):
+        # F_7 = 13 words of length 5 avoid 11
+        assert vertex_system(FactorAutomaton("11").fsm()).term(5) == 13
 
     def test_single_letter_factor(self):
         # avoiding "0" leaves exactly the all-ones word at every d
-        auto = FactorAutomaton("0")
-        assert auto.transfer_matrix() == [[1]]
-        for d in (0, 1, 5, 40):
-            assert sum(matrix_power(auto.transfer_matrix(), d)[0]) == 1
+        system = vertex_system(FactorAutomaton("0").fsm())
+        assert system.matrix == [[1]]
+        assert system.series(41) == [1] * 41

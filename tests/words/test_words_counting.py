@@ -1,8 +1,11 @@
 """Unit tests for the automaton vertex/edge/square counters."""
 
+import tracemalloc
+
 import pytest
 
 from repro.combinat.sequences import fibonacci
+from repro.invariants.counts import recurrences_111, squares_110_closed
 from repro.words.counting import (
     count_edges_automaton,
     count_squares_automaton,
@@ -85,9 +88,20 @@ class TestSquareCount:
         assert s[2] == s[1] + s[0] + e60 + 1
 
 
+def traced_peak(count, f, d):
+    """Peak traced allocation of one ``count(f, d)`` call, in bytes."""
+    tracemalloc.start()
+    try:
+        count(f, d)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestStreamingEdgeCount:
-    """The pair DP streams over positions: O(m^2) live state, so large
-    d is limited by arithmetic on big integers, not by memory."""
+    """The edge system streams over positions: one weight vector over a
+    fixed set of states, so large d is limited by arithmetic on big
+    integers, not by memory."""
 
     def test_fibonacci_closed_form_at_large_d(self):
         # E(Gamma_d) = (d F_{d+1} + 2 (d+1) F_d) / 5, exact at d = 2000
@@ -96,17 +110,31 @@ class TestStreamingEdgeCount:
             assert count_edges_automaton("11", d) == expected
 
     def test_peak_memory_does_not_scale_with_d(self):
-        import tracemalloc
-
         def peak(d):
-            tracemalloc.start()
-            count_edges_automaton("1100", d)
-            _, high = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            return high
+            return traced_peak(count_edges_automaton, "1100", d)
 
         peak(50)  # warm caches outside the measurement
         small, large = peak(50), peak(800)
         # 16x the dimension must not cost 16x the memory; allow a
         # generous factor for the bigger integers in the DP vectors
         assert large < 6 * small
+
+
+class TestStreamingSquareCount:
+    """The square system streams like the edge system: a fixed set of
+    word-quad states, no per-position suffix table."""
+
+    def test_peak_memory_does_not_scale_with_d(self):
+        def peak(d):
+            return traced_peak(count_squares_automaton, "11010", d)
+
+        peak(50)  # warm caches outside the measurement
+        small, large = peak(50), peak(800)
+        # 16x the dimension; only the integers in the weight vector grow
+        assert large < 3 * small
+
+    def test_proposition_6_3_at_d1000(self):
+        assert count_squares_automaton("110", 1000) == squares_110_closed(1000)
+
+    def test_equation_3_at_d400(self):
+        assert count_squares_automaton("111", 400) == recurrences_111(400)[400].squares
