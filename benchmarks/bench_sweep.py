@@ -22,10 +22,9 @@ not the untimed smoke pass.
 """
 
 import time
-from dataclasses import replace
 from typing import Tuple
 
-from repro.network.sweep import run_sweep, saturation_curves
+from repro.network.sweep import _pack, expand_grid, run_sweep, saturation_curves
 
 from conftest import print_table
 
@@ -114,7 +113,7 @@ def _best_interleaved(seq, bat, pairs: int = 5) -> Tuple[float, float]:
 def test_bench_sweep_batched_speedup(benchmark):
     """The batch-axis acceptance gate: the standard multi-seed grid runs
     at least 1.5x faster co-batched than point-by-point, with records
-    bit-identical apart from the ``batch`` bookkeeping column.
+    bit-identical.
 
     With array-native traffic and route tables a solo point costs
     ~1 ms, and on the native backend the ratio measures ~2.0x (numpy
@@ -125,7 +124,7 @@ def test_bench_sweep_batched_speedup(benchmark):
     paying."""
     unbatched = run_sweep(**SEEDED_GRID)
     batched = benchmark(lambda: run_sweep(batch=BATCH, **SEEDED_GRID))
-    assert [replace(r, batch=1) for r in batched] == unbatched
+    assert batched == unbatched
 
     seq_seconds, bat_seconds = _best_interleaved(
         lambda: run_sweep(**SEEDED_GRID),
@@ -149,12 +148,12 @@ def test_bench_sweep_batched_flow_speedup(benchmark):
     """The flow-control half of the batch-axis acceptance gate: a
     wormhole multi-seed grid -- credit backpressure, VC allocation and
     multi-flit packets all live -- must also run at least 3x faster
-    co-batched than point-by-point, bit-identical apart from the
-    ``batch`` column.  Before the fused kernel these points fell back
-    to the sequential path; this gate keeps them natively batched."""
+    co-batched than point-by-point, bit-identical.  Before the fused
+    kernel these points fell back to the sequential path; this gate
+    keeps them natively batched."""
     unbatched = run_sweep(**FLOW_GRID)
     batched = benchmark(lambda: run_sweep(batch=FLOW_BATCH, **FLOW_GRID))
-    assert [replace(r, batch=1) for r in batched] == unbatched
+    assert batched == unbatched
 
     seq_seconds, bat_seconds = _best_interleaved(
         lambda: run_sweep(**FLOW_GRID),
@@ -180,8 +179,7 @@ def test_bench_sweep_warm_cache(benchmark, tmp_path):
     re-simulates *zero* points (the stores counter does not move) and
     the repeat is a pure disk read -- at least 3x faster than the cold
     batched fill it replays, in practice orders of magnitude.  Records
-    stay bit-identical to the uncached harness apart from the ``batch``
-    bookkeeping column (cache hits always report 1)."""
+    stay bit-identical to the uncached harness."""
     from repro.network.service import ResultCache
 
     cache = ResultCache(tmp_path / "cache")
@@ -239,5 +237,5 @@ def test_bench_batched_grid_with_faults_matches(benchmark):
     )
     serial = run_sweep(**grid)
     batched = benchmark(lambda: run_sweep(batch=16, **grid))
-    assert [replace(r, batch=1) for r in batched] == serial
-    assert {r.batch for r in batched} == {16}
+    assert batched == serial
+    assert [len(t) for t in _pack(expand_grid(**grid), 16)] == [16]

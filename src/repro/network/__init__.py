@@ -36,10 +36,11 @@ generalized Fibonacci cube:
 - :mod:`repro.network.kernel` -- the fused advance kernel underneath
   ``run_batch``: one parameterised cycle loop covering
   store-and-forward and wormhole/vct;
-- :mod:`repro.network.sweep` -- multiprocessing sweep harness producing
-  saturation curves over (topology x router x pattern x faults x load)
-  grids, with ``batch > 1`` packing compatible points into lock-step
-  batches;
+- :mod:`repro.network.sweep` -- sweep harness producing saturation
+  curves over (topology x router x pattern x faults x load) grids, with
+  ``batch > 1`` packing compatible points into lock-step batches and
+  one cache-first loop, ``stream_sweep``, that ``run_sweep`` and the
+  sweep service share;
 - :mod:`repro.network.workloads` -- multi-tenant overlay workloads:
   N named tenants (own pattern / load / priority) superimposed with
   per-source QoS injection arbitration, compiled to plain traffic plus

@@ -29,10 +29,11 @@ content address:
   re-run, never a wrong result.
 
 ``run_sweep(cache=ResultCache(...))`` and the sweep service both consult
-the same store, so a grid started from the CLI resumes under the server
-and vice versa.  Cache hits report ``batch=1`` in the bookkeeping
-column (records are stored batch-normalised); every payload column is
-bit-identical to an uncached run.
+the same store through one loop (:func:`~repro.network.sweep.stream_sweep`),
+so a grid started from the CLI resumes under the server and vice versa.
+A cache hit is bit-identical to an uncached run: a record describes its
+point, never the run that produced it.  Entries are encoded and decoded
+with the wire format's record codec, so there is one record codec.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -65,7 +66,9 @@ __all__ = [
 # from v2 no longer match the record schema
 # v4: traffic streams come from the repo's counter-based generator
 # (repro.network.traffic), so every seeded point simulates new traffic
-CACHE_VERSION = 4
+# v5: SweepRecord dropped the batch column (it described the run, not
+# the point)
+CACHE_VERSION = 5
 
 _SPEC_FIELDS = tuple(f.name for f in fields(PointSpec))
 _RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
@@ -106,12 +109,10 @@ def default_cache_dir() -> Path:
 
 
 def record_to_payload(record: SweepRecord) -> dict:
-    """JSON-serialisable dict form of a record, batch-normalised (the
-    ``batch`` column describes the run that produced the record, not the
-    run that will read it back)."""
-    payload = asdict(record)
-    payload["batch"] = 1
-    return payload
+    """JSON-serialisable dict form of a record: field name -> value, in
+    declaration order (JSON round-trips its ints, floats, bools and
+    strings exactly).  The wire's ``record_to_wire`` is this function."""
+    return {name: getattr(record, name) for name in _RECORD_FIELDS}
 
 
 def record_from_payload(payload: dict) -> SweepRecord:
@@ -163,7 +164,7 @@ class ResultCache:
         path = self.path_for(spec)
         try:
             doc = json.loads(path.read_text())
-            if doc.get("key") != path.stem:
+            if not isinstance(doc, dict) or doc.get("key") != path.stem:
                 raise ValueError("entry key does not match its address")
             record = record_from_payload(doc["record"])
         except FileNotFoundError:

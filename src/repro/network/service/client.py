@@ -89,11 +89,15 @@ class SweepClient:
         server's co-batch size for this job.  ``on_event`` observes the
         raw event stream -- ``accepted``, each ``record`` as it lands
         (with its grid ``index`` and ``cached`` flag), then ``done``.
+        An ``error`` event, or a stream that breaks the protocol (a
+        record index outside the accepted grid, a ``done`` that does
+        not match it), raises :class:`ServiceError`.
         """
         msg: Dict[str, Any] = {"op": "submit", "grid": grid}
         if batch is not None:
             msg["batch"] = batch
         records: Dict[int, SweepRecord] = {}
+        points: Any = None  # the accepted event's count
         done: Optional[Dict[str, Any]] = None
         for reply in self._request(msg, untimed_after="accepted"):
             if on_event is not None:
@@ -101,19 +105,29 @@ class SweepClient:
             kind = reply.get("event")
             if kind == "error":
                 raise ServiceError(reply.get("message", "server error"))
-            if kind == "record":
-                records[reply["index"]] = record_from_wire(reply["record"])
+            if kind == "accepted":
+                points = reply.get("points")
+            elif kind == "record":
+                index = reply.get("index")
+                # exact types: a bool or a float index is a malformed frame
+                if type(points) is not int or type(index) is not int or not (
+                    0 <= index < points
+                ):
+                    raise ServiceError(
+                        f"record index {index!r} is not a grid index of the "
+                        f"{points!r} accepted point(s)"
+                    )
+                records[index] = record_from_wire(reply.get("record"))
             elif kind == "done":
                 done = reply
         if done is None:
             raise ServiceError("stream ended before the job finished")
-        if len(records) != done["points"] or set(records) != set(
-            range(done["points"])
-        ):
+        if done.get("points") != points or len(records) != points:
             raise ServiceError(
-                f"incomplete stream: {len(records)} of {done['points']} records"
+                f"incomplete stream: {len(records)} of {points!r} records, "
+                f"done reports {done.get('points')!r}"
             )
-        return [records[i] for i in range(done["points"])]
+        return [records[i] for i in range(points)]
 
     def jobs(self) -> List[Dict[str, Any]]:
         """Snapshot of every job the server has seen."""

@@ -41,11 +41,9 @@ Response events (the ``event`` key):
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from typing import Any, Dict
 
-from repro.network.service.cache import record_from_payload
-from repro.network.sweep import SweepRecord
+from repro.network.service.cache import record_from_payload, record_to_payload
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -66,8 +64,6 @@ GRID_KEYS = frozenset({
     "inject_window", "max_cycles",
 })
 
-_RECORD_FIELDS = tuple(f.name for f in fields(SweepRecord))
-
 
 def encode_message(msg: Dict[str, Any]) -> bytes:
     """One wire frame: compact JSON plus the newline delimiter."""
@@ -82,17 +78,14 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     return msg
 
 
-def record_to_wire(record: SweepRecord) -> Dict[str, Any]:
-    """A record's wire payload: field name -> value, declaration order
-    (JSON round-trips ints, floats, bools and strings exactly, so the
-    streamed record is bit-identical to the in-process one)."""
-    return {name: getattr(record, name) for name in _RECORD_FIELDS}
-
-
-# one strict decoder for the wire and the cache: the key set *and* every
-# value's exact type must match the SweepRecord schema, so a schema skew
-# or a frame carrying "avg_latency": 3 raises instead of drifting the
-# client's CSV away from `repro sweep`'s
+# one record codec for the wire and the cache.  Encoding keeps
+# declaration order, and JSON round-trips every column exactly, so a
+# streamed record is bit-identical to the in-process one.  Decoding is
+# strict: the key set *and* every value's exact type must match the
+# SweepRecord schema, so a schema skew or a frame carrying
+# "avg_latency": 3 raises instead of drifting the client's CSV away
+# from `repro sweep`'s
+record_to_wire = record_to_payload
 record_from_wire = record_from_payload
 
 

@@ -2,20 +2,23 @@
 
 ``repro serve`` keeps one of these alive so sweep grids stop being
 one-shot CLI invocations: clients submit grids over the local socket
-(:mod:`repro.network.service.protocol`), the server expands each grid
-with the exact :func:`~repro.network.sweep.expand_grid` semantics of
-``repro sweep``, answers every cell it has already simulated straight
-from the content-addressed :class:`~repro.network.service.ResultCache`,
-packs the missing cells into :func:`~repro.network.sweep.run_batch_points`
-tasks, fans those out to a thread or process pool, and streams each
-record back the moment it lands.  Because the cache is consulted per
+(:mod:`repro.network.service.protocol`), and the server runs each grid
+through the very loop ``repro sweep`` drains,
+:func:`~repro.network.sweep.stream_sweep`: the exact
+:func:`~repro.network.sweep.expand_grid` semantics, every cell it has
+already simulated answered straight from the content-addressed
+:class:`~repro.network.service.ResultCache`, the missing cells packed
+into tasks on a thread or process pool, and each group of records
+streamed back the moment it lands.  Because the cache is consulted per
 cell, grids are resumable for free: re-submitting an interrupted or
 grown grid simulates only the cells the store has never seen.
 
-The asyncio loop only ever shuffles messages and futures; every
-simulation runs in the pool, so a long grid never blocks ``ping`` /
-``jobs`` introspection or other clients' submissions.  One server
-process, many concurrent clients, one shared cache and one shared pool.
+The asyncio loop only ever shuffles messages and futures.  Each submit
+gets one thread of its own, which expands the grid and steps its
+stream; every simulation runs in the shared pool, so a long grid never
+blocks ``ping`` / ``jobs`` introspection or other clients'
+submissions.  One server process, many concurrent clients, one shared
+cache and one shared pool.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import asyncio
 import itertools
 import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.network.service.cache import ResultCache
 from repro.network.service.protocol import (
@@ -36,13 +39,7 @@ from repro.network.service.protocol import (
     record_to_wire,
     validate_grid,
 )
-from repro.network.sweep import (
-    PointSpec,
-    SweepRecord,
-    _pack,
-    expand_grid,
-    run_batch_points,
-)
+from repro.network.sweep import expand_grid, stream_sweep
 
 __all__ = ["DEFAULT_PORT", "Job", "SweepServer"]
 
@@ -77,20 +74,6 @@ class Job:
             "streamed": self.streamed,
             "error": self.error,
         }
-
-
-@dataclass
-class _PoolConfig:
-    workers: Optional[int] = None
-    use_processes: bool = False
-    executor: Optional[Executor] = None
-    # grid expansion and cache I/O always run here: threads, because the
-    # work is I/O-bound/cheap, the callables are closures and bound
-    # methods a process pool could not pickle, and cache.put must mutate
-    # the server-side hit/store counters.  Same object as ``executor``
-    # when that is already a thread pool.
-    io_executor: Optional[Executor] = None
-    active: set = field(default_factory=set)
 
 
 class SweepServer:
@@ -130,7 +113,10 @@ class SweepServer:
         self.backend = backend
         self.jobs: Dict[int, Job] = {}
         self._job_ids = itertools.count(1)
-        self._pool = _PoolConfig(workers=workers, use_processes=use_processes)
+        self._workers = workers
+        self._use_processes = use_processes
+        self._executor: Optional[Executor] = None  # the simulation pool
+        self._active: set = set()  # connection handlers in flight
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
@@ -142,27 +128,19 @@ class SweepServer:
         bound (meaningful with ``port=0``)."""
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        if self._pool.executor is None:
-            if self._pool.use_processes:
+        if self._executor is None:
+            if self._use_processes:
                 # the server always holds live threads (the event loop,
-                # the io executor) when workers launch, so a fork-start
-                # pool inherits locks mid-state and can deadlock before
-                # the first task is ever delivered; spawn gives every
-                # worker a clean interpreter
-                self._pool.executor = ProcessPoolExecutor(
-                    max_workers=self._pool.workers,
+                # the submit threads) when workers launch, so a
+                # fork-start pool inherits locks mid-state and can
+                # deadlock before the first task is ever delivered;
+                # spawn gives every worker a clean interpreter
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self._workers,
                     mp_context=multiprocessing.get_context("spawn"),
                 )
             else:
-                self._pool.executor = ThreadPoolExecutor(
-                    max_workers=self._pool.workers
-                )
-        if self._pool.io_executor is None:
-            self._pool.io_executor = (
-                self._pool.executor
-                if isinstance(self._pool.executor, ThreadPoolExecutor)
-                else ThreadPoolExecutor(thread_name_prefix="service-io")
-            )
+                self._executor = ThreadPoolExecutor(max_workers=self._workers)
         self._server = await asyncio.start_server(
             self._handle, self.host, self.port, limit=_MAX_REQUEST_BYTES
         )
@@ -177,11 +155,9 @@ class SweepServer:
         await self._shutdown.wait()
         self._server.close()
         await self._server.wait_closed()
-        if self._pool.active:
-            await asyncio.gather(*self._pool.active, return_exceptions=True)
-        self._pool.executor.shutdown(wait=True)
-        if self._pool.io_executor is not self._pool.executor:
-            self._pool.io_executor.shutdown(wait=True)
+        if self._active:
+            await asyncio.gather(*self._active, return_exceptions=True)
+        self._executor.shutdown(wait=True)
 
     def request_shutdown(self) -> None:
         """Thread-safe shutdown trigger (what ``repro serve`` wires to
@@ -193,7 +169,7 @@ class SweepServer:
 
     async def _handle(self, reader, writer) -> None:
         task = asyncio.current_task()
-        self._pool.active.add(task)
+        self._active.add(task)
         try:
             try:
                 line = await reader.readline()
@@ -236,7 +212,7 @@ class SweepServer:
                     writer, {"event": "error", "message": f"unknown op {op!r}"}
                 )
         finally:
-            self._pool.active.discard(task)
+            self._active.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -250,119 +226,81 @@ class SweepServer:
     # -- the submit pipeline ------------------------------------------------
 
     async def _handle_submit(self, writer, msg: dict) -> None:
+        loop = asyncio.get_running_loop()
+        # one thread per submit expands the grid (it builds topologies,
+        # which must not stall the loop) and steps the sweep stream.  The
+        # stream blocks while its tasks run, so it must never hold a
+        # thread of the simulation pool; a thread of its own also keeps
+        # one job's cache hits from queueing behind another job's tasks
+        thread = ThreadPoolExecutor(1, thread_name_prefix="sweep-submit")
+        stream = None
         try:
-            grid = validate_grid(msg.get("grid"))
-            batch = msg.get("batch", self.batch)
-            # a JSON integer: 2.7, "3" and true are client bugs, not sizes
-            if type(batch) is not int or batch < 1:
-                raise ValueError(
-                    f"batch must be an integer of at least 1, got {batch!r}"
+            try:
+                grid = validate_grid(msg.get("grid"))
+                batch = msg.get("batch", self.batch)
+                # a JSON integer: 2.7, "3" and true are client bugs, not sizes
+                if type(batch) is not int or batch < 1:
+                    raise ValueError(
+                        f"batch must be an integer of at least 1, got {batch!r}"
+                    )
+                specs = await loop.run_in_executor(
+                    thread, partial(expand_grid, **grid)
                 )
-            # grid expansion builds topologies to validate fault plans;
-            # run it off-loop so a huge grid cannot stall the server
-            specs = await self._run_io(lambda: expand_grid(**grid))
-        except (TypeError, ValueError) as exc:
-            await self._send(writer, {"event": "error", "message": str(exc)})
-            return
-        except Exception as exc:  # executor breakage: report, keep serving
+            except (TypeError, ValueError) as exc:
+                await self._send(writer, {"event": "error", "message": str(exc)})
+                return
+            except Exception as exc:  # a malformed axis value: report, keep serving
+                await self._send(writer, {
+                    "event": "error", "message": f"{type(exc).__name__}: {exc}",
+                })
+                return
+            job = Job(
+                id=next(self._job_ids),
+                topologies=tuple(dict.fromkeys(s.topology for s in specs)),
+                points=len(specs),
+            )
+            self.jobs[job.id] = job
+            await self._send(
+                writer, {"event": "accepted", "job": job.id, "points": len(specs)}
+            )
+            stream = stream_sweep(
+                specs, batch, self.cache, self._executor, self.backend
+            )
+            try:
+                while group := await loop.run_in_executor(
+                    thread, next, stream, None
+                ):
+                    cells, records, cached = group
+                    if cached:
+                        job.cached += len(cells)
+                    else:
+                        job.simulated += len(cells)
+                    job.streamed += len(cells)
+                    for i, rec in zip(cells, records):
+                        writer.write(encode_message({
+                            "event": "record", "job": job.id, "index": i,
+                            "cached": cached, "record": record_to_wire(rec),
+                        }))
+                    await writer.drain()
+            except (ConnectionError, OSError):
+                # client went away mid-stream; the job keeps its state for
+                # `repro jobs`, and every task it was streamed is cached
+                job.state = "failed"
+                job.error = "client disconnected"
+                return
+            except Exception as exc:  # simulation bug: report, keep serving
+                job.state = "failed"
+                job.error = f"{type(exc).__name__}: {exc}"
+                await self._send(writer, {"event": "error", "message": job.error})
+                return
+            job.state = "done"
             await self._send(writer, {
-                "event": "error", "message": f"{type(exc).__name__}: {exc}",
+                "event": "done", "job": job.id, "points": job.points,
+                "cached": job.cached, "simulated": job.simulated,
             })
-            return
-        job = Job(
-            id=next(self._job_ids),
-            topologies=tuple(dict.fromkeys(s.topology for s in specs)),
-            points=len(specs),
-        )
-        self.jobs[job.id] = job
-        await self._send(
-            writer, {"event": "accepted", "job": job.id, "points": len(specs)}
-        )
-        try:
-            await self._stream_grid(writer, job, specs, batch)
-        except (ConnectionError, OSError):
-            # client went away mid-stream; the job keeps its state for
-            # `repro jobs`, and everything already simulated is cached
-            job.state = "failed"
-            job.error = "client disconnected"
-            return
-        except Exception as exc:  # simulation bug: report, don't kill the server
-            job.state = "failed"
-            job.error = f"{type(exc).__name__}: {exc}"
-            await self._send(writer, {"event": "error", "message": job.error})
-            return
-        job.state = "done"
-        await self._send(writer, {
-            "event": "done", "job": job.id, "points": job.points,
-            "cached": job.cached, "simulated": job.simulated,
-        })
-
-    async def _stream_grid(
-        self, writer, job: Job, specs: List[PointSpec], batch: int
-    ) -> None:
-        hits: List[Optional[SweepRecord]] = [None] * len(specs)
-        if self.cache is not None:
-            cache = self.cache
-            hits = await self._run_io(
-                lambda: [cache.get(s) for s in specs]
-            )
-        for i, rec in enumerate(hits):
-            if rec is not None:
-                job.cached += 1
-                await self._emit(writer, job, i, rec, cached=True)
-        missing = [i for i, rec in enumerate(hits) if rec is None]
-
-        async def run_chunk(chunk: List[int]):
-            cells = [missing[j] for j in chunk]
-            records = await self._run_sim(
-                partial(run_batch_points, backend=self.backend),
-                [specs[i] for i in cells],
-            )
-            return cells, records
-
-        # run_sweep's packing, so records match the one-shot harness
-        tasks = [
-            asyncio.ensure_future(run_chunk(chunk))
-            for chunk in _pack([specs[i] for i in missing], batch)
-        ]
-        try:
-            for fut in asyncio.as_completed(tasks):
-                chunk, records = await fut
-                for i, rec in zip(chunk, records):
-                    if self.cache is not None:
-                        await self._run_io(self.cache.put, specs[i], rec)
-                    job.simulated += 1
-                    await self._emit(writer, job, i, rec, cached=False)
         finally:
-            for t in tasks:
-                if not t.done():
-                    t.cancel()
-            # reap the cancellations: otherwise the tasks surface
-            # "exception was never retrieved" warnings after a client
-            # disconnect mid-stream
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
-    async def _emit(self, writer, job: Job, index: int, rec, cached: bool) -> None:
-        job.streamed += 1
-        await self._send(writer, {
-            "event": "record", "job": job.id, "index": index,
-            "cached": cached, "record": record_to_wire(rec),
-        })
-
-    def _run_sim(self, fn, *args):
-        """Simulation work on the worker pool.  ``functools.partial``
-        over a module-level function, never a closure: the callable must
-        pickle when the pool is a :class:`ProcessPoolExecutor`."""
-        return self._loop.run_in_executor(
-            self._pool.executor, partial(fn, *args)
-        )
-
-    def _run_io(self, fn, *args):
-        """Everything else (grid expansion, cache reads/writes) on the
-        thread-side executor, where closures and bound methods are fine
-        and cache counters mutate in-process."""
-        return self._loop.run_in_executor(
-            self._pool.io_executor, partial(fn, *args)
-        )
-
+            if stream is not None:
+                # on the stream's own thread, after any step in flight:
+                # cancels the tasks a disconnected job never started
+                thread.submit(stream.close)
+            thread.shutdown(wait=False)

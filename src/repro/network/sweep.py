@@ -7,17 +7,20 @@ topology.  This module runs those grids at scale:
 
 - a sweep point is a fully picklable :class:`PointSpec` (topology,
   router and fault plan are *names/specs*, rebuilt inside the worker),
-  so grids parallelise with :mod:`multiprocessing` across cores;
+  so grids parallelise across the cores of a process pool;
 - every point runs through one path, :func:`run_batch_points`; the
   ``batch`` knob only sets how wide :func:`_pack` cuts its tasks.
   ``batch > 1`` packs open-loop points sharing a topology and cycle cap,
   every switching mode included, into lock-step
   :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` runs,
   so K replications advance in *one* fused-kernel cycle loop and share
-  one route-table build; multiprocessing distributes whole tasks.
-  Results are bit-identical whatever the packing (the ``batch`` column
-  records each record's co-batch size); collective points are
+  one route-table build; an executor distributes whole tasks.  Records
+  are bit-identical whatever the packing; collective points are
   closed-loop and always run alone;
+- every grid runs through one cache-first loop, :func:`stream_sweep`:
+  cache hits first, then each task's records as it completes, stored
+  before they are yielded.  :func:`run_sweep` drains it and the sweep
+  service streams it, so the CLI and the server cannot drift apart;
 - each point generates seeded traffic from :mod:`repro.network.traffic`,
   runs the vectorized simulator -- under the point's
   :class:`~repro.network.faults.FaultPlan` when one is given -- and
@@ -55,11 +58,12 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
+from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from functools import lru_cache, partial
 from statistics import fmean, pstdev
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,6 +103,7 @@ __all__ = [
     "run_point",
     "run_sweep",
     "saturation_curves",
+    "stream_sweep",
     "write_csv",
     "write_json",
 ]
@@ -214,10 +219,9 @@ class SweepRecord:
     round count against the single-port ``ceil(log2 n)`` bound (both
     zero for pattern points).  Zero-delivered points (every packet
     dropped, or nothing injected at all) report ``0.0`` latency columns
-    by definition -- see :func:`nearest_rank_p95`.  ``batch`` is the
-    number of replications advanced in the same lock-step simulator
-    batch as this point (1 = the point ran alone); every other column
-    is bit-identical whatever the batching.
+    by definition -- see :func:`nearest_rank_p95`.  Every column is
+    bit-identical whatever the batching: a record describes the point,
+    not the run that produced it.
 
     ``workload`` echoes the point's workload spec (canonicalised inline
     spec or ``trace:<key>``, empty for single-tenant points) and
@@ -266,7 +270,6 @@ class SweepRecord:
     delivery_rate: float
     analytic_bound: float = 0.0
     tenants: str = ""
-    batch: int = 1
 
 
 def _resolve_router(name: str) -> Callable[[], object]:
@@ -368,7 +371,6 @@ def _condense(
     result,
     rounds: int = 0,
     round_bound: int = 0,
-    batch: int = 1,
     tenant_names: Sequence[str] = (),
 ) -> SweepRecord:
     """Flatten one simulation outcome into a :class:`SweepRecord` (the
@@ -427,7 +429,6 @@ def _condense(
         delivery_rate=result.delivery_rate,
         analytic_bound=analytic_saturation_bound(topo.name),
         tenants=tenants_col,
-        batch=batch,
     )
 
 
@@ -455,7 +456,7 @@ def run_point(
 
 def _run_collective(spec: PointSpec, backend=None) -> SweepRecord:
     """A collective point, run alone: its barriers re-plan traffic
-    between rounds, so it never co-batches and reports ``batch=1``."""
+    between rounds, so it never co-batches."""
     topo = parse_topology(spec.topology)
     router = _resolve_router(spec.router)()
     plan = _point_plan(spec, topo)
@@ -527,12 +528,11 @@ def run_batch_points(
     workload points' per-packet tenant ids ride on the
     :class:`~repro.network.batch.BatchItem`.  Closed-loop collective
     points run alone.  Records come back in ``specs`` order and are
-    bit-identical whatever the grouping, except that ``batch`` records
-    each point's co-batch size.
+    bit-identical whatever the grouping.
 
     This is the one point-execution path: :func:`run_point` is a
-    one-spec call, and :func:`run_sweep` and the sweep service run the
-    tasks :func:`_pack` cuts.
+    one-spec call, and :func:`stream_sweep` runs the tasks :func:`_pack`
+    cuts.
     """
     specs = list(specs)
     records: List[Optional[SweepRecord]] = [None] * len(specs)
@@ -571,8 +571,7 @@ def run_batch_points(
             members, plans, outcomes, names_of
         ):
             records[i] = _condense(
-                specs[i], topo, plan, result, batch=len(members),
-                tenant_names=tenant_names,
+                specs[i], topo, plan, result, tenant_names=tenant_names
             )
     return records  # type: ignore[return-value]
 
@@ -668,8 +667,8 @@ def _pack(specs: Sequence[PointSpec], batch: int) -> List[List[int]]:
     """Cut spec indices into :func:`run_batch_points` tasks: open-loop
     points sharing a (topology, cycle cap) pack together, in grid order,
     up to ``batch`` wide; every collective point is a task of its own.
-    The one packing of :func:`run_sweep` and the sweep service, so their
-    records -- ``batch`` column included -- match exactly."""
+    Only :func:`stream_sweep` calls it, so :func:`run_sweep` and the
+    sweep service pack alike."""
     groups: Dict[object, List[int]] = {}
     for i, s in enumerate(specs):
         key = i if s.collective else (s.topology, s.max_cycles)
@@ -681,37 +680,63 @@ def _pack(specs: Sequence[PointSpec], batch: int) -> List[List[int]]:
     ]
 
 
-def _execute(
+def stream_sweep(
     specs: Sequence[PointSpec],
-    processes: int = 1,
     batch: int = 1,
+    cache=None,
+    executor: Optional[Executor] = None,
     backend=None,
     traces: Optional[Mapping[str, Trace]] = None,
-) -> List[SweepRecord]:
-    """Run already-validated specs, preserving order: the execution half
-    of :func:`run_sweep`.  The :func:`_pack` tasks run in order, or
-    spread over a multiprocessing pool when ``processes > 1``.
+) -> Iterator[Tuple[List[int], List[SweepRecord], bool]]:
+    """The one cache-first loop: yield ``(indices, records, cached)``
+    groups that cover every spec once.
 
-    ``backend`` crosses process boundaries, so with ``processes > 1`` it
-    must be a backend *name* (or ``None``) -- backend objects hold
-    unpicklable state (a loaded shared library).  ``traces`` resolves
-    ``trace:<key>`` workload references; :class:`Trace` is plain tuples,
-    so the mapping pickles to pool workers.
+    Cache hits come first, as one ``cached=True`` group in grid order,
+    before any task starts.  The missing specs are cut into :func:`_pack`
+    tasks; each task's records follow as it completes, stored in
+    ``cache`` (a :class:`repro.network.service.ResultCache`, or anything
+    with its ``get``/``put``) before they are yielded, so a sweep cut
+    short keeps every cell it finished.
+
+    Tasks are :func:`run_batch_points` partials, run on ``executor``
+    (``backend`` must then be a name: the tasks may pickle into a
+    process pool) or, without one, inline in grid order.  The generator
+    blocks while it waits for a task, so never step it on a thread of
+    ``executor``.  Closing it cancels the tasks that have not started.
     """
     specs = list(specs)
-    chunks = _pack(specs, batch)
-    tasks = [[specs[i] for i in chunk] for chunk in chunks]
+    hits = [None] * len(specs)
+    if cache is not None:
+        hits = [cache.get(s) for s in specs]
+    found = [i for i, rec in enumerate(hits) if rec is not None]
+    missing = [i for i, rec in enumerate(hits) if rec is None]
+    tasks = [
+        [missing[j] for j in chunk]
+        for chunk in _pack([specs[i] for i in missing], batch)
+    ]
     run = partial(run_batch_points, backend=backend, traces=traces)
-    if processes > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(processes) as pool:
-            outs = pool.map(run, tasks)
-    else:
-        outs = [run(task) for task in tasks]
-    records: List[Optional[SweepRecord]] = [None] * len(specs)
-    for chunk, recs in zip(chunks, outs):
-        for i, rec in zip(chunk, recs):
-            records[i] = rec
-    return records  # type: ignore[return-value]
+    pending: Dict[object, List[int]] = {}
+    try:
+        # hits go out before any task starts: a simulating thread would
+        # hold the GIL while the caller streams them
+        if found:
+            yield found, [hits[i] for i in found], True
+        if executor is None:
+            runs = ((cells, run([specs[i] for i in cells])) for cells in tasks)
+        else:
+            pending = {
+                executor.submit(run, [specs[i] for i in cells]): cells
+                for cells in tasks
+            }
+            runs = ((pending[f], f.result()) for f in as_completed(pending))
+        for cells, records in runs:
+            if cache is not None:
+                for i, rec in zip(cells, records):
+                    cache.put(specs[i], rec)
+            yield cells, records, False
+    finally:
+        for fut in pending:
+            fut.cancel()
 
 
 def run_sweep(
@@ -750,21 +775,17 @@ def run_sweep(
     flow, seed) cell.  ``batch > 1`` packs up to that many compatible
     points (open-loop points sharing topology and cycle cap, any mix of
     switching modes) into each lock-step run (see :func:`_pack`) --
-    records stay bit-identical, only the ``batch`` column and the
-    wall-clock change.  ``processes > 1`` distributes the packed tasks
-    over a multiprocessing pool; specs are
+    records stay bit-identical, only the wall-clock changes.
+    ``processes > 1`` runs the packed tasks on a process pool; specs are
     validated eagerly via :func:`expand_grid` (unknown names, impossible
     fault plans and bad flit specs raise before any worker starts).
 
-    ``cache`` is an optional content-addressed result cache (anything
-    with the ``get(spec) -> SweepRecord | None`` / ``put(spec, record)``
-    protocol of :class:`repro.network.service.ResultCache`): cached grid
-    cells are never re-simulated, only the missing cells run, and fresh
-    records are stored on the way out -- so re-running a grid is
-    incremental and a fully warm grid costs no simulation at all.
-    Cached records report ``batch=1`` (the bookkeeping column describes
-    the run that produced them, not this one); every payload column is
-    bit-identical to the uncached run.
+    ``cache`` is an optional content-addressed result cache (see
+    :func:`stream_sweep`, whose generator this drains): cached grid
+    cells are never re-simulated, only the missing cells run, and each
+    task's records are stored as it finishes -- so re-running a grid is
+    incremental, a grid that fails part way keeps its finished cells,
+    and a fully warm grid costs no simulation at all.
 
     ``backend`` picks the kernel implementation
     (:mod:`repro.network.backends`; a name string when ``processes >
@@ -775,9 +796,10 @@ def run_sweep(
     ``workloads`` adds multi-tenant points (see :func:`expand_grid`);
     ``traces`` maps trace keys to loaded
     :class:`~repro.network.workloads.Trace` objects for ``trace:<key>``
-    workload values (the CLI builds it from ``--trace`` files).  Trace
-    points cache by the trace's *content* key, so a warm cache follows
-    the trace wherever its file moves.
+    workload values (the CLI builds it from ``--trace`` files; they are
+    plain tuples, so they pickle to pool workers).  Trace points cache
+    by the trace's *content* key, so a warm cache follows the trace
+    wherever its file moves.
     """
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
@@ -788,20 +810,17 @@ def run_sweep(
         workloads=workloads,
         inject_window=inject_window, max_cycles=max_cycles,
     )
-    if cache is None:
-        return _execute(
-            specs, processes=processes, batch=batch, backend=backend,
-            traces=traces,
-        )
-    found = {s: r for s in specs if (r := cache.get(s)) is not None}
-    missing = [s for s in specs if s not in found]
-    if missing:
-        runs = _execute(missing, processes, batch, backend=backend,
-                        traces=traces)
-        for spec, rec in zip(missing, runs):
-            cache.put(spec, rec)
-            found[spec] = rec
-    return [found[s] for s in specs]
+    records: List[Optional[SweepRecord]] = [None] * len(specs)
+    pool = ProcessPoolExecutor(processes) if processes > 1 else nullcontext()
+    # the stream closes first, cancelling unstarted tasks, so a failing
+    # grid does not wait for the whole pool to drain
+    with pool as executor, closing(
+        stream_sweep(specs, batch, cache, executor, backend, traces)
+    ) as stream:
+        for cells, recs, _ in stream:
+            for i, rec in zip(cells, recs):
+                records[i] = rec
+    return records  # type: ignore[return-value]
 
 
 def flow_tag(rec: SweepRecord) -> str:

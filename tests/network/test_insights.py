@@ -63,7 +63,7 @@ def mk(**kw) -> SweepRecord:
         round_bound=0, nodes=8, injected=100, delivered=100, dropped=0,
         misroutes=0, stalled=0, deadlocked=False, cycles=50, max_queue=2,
         avg_latency=2.0, p95_latency=3.0, max_latency=5, throughput=2.0,
-        delivery_rate=1.0, tenants="", batch=1,
+        delivery_rate=1.0, tenants="",
     )
     base.update(kw)
     return SweepRecord(**base)

@@ -176,16 +176,6 @@ class TestResultCacheStore:
         assert (cache.hits, cache.misses, cache.stores) == (1, 1, 1)
         assert len(cache) == 1
 
-    def test_hit_normalises_the_batch_column(self, tmp_path):
-        """The batch column describes the producing run; a cache hit
-        always reports 1 (every payload column untouched)."""
-        cache = ResultCache(tmp_path)
-        spec = PointSpec(topology="Q:3", inject_window=8)
-        [record] = run_sweep(["Q:3"], patterns=("uniform",), loads=(0.2,),
-                             inject_window=8, batch=8)
-        cache.put(spec, replace(record, batch=5))
-        assert cache.get(spec) == replace(record, batch=1)
-
     def test_equivalent_spec_hits_the_same_entry(self, tmp_path):
         cache = ResultCache(tmp_path)
         spec = PointSpec(topology="Q:3", inject_window=8)
@@ -196,6 +186,7 @@ class TestResultCacheStore:
 
     @pytest.mark.parametrize("damage", [
         b"", b"{", b'{"key": "nope"}', b"not json at all \xff",
+        b"[]", b"3", b'"x"', b"null",
     ])
     def test_corrupt_entry_is_a_miss_and_is_deleted(self, tmp_path, damage):
         cache = ResultCache(tmp_path)
@@ -325,14 +316,30 @@ class TestRunSweepCache:
         assert records == run_sweep(**grown)
 
     def test_batched_cold_run_fills_the_cache_identically(self, tmp_path):
-        """batch=K changes only the bookkeeping column, so a warm read
-        after a batched fill returns the canonical batch=1 records."""
+        """batch=K changes only the packing, so a warm read after a
+        batched fill returns the very same records."""
         cache = ResultCache(tmp_path)
         cold = run_sweep(cache=cache, batch=4, **SMALL_GRID)
-        assert {r.batch for r in cold} == {4}
-        warm = run_sweep(cache=cache, **SMALL_GRID)
-        assert warm == [replace(r, batch=1) for r in cold]
+        assert cold == run_sweep(**SMALL_GRID)
+        assert run_sweep(cache=cache, **SMALL_GRID) == cold
         assert cache.stores == 4 and cache.hits == 4
+
+    def test_failing_grid_keeps_its_finished_cells(self, tmp_path):
+        """Each task is stored as it finishes: a grid whose second task
+        fails -- a trace replayed off the topology it was recorded on --
+        keeps the first task's cell."""
+        from repro.network.sweep import parse_topology
+        from repro.network.workloads import record_trace, trace_key
+
+        trace = record_trace("t:uniform:0.5:0", "Q:3", parse_topology("Q:3"), 8)
+        key = trace_key(trace)
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ValueError, match="recorded on"):
+            run_sweep(
+                ["Q:3", "11:4"], workloads=(f"trace:{key}",),
+                traces={key: trace}, inject_window=8, cache=cache,
+            )
+        assert cache.stores == 1
 
     def test_no_cache_bypass_touches_no_disk(self, tmp_path):
         run_sweep(cache=None, **SMALL_GRID)

@@ -29,7 +29,17 @@ from repro.network.service import (
     SweepClient,
     SweepServer,
 )
-from repro.network.sweep import run_sweep, saturation_curves, write_csv, write_json
+from repro.network.service.protocol import encode_message, record_to_wire
+from repro.network.sweep import (
+    PointSpec,
+    _pack,
+    expand_grid,
+    run_point,
+    run_sweep,
+    saturation_curves,
+    write_csv,
+    write_json,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -166,23 +176,34 @@ def test_without_cache_every_submit_simulates(tmp_path):
         assert done["simulated"] == done["points"] and done["cached"] == 0
 
 
-def test_batched_submit_matches_unbatched_modulo_batch_column(served):
-    from dataclasses import replace
-
+def test_batched_submit_matches_unbatched(served):
     _, client = served
     records = client.submit(GOLDEN_GRID, batch=8)
-    assert [replace(r, batch=1) for r in records] == run_sweep(**GOLDEN_GRID)
-    assert {r.batch for r in records} == {8}
+    assert records == run_sweep(**GOLDEN_GRID)
+    # the whole grid is one task
+    assert [len(t) for t in _pack(expand_grid(**GOLDEN_GRID), 8)] == [8]
 
 
-def test_partial_batches_match_run_sweep_including_the_batch_column(served):
-    """The server packs missing cells exactly as run_sweep does, so
-    even chunks that end short of ``batch`` stream the same records,
-    ``batch`` column included."""
+def test_partial_batches_match_run_sweep(served):
+    """The server runs the same loop as run_sweep, so even chunks that
+    end short of ``batch`` stream the same records."""
     _, client = served
     records = client.submit(BATCH_AXIS_GRID, batch=3)
     assert records == run_sweep(batch=3, **BATCH_AXIS_GRID)
-    assert sorted(r.batch for r in records) == [2] * 4 + [3] * 12
+    tasks = _pack(expand_grid(**BATCH_AXIS_GRID), 3)
+    assert [len(t) for t in tasks] == [3, 3, 2] * 2
+
+
+def test_one_worker_thread_server_streams_every_task(tmp_path):
+    """A one-thread simulation pool: the submit thread stepping the
+    stream must not need a pool thread of its own, or the six tasks
+    would deadlock behind it."""
+    cache = ResultCache(tmp_path / "cache")
+    with running_server(cache=cache, workers=1) as server:
+        client = SweepClient(port=server.port, timeout=120)
+        records = client.submit(BATCH_AXIS_GRID, batch=3)
+    assert records == run_sweep(batch=3, **BATCH_AXIS_GRID)
+    assert cache.stores == len(records) == 16
 
 
 @pytest.mark.parametrize("batch", [2.7, "3", True, 0, -1, None])
@@ -331,23 +352,28 @@ class TestCliFrontends:
             [str(repo / "src")]
             + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        proc = subprocess.Popen(
+        # the context manager closes the stdout pipe and reaps the process
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
              "--cache-dir", str(tmp_path / "cache")],
             stdout=subprocess.PIPE, text=True, cwd=str(repo), env=env,
-        )
-        try:
-            deadline = time.monotonic() + 30
-            line = proc.stdout.readline()
-            assert time.monotonic() < deadline and line, "server never announced"
-            port = int(re.search(r":(\d+) \(cache:", line).group(1))
-            yield port
-        finally:
+        ) as proc:
+            port = None
             try:
-                SweepClient(port=port).shutdown()
-            except OSError:
-                proc.kill()
-            proc.wait(timeout=30)
+                deadline = time.monotonic() + 30
+                line = proc.stdout.readline()
+                assert time.monotonic() < deadline and line, "server never announced"
+                port = int(re.search(r":(\d+) \(cache:", line).group(1))
+                yield port
+            finally:
+                if port is None:  # never announced: nothing to ask
+                    proc.kill()
+                else:
+                    try:
+                        SweepClient(port=port).shutdown()
+                    except (OSError, ServiceError):
+                        proc.kill()
+                proc.wait(timeout=30)
 
     def test_submit_and_jobs_subcommands(self, serve_proc, tmp_path, capsys):
         port = serve_proc
@@ -422,3 +448,68 @@ def test_wire_frames_are_newline_delimited_json(served):
     lines = data.decode().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["event"] == "pong"
+
+
+@contextmanager
+def fake_server(frames, connections):
+    """A one-thread server on an ephemeral port that answers each of
+    ``connections`` requests with the raw ``frames`` and hangs up."""
+    import socket
+
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        for _ in range(connections):
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as wire:
+                wire.readline()  # the request
+                conn.sendall(b"".join(encode_message(f) for f in frames))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    with listener:
+        thread.start()
+        try:
+            yield listener.getsockname()[1]
+        finally:
+            thread.join(timeout=30)
+    assert not thread.is_alive(), "fake server never got its requests"
+
+
+ACCEPTED = {"event": "accepted", "job": 1, "points": 1}
+DONE = {"event": "done", "job": 1, "points": 1, "cached": 0, "simulated": 1}
+
+
+def _record_frame(**index):
+    return {"event": "record", "job": 1, "cached": False, **index}
+
+
+# streams that break the protocol; every record frame gets a valid
+# record payload, so only the framing is wrong
+MALFORMED_STREAMS = {
+    "record-without-index": [ACCEPTED, _record_frame(), DONE],
+    "done-without-points": [
+        ACCEPTED, _record_frame(index=0),
+        {"event": "done", "job": 1, "cached": 0, "simulated": 1},
+    ],
+    "string-index": [ACCEPTED, _record_frame(index="0"), DONE],
+    "float-index": [ACCEPTED, _record_frame(index=0.0), DONE],
+    "index-past-the-grid": [ACCEPTED, _record_frame(index=1), DONE],
+    "negative-index": [ACCEPTED, _record_frame(index=-1), DONE],
+    "record-before-accepted": [_record_frame(index=0), DONE],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STREAMS))
+def test_malformed_frames_raise_service_error(case, capsys):
+    """A stream that breaks the protocol raises ServiceError, never a
+    KeyError, so `repro submit` prints its one-line error and exits 2."""
+    record = record_to_wire(run_point(PointSpec(topology="Q:3", inject_window=8)))
+    frames = [
+        dict(f, record=record) if f["event"] == "record" else f
+        for f in MALFORMED_STREAMS[case]
+    ]
+    with fake_server(frames, connections=2) as port:
+        with pytest.raises(ServiceError):
+            SweepClient(port=port, timeout=30).submit(GOLDEN_GRID)
+        assert main(["submit", "--port", str(port), "--topo", "Q:3"]) == 2
+    assert "submit: error:" in capsys.readouterr().err

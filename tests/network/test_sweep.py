@@ -6,15 +6,19 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.network import sweep
 from repro.network.sweep import (
     CurvePoint,
     PointSpec,
     SweepRecord,
+    _pack,
+    expand_grid,
     nearest_rank_p95,
     parse_topology,
     run_point,
     run_sweep,
     saturation_curves,
+    stream_sweep,
     write_csv,
     write_json,
 )
@@ -321,19 +325,15 @@ class TestBatchAxis:
     )
 
     def test_batched_records_are_bit_identical(self):
-        from dataclasses import replace
-
         serial = run_sweep(**self.GRID)
-        batched = run_sweep(batch=16, **self.GRID)
-        assert [replace(r, batch=1) for r in batched] == serial
-        assert all(r.batch == 1 for r in serial)
+        assert run_sweep(batch=16, **self.GRID) == serial
         # 8 points per topology co-batch together
-        assert {r.batch for r in batched} == {8}
+        assert [len(t) for t in _pack(expand_grid(**self.GRID), 16)] == [8, 8]
 
     def test_batch_chunks_to_the_requested_size(self):
-        batched = run_sweep(batch=3, **self.GRID)
         # 8 points per topology chunk as 3 + 3 + 2
-        assert sorted({r.batch for r in batched}) == [2, 3]
+        tasks = _pack(expand_grid(**self.GRID), 3)
+        assert [len(t) for t in tasks] == [3, 3, 2] * 2
 
     def test_batched_multiprocessing_matches_serial(self):
         assert run_sweep(batch=4, processes=2, **self.GRID) == run_sweep(
@@ -342,35 +342,88 @@ class TestBatchAxis:
 
     def test_only_collective_points_run_alone(self):
         """Every open-loop pattern point batches natively -- sf and
-        wormhole co-batch into one pack -- while closed-loop collective
-        points carry batch=1."""
-        records = run_sweep(
-            ["11:5"], patterns=("uniform",), loads=(0.2, 0.4),
+        wormhole co-batch into one pack -- while every closed-loop
+        collective point is a task of its own."""
+        grid = dict(
+            topologies=["11:5"], patterns=("uniform",), loads=(0.2, 0.4),
             switching=("sf", "wormhole"), flits=("2",),
-            collectives=("", "broadcast"), inject_window=8, batch=8,
+            collectives=("", "broadcast"), inject_window=8,
         )
-        by_kind = {}
-        for r in records:
-            kind = "coll" if r.collective else r.switching
-            by_kind.setdefault(kind, set()).add(r.batch)
-        assert by_kind["sf"] == {4}  # 2 sf + 2 wormhole loads, one pack
-        assert by_kind["wormhole"] == {4}
-        assert by_kind["coll"] == {1}
+        specs = expand_grid(**grid)
+        tasks = _pack(specs, 8)
+        [open_loop] = [t for t in tasks if not specs[t[0]].collective]
+        # 2 sf + 2 wormhole loads, one pack
+        assert sorted(specs[i].switching for i in open_loop) == (
+            ["sf"] * 2 + ["wormhole"] * 2
+        )
+        alone = [t for t in tasks if specs[t[0]].collective]
+        assert [len(t) for t in alone] == [1, 1]  # one per switching mode
+        assert run_sweep(batch=8, **grid) == run_sweep(**grid)
 
     def test_batched_faulted_grid_matches(self):
-        from dataclasses import replace
-
         grid = dict(
             topologies=["11:5"], routers=("adaptive", "bfs"),
             loads=(0.2, 0.5), faults=("", "rand2s3"), inject_window=16,
         )
-        serial = run_sweep(**grid)
-        batched = run_sweep(batch=8, **grid)
-        assert [replace(r, batch=1) for r in batched] == serial
+        assert run_sweep(batch=8, **grid) == run_sweep(**grid)
 
     def test_bad_batch_raises(self):
         with pytest.raises(ValueError, match="batch"):
             run_sweep(["Q:3"], batch=0)
+
+
+class TestStreamSweep:
+    GRID = dict(
+        topologies=["Q:3"], patterns=("uniform",), loads=(0.2, 0.4),
+        seeds=(0, 1), inject_window=8,
+    )
+
+    def test_hits_come_first_then_tasks_in_grid_order(self, tmp_path):
+        from repro.network.service import ResultCache
+
+        cache = ResultCache(tmp_path)
+        run_sweep(cache=cache, **dict(self.GRID, seeds=(1,)))
+        groups = list(stream_sweep(expand_grid(**self.GRID), 1, cache))
+        # grid order is (load, seed): the seed-1 cells 1 and 3 are warm
+        assert [(cells, cached) for cells, _, cached in groups] == [
+            ([1, 3], True), ([0], False), ([2], False),
+        ]
+        by_index = {
+            i: rec for cells, records, _ in groups
+            for i, rec in zip(cells, records)
+        }
+        assert [by_index[i] for i in range(4)] == run_sweep(**self.GRID)
+        assert cache.stores == 2 + 2
+
+    def test_closing_cancels_the_unstarted_tasks(self, tmp_path, monkeypatch):
+        """Closed after its first group, the stream stores nothing more
+        and its executor runs only the task already in flight."""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.network.service import ResultCache
+
+        calls = []
+        in_flight = threading.Event()
+        real = sweep.run_batch_points
+
+        def gated(specs, **kwargs):
+            calls.append(len(specs))
+            if len(calls) == 2:  # hold the second task until the close
+                in_flight.wait(timeout=30)
+            return real(specs, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_batch_points", gated)
+        specs = expand_grid(**TestBatchAxis.GRID)
+        cache = ResultCache(tmp_path)
+        with ThreadPoolExecutor(1) as pool:
+            stream = stream_sweep(specs, 1, cache, pool)
+            cells, _, cached = next(stream)
+            assert (len(cells), cached) == (1, False)
+            stream.close()
+            in_flight.set()
+        assert len(cache) == cache.stores == 1 < len(specs)
+        assert len(calls) == 2
 
 
 class TestRunSweep:

@@ -56,11 +56,10 @@ def test_cli_csv_matches_golden_bytes(tmp_path):
 
 def test_csv_header_matches_record_schema():
     """The golden header row is exactly the SweepRecord field list, in
-    declaration order, with the ``batch`` bookkeeping column last."""
+    declaration order."""
     with open(GOLDEN / "sweep_small.csv", newline="") as fh:
         header = next(csv.reader(fh))
     assert header == [f.name for f in fields(SweepRecord)]
-    assert header[-1] == "batch"
 
 
 def test_golden_rows_have_uniform_shape_and_types():
@@ -72,22 +71,16 @@ def test_golden_rows_have_uniform_shape_and_types():
     for row in rows:
         assert None not in row and None not in row.values()
         assert row["topology"] == "Q_3"
-        int(row["injected"]), int(row["cycles"]), int(row["batch"])
+        int(row["injected"]), int(row["cycles"])
         float(row["load"]), float(row["avg_latency"]), float(row["throughput"])
         assert row["deadlocked"] in ("True", "False")
 
 
-def test_batched_sweep_writes_identical_csv_except_batch_column(tmp_path):
-    """`--batch` must not change a single payload byte of the CSV: only
-    the trailing batch column differs from the golden run."""
+def test_batched_sweep_writes_the_golden_csv(tmp_path):
+    """`--batch` must not change a single byte of the CSV."""
     out = tmp_path / "batched.csv"
     assert main(SMALL_SWEEP_ARGS + ["--batch", "8", "--csv", str(out)]) == 0
-    with open(GOLDEN / "sweep_small.csv", newline="") as fh:
-        golden = list(csv.reader(fh))
-    with open(out, newline="") as fh:
-        batched = list(csv.reader(fh))
-    assert [r[:-1] for r in batched] == [r[:-1] for r in golden]
-    assert [r[-1] for r in batched[1:]] == ["8"] * 8
+    assert out.read_bytes() == (GOLDEN / "sweep_small.csv").read_bytes()
 
 
 def test_curve_keys_match_golden():

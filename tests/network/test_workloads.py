@@ -19,6 +19,7 @@ from repro.network.service import ResultCache
 from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
 from repro.network.sweep import (
     PointSpec,
+    _pack,
     expand_grid,
     normalize_spec,
     parse_topology,
@@ -476,16 +477,15 @@ class TestSweepIntegration:
         assert replay.tenants == inline.tenants
 
     def test_batched_workload_points_match_sequential(self):
+        """Tenant points pack with plain pattern points into one task,
+        and the mixed batch runs bit-identical to point-by-point."""
         specs = expand_grid(
             ["Q:4"], patterns=("uniform",), loads=(0.5, 1.0), seeds=(0, 1),
-            workloads=(TWO_TENANTS,), inject_window=8,
+            workloads=("", TWO_TENANTS), inject_window=8,
         )
-        from dataclasses import replace
-
-        seq = [run_point(s) for s in specs]
-        bat = run_batch_points(specs)
-        assert [replace(r, batch=1) for r in bat] == seq
-        assert all(r.batch == len(specs) for r in bat)
+        assert {bool(s.workload) for s in specs} == {False, True}
+        assert _pack(specs, len(specs)) == [list(range(len(specs)))]
+        assert run_batch_points(specs) == [run_point(s) for s in specs]
 
     def test_saturation_curves_key_per_workload(self):
         records = run_sweep(
