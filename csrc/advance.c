@@ -1,21 +1,21 @@
-/* The store-and-forward advance inner loop, in C.
+/* The store-and-forward mode engine's run loop, in C.
  *
  * This is the native backend's half of the contract declared in
- * src/repro/network/backends/: a bit-identical implementation of the
- * NumPy store-and-forward stepper in repro.network.kernel._SfEngine,
- * operating in place on the exact arrays that class builds (int64
- * throughout).  Runs that share a route table share one copy of its
+ * src/repro/network/backends/: a bit-identical implementation of
+ * repro.network.kernel._SfEngine.run -- the engine's step and its own
+ * clock -- operating in place on the exact arrays that class builds
+ * (int64 throughout).  Runs that share a route table share one copy of its
  * link sequence: a packet's next link is
  * link_seq[first_link_at[p] + pos[p]] + link_base[run_of[p]].  The
  * Python side prepares the batch (disjoint link-id
  * spaces, global pid order, per-run accounting arrays), hands the raw
- * pointers over through ctypes, and reads the same arrays back for
- * finalization -- so the only thing that moves into C is the per-cycle
- * hot loop: link arbitration, FIFO queue advance, fault drops and the
- * per-run bookkeeping scatter-adds.
+ * pointers over through ctypes in one call per batch, and reads the
+ * same arrays back for the outcomes -- so the only thing that moves
+ * into C is the cycle loop: link arbitration, FIFO queue advance, fault
+ * drops, the per-run bookkeeping scatter-adds and the clock.
  *
  * Bit-identity rules this file must (and does) preserve, in the order
- * the NumPy stepper applies them each cycle:
+ * the NumPy engine applies them each cycle:
  *
  *   1. inject every packet whose cycle has come, in ascending pid
  *      order: zero-hop packets deliver at their injection cycle, the
@@ -36,15 +36,15 @@
  *      these tiny lists beats any global per-cycle sort) and flushing
  *      the lists after the scan;
  *   6. when nothing moved, the clock jumps straight to the next
- *      injection (run mode only -- in step mode the Python driver owns
- *      the clock so mixed sf/flow batches stay in lock step).
+ *      injection; it stops when there is none or the cap is reached
+ *      (the engine owns its clock: runs never interact, so no other
+ *      engine's cycles matter to it).
  *
  * Scalars that the NumPy class keeps as Python ints (next_pid,
- * in_flight) travel in the two-slot `state` array so they survive
- * between calls.  No allocation happens here: `touched` is
- * caller-owned scratch of at least `num` slots, `pend` of `num_links`
- * slots initialised to -1 (both return to that state after every
- * call).
+ * in_flight) travel in the two-slot `state` array.  No allocation
+ * happens here: `touched` is caller-owned scratch of at least `num`
+ * slots, `pend` of `num_links` slots initialised to -1 (both return to
+ * that state after every cycle).
  *
  * Keep this file dependency-free (stdint only): it is compiled on
  * demand by src/repro/network/backends/native.py with the system cc,
@@ -61,7 +61,7 @@ typedef int64_t i64;
 /* Bump when the exported ABI below changes shape: the Python binder
  * refuses a library whose ABI it does not recognise instead of
  * calling into it with the wrong argument layout. */
-#define REPRO_ADVANCE_ABI 3
+#define REPRO_ADVANCE_ABI 4
 
 i64 repro_abi_version(void) { return REPRO_ADVANCE_ABI; }
 
@@ -199,34 +199,13 @@ static i64 sf_step(
     return moved;
 }
 
-/* Step mode: one cycle under the Python driver's clock (mixed
- * sf/flow batches advance both mode engines against one clock, so
- * time-advance decisions stay on the Python side). */
-i64 repro_sf_step(
-    i64 cycle,
-    i64 num, i64 K, i64 num_links, i64 has_dead,
-    const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
-    const i64 *run_of_link, const i64 *dead_at,
-    i64 *delivered_at, i64 *pos, i64 *succ,
-    i64 *qhead, i64 *qtail, i64 *qlen,
-    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
-    i64 *touched, i64 *pend, i64 *state)
-{
-    return sf_step(cycle, num, K, num_links, has_dead,
-                   inject, nhops, first_link_at, run_of, link_seq,
-                   link_base, run_of_link, dead_at, delivered_at, pos, succ,
-                   qhead, qtail, qlen, in_flight_r, last_busy_r,
-                   maxq_r, drop_r, touched, pend, state);
-}
-
-/* Run mode: the whole cycle loop for an sf-only batch, replicating
- * run_fused's driver exactly -- advance one cycle after any movement,
- * jump to the next injection when quiescent (store-and-forward always
- * progresses while anything is queued, so the next injection is the
- * only event worth waking for), stop when the work or the cycle cap
- * runs out.  Returns the final cycle (finalization only reads the
- * arrays, but the value is handy for debugging). */
+/* The engine's whole run, replicating kernel._clock exactly -- advance
+ * one cycle after any movement, jump to the next injection when
+ * quiescent (store-and-forward always progresses while anything is
+ * queued, so the next injection is the only event worth waking for),
+ * stop when the work or the cycle cap runs out.  Returns the final
+ * cycle (the outcome code only reads the arrays, but the value is
+ * handy for debugging). */
 i64 repro_sf_run(
     i64 max_cycles,
     i64 num, i64 K, i64 num_links, i64 has_dead,

@@ -31,11 +31,11 @@ generalized Fibonacci cube:
 - :mod:`repro.network.batch` -- the batch-axis names over
   ``VectorizedSimulator.run_batch``, the engine's one simulation path:
   K independent replications, any mix of switching modes, advance in
-  one lock-step loop (disjoint link-id spaces, shared route tables),
+  one kernel call (disjoint link-id spaces, shared route tables),
   bit-identical to K solo runs -- and a solo run is a one-item batch;
 - :mod:`repro.network.kernel` -- the fused advance kernel underneath
-  ``run_batch``: one parameterised cycle loop covering
-  store-and-forward and wormhole/vct;
+  ``run_batch``: one mode engine each for store-and-forward and
+  wormhole/vct, each running its runs on its own clock;
 - :mod:`repro.network.sweep` -- sweep harness producing saturation
   curves over (topology x router x pattern x faults x load) grids, with
   ``batch > 1`` packing compatible points into lock-step batches and

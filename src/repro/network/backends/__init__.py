@@ -1,12 +1,12 @@
 """Backend registry for the fused advance kernel.
 
-:func:`repro.network.kernel.run_fused` is the one inner loop behind
+:func:`repro.network.kernel.run_fused` is the one kernel behind
 ``VectorizedSimulator.run_batch`` -- and so behind every vectorized
 run: a solo ``run`` is a one-item batch, and the sweep harness and the
-sweep service run packed batches.  This package makes that loop's
+sweep service run packed batches.  This package makes the kernel's
 *implementation* a runtime choice: a backend supplies the two mode
-engines (the store-and-forward FIFO stepper and the finite-buffer
-flow-control stepper) for a prepared batch, and the registry picks
+engines (the store-and-forward FIFO engine and the finite-buffer
+flow-control engine) for a prepared batch, and the registry picks
 which backend serves a given call.
 
 Selection order, strongest claim first:
@@ -66,16 +66,13 @@ class BackendUnavailableError(RuntimeError):
 
 
 class Backend:
-    """One implementation of the fused kernel's per-cycle advance.
+    """One implementation of the fused kernel's mode engines.
 
     A backend's job is to hand :func:`run_fused` its two mode engines
-    for a prepared batch; the driver loop, the batch preparation and
-    the outcome finalization are shared.  Engines must honour the
-    stepper protocol (``step(cycle) -> bool``, ``next_events(cycle)``,
-    ``finalize(max_cycles)``); an engine may additionally expose
-    ``run_alone(max_cycles)`` (advertised via ``supports_run_alone``)
-    to claim the whole clock loop when it is the only engine in the
-    batch.
+    for a prepared batch; the batch preparation is shared.  The engine
+    protocol is one call, ``run(max_cycles) -> List[FlowOutcome]``:
+    the engine advances its runs on its own clock and returns one
+    outcome per run, in the order the runs were given.
     """
 
     name: str = "abstract"

@@ -1,4 +1,4 @@
-"""The native backend: the sf inner loop compiled from ``csrc/advance.c``.
+"""The native backend: the sf cycle loop compiled from ``csrc/advance.c``.
 
 The hot path of every sweep is the store-and-forward cycle loop --
 millions of tiny FIFO operations whose per-element cost in NumPy is
@@ -6,11 +6,12 @@ dominated by array-op dispatch, not arithmetic.  This backend compiles
 ``csrc/advance.c`` on demand with the system C compiler into a shared
 object cached under ``<cache>/native/advance-<hash>.so`` (``<cache>``
 is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, the same root the result
-cache uses), binds it via :mod:`ctypes`, and swaps the C stepper in for
-:class:`repro.network.kernel._SfEngine.step` -- nothing else changes:
+cache uses), binds it via :mod:`ctypes`, and swaps one C call,
+``repro_sf_run``, in for the whole clock loop of
+:meth:`repro.network.kernel._SfEngine.run` -- nothing else changes:
 batch preparation, the flow-control engine (wormhole / vct stay on
-NumPy), finalization and every outcome array are the NumPy code paths,
-so bit-identity is structural, not aspirational.
+NumPy), the outcome code and every outcome array are the NumPy code
+paths, so bit-identity is structural, not aspirational.
 
 The ``.so`` name is a hash of the C source, the compiler and the flags,
 so editing any of them compiles a fresh object instead of trusting a
@@ -21,13 +22,15 @@ unavailable.  Availability is a cached verdict with a reason string
 :func:`reset` clears it so tests can simulate missing compilers, broken
 flags (``$REPRO_NATIVE_CFLAGS``) and corrupt cache entries.
 
-No new dependencies: compiler discovery is ``$CC`` then ``cc`` /
-``gcc`` / ``clang`` on ``PATH``, and a machine without any of them
-simply runs on the NumPy backend forever.
+No new dependencies: compiler discovery is ``$CC`` (a command line,
+split like ``$REPRO_NATIVE_CFLAGS``, so ``ccache gcc`` works) then
+``cc`` / ``gcc`` / ``clang`` on ``PATH``, and a machine without any of
+them simply runs on the NumPy backend forever.
 """
 
 from __future__ import annotations
 
+import _ctypes
 import ctypes
 import hashlib
 import logging
@@ -43,6 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.backends import Backend
+from repro.network.flowcontrol import FlowOutcome
 from repro.network.kernel import KernelRun, _FlowEngine, _SfEngine
 from repro.network.topology import Topology
 
@@ -56,7 +60,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ABI_VERSION = 3
+ABI_VERSION = 4
 _BASE_CFLAGS = ["-O2", "-shared", "-fPIC"]
 
 _LOCK = threading.Lock()
@@ -64,7 +68,7 @@ _lib: Optional[ctypes.CDLL] = None
 _lib_detail: Optional[str] = None
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
-# cycle/max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, 3 scratch
+# max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, 3 scratch
 _ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 21
 
 
@@ -80,6 +84,8 @@ def source_path() -> Optional[Path]:
 
 
 def _compiler() -> Optional[str]:
+    """The compiler command line (``$CC`` verbatim, arguments and all,
+    or the first of ``cc`` / ``gcc`` / ``clang`` on ``PATH``)."""
     env = os.environ.get("CC")
     if env:
         return env
@@ -121,7 +127,7 @@ def _compile(source: Path, compiler: str, flags: List[str], out: Path) -> None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [compiler, str(source), "-o", tmp, *flags],
+            [*shlex.split(compiler), str(source), "-o", tmp, *flags],
             capture_output=True,
             text=True,
         )
@@ -137,24 +143,26 @@ def _compile(source: Path, compiler: str, flags: List[str], out: Path) -> None:
 
 def _bind(so_path: Path) -> ctypes.CDLL:
     """Load and type-check the shared object; raises on anything off
-    (unloadable file, missing symbol, foreign ABI)."""
+    (unloadable file, missing symbol, foreign ABI).  A rejected object
+    is unloaded again: dlopen dedupes by path, so a loaded reject would
+    shadow its rebuild at the same path."""
     lib = ctypes.CDLL(str(so_path))
     try:
         abi_fn = lib.repro_abi_version
-        step_fn = lib.repro_sf_step
         run_fn = lib.repro_sf_run
     except AttributeError as exc:
+        _ctypes.dlclose(lib._handle)
         raise OSError(f"missing symbol in {so_path.name}: {exc}") from exc
     abi_fn.restype = ctypes.c_int64
     abi_fn.argtypes = []
     abi = int(abi_fn())
     if abi != ABI_VERSION:
+        _ctypes.dlclose(lib._handle)
         raise OSError(
             f"{so_path.name} speaks ABI {abi}, expected {ABI_VERSION}"
         )
-    for fn in (step_fn, run_fn):
-        fn.restype = ctypes.c_int64
-        fn.argtypes = _ARGTYPES
+    run_fn.restype = ctypes.c_int64
+    run_fn.argtypes = _ARGTYPES
     return lib
 
 
@@ -171,7 +179,7 @@ def _load_library_uncached() -> Tuple[Optional[ctypes.CDLL], str]:
     if not so_path.is_file():
         try:
             _compile(source, compiler, flags, so_path)
-        except (RuntimeError, OSError) as exc:
+        except (RuntimeError, OSError, ValueError) as exc:
             return None, str(exc)
         compiled = True
     try:
@@ -213,97 +221,57 @@ def _as_i64p(arr: np.ndarray) -> "ctypes._Pointer":
 
 
 class _NativeSfEngine(_SfEngine):
-    """The NumPy sf engine with its per-cycle body swapped for the C
-    kernel.
+    """The NumPy sf engine with its clock loop swapped for the C kernel.
 
-    State construction, ``next_events`` and ``finalize`` are inherited
-    unchanged -- the C code mutates the very arrays the parent built,
-    and the two scalars the parent keeps as Python ints travel in a
-    two-slot state array.  When the engine is alone in the batch it
-    also takes over the clock loop (``run_alone``), which is where the
-    speedup lives: one C call per run instead of one per cycle.
+    State construction and the outcome code are inherited unchanged:
+    :meth:`run` is one ``repro_sf_run`` call that mutates the very
+    arrays the parent built, then the parent's ``_outcomes`` reads them.
     """
-
-    supports_run_alone = True
 
     def __init__(
         self, topo: Topology, runs: Sequence[KernelRun], lib: ctypes.CDLL
     ):
         super().__init__(topo, runs)
         self._lib = lib
-        # the C side reads raw int64 pointers; the parent's arrays are
-        # already int64 and contiguous, but never trust that silently
-        for attr in (
-            "inject", "nhops", "first_link_at", "run_of",
-            "link_seq", "link_base", "run_of_link", "dead_at",
-        ):
-            arr = getattr(self, attr)
-            if arr is not None and (
-                arr.dtype != np.int64 or not arr.flags.c_contiguous
-            ):
-                setattr(self, attr, np.ascontiguousarray(arr, dtype=np.int64))
-        self._state = np.zeros(2, dtype=np.int64)
+
+    def run(self, max_cycles: int) -> List[FlowOutcome]:
         num_links = int(self.qlen.size)
-        # per-call scratch: touched-target list plus the pending-list
-        # heads (all -1 between calls; the kernel restores that state)
-        self._touched = np.empty(max(self.num, 1), dtype=np.int64)
-        self._pend = np.full(max(num_links, 1), -1, dtype=np.int64)
-        if self.dead_at is not None:
-            has_dead, dead_arr = 1, self.dead_at
-        else:
-            has_dead, dead_arr = 0, np.zeros(1, dtype=np.int64)
-        self._dead_arr = dead_arr  # keep the dummy alive for ctypes
-        self._args = (
-            ctypes.c_int64(self.num),
-            ctypes.c_int64(self.K),
-            ctypes.c_int64(num_links),
-            ctypes.c_int64(has_dead),
-            _as_i64p(self.inject),
-            _as_i64p(self.nhops),
-            _as_i64p(self.first_link_at),
-            _as_i64p(self.run_of),
-            _as_i64p(self.link_seq),
-            _as_i64p(self.link_base),
-            _as_i64p(self.run_of_link),
-            _as_i64p(dead_arr),
-            _as_i64p(self.delivered_at),
-            _as_i64p(self.pos),
-            _as_i64p(self.succ),
-            _as_i64p(self.qhead),
-            _as_i64p(self.qtail),
-            _as_i64p(self.qlen),
-            _as_i64p(self.in_flight_r),
-            _as_i64p(self.last_busy_r),
-            _as_i64p(self.maxq_r),
-            _as_i64p(self.drop_r),
-            _as_i64p(self._touched),
-            _as_i64p(self._pend),
-            _as_i64p(self._state),
+        has_dead = self.dead_at is not None
+        # the C side reads raw int64 pointers; the parent builds int64,
+        # contiguous arrays, but never trust that silently
+        const = [
+            np.ascontiguousarray(arr, dtype=np.int64) for arr in (
+                self.inject, self.nhops, self.first_link_at, self.run_of,
+                self.link_seq, self.link_base, self.run_of_link,
+                self.dead_at if has_dead else np.zeros(1, dtype=np.int64),
+            )
+        ]
+        mutable = [
+            self.delivered_at, self.pos, self.succ, self.qhead, self.qtail,
+            self.qlen, self.in_flight_r, self.last_busy_r, self.maxq_r,
+            self.drop_r,
+        ]
+        scratch = [
+            # the touched-target list, then the pending-list heads (all
+            # -1; the kernel leaves them that way) ...
+            np.empty(max(self.num, 1), dtype=np.int64),
+            np.full(max(num_links, 1), -1, dtype=np.int64),
+            # ... and the two scalars the parent keeps as Python ints:
+            # next_pid and in_flight, both 0 at the start
+            np.zeros(2, dtype=np.int64),
+        ]
+        self._lib.repro_sf_run(
+            max_cycles, self.num, self.K, num_links, int(has_dead),
+            *[_as_i64p(arr) for arr in const + mutable + scratch],
         )
-
-    def step(self, cycle: int) -> bool:
-        self._state[0] = self.next_pid
-        self._state[1] = self.in_flight
-        moved = self._lib.repro_sf_step(ctypes.c_int64(cycle), *self._args)
-        self.next_pid = int(self._state[0])
-        self.in_flight = int(self._state[1])
-        return bool(moved)
-
-    def run_alone(self, max_cycles: int) -> None:
-        self._state[0] = self.next_pid
-        self._state[1] = self.in_flight
-        self._lib.repro_sf_run(ctypes.c_int64(max_cycles), *self._args)
-        self.next_pid = int(self._state[0])
-        self.in_flight = int(self._state[1])
+        return self._outcomes(max_cycles)
 
 
 class NativeBackend(Backend):
-    """C sf hot loop, NumPy everything else.
+    """C sf engine (one call per batch), NumPy everything else.
 
-    The pipelined modes (wormhole / vct) run the NumPy flow engine --
-    their per-cycle body is already wide vector work and was never the
-    sweep bottleneck -- so this backend accelerates exactly the
-    store-and-forward discipline the ROADMAP's ≥5x target names.
+    The pipelined modes (wormhole / vct) run the NumPy flow engine, so
+    this backend accelerates exactly the store-and-forward discipline.
     """
 
     name = "native"

@@ -1,4 +1,4 @@
-"""Batched multi-point simulation: K replications, one lock-step loop.
+"""Batched multi-point simulation: K replications, one kernel call.
 
 The sweep harness is the paper's experimental instrument, and its grids
 are embarrassingly replicated: the same topology simulated over and over
@@ -6,8 +6,9 @@ with different seeds, loads, patterns, routers, fault plans or switching
 configurations.  Run one at a time, every replication pays the full
 per-cycle Python/NumPy dispatch overhead on arrays far too small to
 amortise it; batched, K replications advance through the fused advance
-kernel (:mod:`repro.network.kernel`) in a single cycle loop, whatever
-mix of switching modes they use, and share route-table preparation.
+kernel (:mod:`repro.network.kernel`) in one call -- one cycle loop per
+switching discipline, whatever mix of modes they use -- and share
+route-table preparation.
 
 The engine lives in :mod:`repro.network.simulator`:
 :meth:`VectorizedSimulator.run_batch
@@ -17,9 +18,9 @@ simulation path.  This module keeps the batch-axis names:
 one replication, and :func:`run_batch` is the one-call convenience.
 The batching discipline -- disjoint per-run id spaces, global packet
 order ``(inject_cycle, run, local_pid)``, per-run accounting in
-length-K arrays, an idle-cycle jump only when every run is quiescent --
-is argued in the kernel's docstring; it makes every result
-bit-identical to the replication simulated alone.
+length-K arrays, an idle-cycle jump only when every run of a mode
+engine is quiescent -- is argued in the kernel's docstring; it makes
+every result bit-identical to the replication simulated alone.
 """
 
 from __future__ import annotations

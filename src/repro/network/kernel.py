@@ -1,10 +1,14 @@
-"""The fused advance kernel: every cycle loop in one lock-step engine.
+"""The fused advance kernel: K replications, one engine per switching mode.
 
 One parameterised kernel advances K independent replications -- any mix
-of switching modes -- in a single cycle loop.  It is the only array
-cycle loop in the repository: ``VectorizedSimulator.run_batch``
-prepares a batch and hands it here, and a solo
-``VectorizedSimulator.run`` is simply a one-item batch (``K = 1``).
+of switching modes.  It is the only array cycle loop in the repository:
+``VectorizedSimulator.run_batch`` prepares a batch and hands it here,
+and a solo ``VectorizedSimulator.run`` is simply a one-item batch
+(``K = 1``).  The runs split by discipline into at most two mode
+engines -- store-and-forward and finite-buffer flow control -- and the
+engine protocol is one call, ``run(max_cycles)``, returning one
+:class:`~repro.network.flowcontrol.FlowOutcome` per run: each engine
+advances its own runs on its own clock.
 
 Layout (the PR 5 batching discipline, extended to flow control):
 
@@ -31,11 +35,12 @@ Layout (the PR 5 batching discipline, extended to flow control):
   predicate (no move, live packets, no pending injection, no future
   fault event): a deadlocked run is frozen, its buffers recycled, and
   the survivors keep advancing;
-- the shared clock only jumps an idle gap when *every* run is
-  quiescent, which changes nothing: an idle run's state is untouched by
-  cycles it sits through, injections are processed at exactly their
-  injection cycle in either regime, and all per-run accounting advances
-  only on the run's own activity.
+- an engine's clock only jumps an idle gap when *every* run of that
+  engine is quiescent, which changes nothing: an idle run's state is
+  untouched by cycles it sits through, injections are processed at
+  exactly their injection cycle in either regime, and all per-run
+  accounting advances only on the run's own activity.  Runs never
+  interact, so no clock is shared between the two engines either.
 
 Every outcome is **bit-identical** to the same replication run alone
 (and to :class:`~repro.network.simulator.ReferenceSimulator`) -- fault
@@ -47,7 +52,7 @@ differential-fuzz batch pass enforce across all switching modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -189,74 +194,53 @@ def run_fused(
     max_cycles: int = 100000,
     backend=None,
 ) -> List[FlowOutcome]:
-    """Advance every run in one shared cycle loop; one outcome per run.
+    """Advance every run; one outcome per run, in run order.
 
     Runs partition by discipline into at most two mode engines (the
-    store-and-forward FIFO stepper and the finite-buffer flow-control
-    stepper), both supplied by the selected *backend*
+    store-and-forward FIFO engine and the finite-buffer flow-control
+    engine), both supplied by the selected *backend*
     (:mod:`repro.network.backends`: a name, a backend instance, or
-    ``None`` for ``$REPRO_BACKEND`` / ``auto``); the kernel drives both
-    against one clock.  The clock advances by one cycle whenever any run
-    moved, jumps to the earliest pending event (an injection anywhere,
-    or a scheduled fault of a run with flits in flight) when every run
-    is quiescent, and stops when no run has work left or the cap is hit.
-    An engine that is alone in the batch and advertises
-    ``supports_run_alone`` takes over the whole clock loop (the native
-    backend's fast path).  Idle cycles a run sits through are no-ops for
-    it by construction, so each outcome is bit-identical to the run
+    ``None`` for ``$REPRO_BACKEND`` / ``auto``).  Each engine's
+    ``run(max_cycles)`` advances its own runs on its own clock -- the sf
+    engine first, then the flow engine -- and the outcomes scatter back
+    into run order.  Runs never interact and idle cycles are no-ops for
+    a run by construction, so each outcome is bit-identical to the run
     advancing alone -- on every backend.
     """
     from repro.network.backends import resolve_backend
 
     be = resolve_backend(backend)
-    results: List[Optional[FlowOutcome]] = [None] * len(runs)
-    sf_idx: List[int] = []
-    fl_idx: List[int] = []
-    for i, run in enumerate(runs):
+    for run in runs:
         if run.flow.pipelined:
             _validate_vct(run.flow, run.nf)
-        if run.inject.size == 0:
-            results[i] = FlowOutcome(
-                cycles=1, delivered_at=np.empty(0, dtype=np.int64),
-                max_queue=0, dropped_in_flight=0, stalled=0, deadlocked=False,
-            )
-        elif run.flow.pipelined:
-            fl_idx.append(i)
-        else:
-            sf_idx.append(i)
-    engines: List[object] = []
-    groups: List[List[int]] = []
-    if sf_idx:
-        engines.append(be.sf_engine(topo, [runs[i] for i in sf_idx]))
-        groups.append(sf_idx)
-    if fl_idx:
-        engines.append(be.flow_engine(topo, [runs[i] for i in fl_idx]))
-        groups.append(fl_idx)
-    if engines:
-        if len(engines) == 1 and getattr(
-            engines[0], "supports_run_alone", False
-        ):
-            engines[0].run_alone(max_cycles)
-        else:
-            cycle = 0
-            while cycle < max_cycles:
-                moved = False
-                for eng in engines:
-                    if eng.step(cycle):
-                        moved = True
-                if moved:
-                    cycle += 1
-                    continue
-                events = [
-                    e for eng in engines for e in eng.next_events(cycle)
-                ]
-                if not events:
-                    break
-                cycle = min(min(events), max_cycles)
-        for eng, idxs in zip(engines, groups):
-            for i, out in zip(idxs, eng.finalize(max_cycles)):
+    results: List[Optional[FlowOutcome]] = [None] * len(runs)
+    for pipelined, make_engine in ((False, be.sf_engine), (True, be.flow_engine)):
+        idx = [i for i, r in enumerate(runs) if r.flow.pipelined == pipelined]
+        if idx:
+            outs = make_engine(topo, [runs[i] for i in idx]).run(max_cycles)
+            for i, out in zip(idx, outs):
                 results[i] = out
     return results  # type: ignore[return-value]
+
+
+def _clock(
+    step: Callable[[int], bool],
+    next_event: Callable[[int], Optional[int]],
+    max_cycles: int,
+) -> None:
+    """The NumPy engines' one clock loop: advance one cycle after any
+    movement, jump to the engine's next event when it is quiescent, and
+    stop when there is no next event or the cap is reached.  (The C sf
+    kernel's ``repro_sf_run`` is this same loop.)"""
+    cycle = 0
+    while cycle < max_cycles:
+        if step(cycle):
+            cycle += 1
+            continue
+        event = next_event(cycle)
+        if event is None:
+            break
+        cycle = min(event, max_cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +251,10 @@ def run_fused(
 class _SfEngine:
     """K store-and-forward runs over shared flat FIFO arrays.
 
-    This is PR 5's lock-step loop recast as a clock-driven stepper: the
-    state construction (disjoint link-id spaces, global pid order,
-    per-run accounting arrays) is unchanged, only the time-advance
-    decisions moved up into :func:`run_fused`'s shared driver.
+    The constructor builds the batch state (disjoint link-id spaces,
+    global pid order, per-run accounting arrays); :meth:`run` advances
+    it on the engine's own clock (:func:`_clock` over ``_step`` and
+    ``_next_event``) and condenses one outcome per run.
     """
 
     def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
@@ -351,7 +335,11 @@ class _SfEngine:
         return (self.link_seq[self.first_link_at[pids] + self.pos[pids]]
                 + self.link_base[self.run_of[pids]])
 
-    def step(self, cycle: int) -> bool:
+    def run(self, max_cycles: int) -> List[FlowOutcome]:
+        _clock(self._step, self._next_event, max_cycles)
+        return self._outcomes(max_cycles)
+
+    def _step(self, cycle: int) -> bool:
         moved = False
         # inject every packet whose cycle has come
         if self.next_pid < self.num and self.inject[self.next_pid] <= cycle:
@@ -413,14 +401,14 @@ class _SfEngine:
             moved = True
         return moved
 
-    def next_events(self, cycle: int) -> List[int]:
+    def _next_event(self, cycle: int) -> Optional[int]:
         # store-and-forward always progresses while anything is queued,
         # so the only thing worth waking for is the next injection
         if self.next_pid < self.num:
-            return [int(self.inject[self.next_pid])]
-        return []
+            return int(self.inject[self.next_pid])
+        return None
 
-    def finalize(self, max_cycles: int) -> List[FlowOutcome]:
+    def _outcomes(self, max_cycles: int) -> List[FlowOutcome]:
         outs = []
         for j in range(self.K):
             # a run's packets in ascending global pid order are exactly
@@ -430,7 +418,8 @@ class _SfEngine:
             delivered = int((d >= 0).sum())
             stalled = int(pids.size) - delivered - int(self.drop_r[j])
             # a run with nothing left pending ended at its own last busy
-            # cycle; anything still stuck means the shared cap cut it off
+            # cycle (an empty run: cycle 1); anything still stuck means
+            # the cap cut it off
             cycles = (
                 max(int(self.last_busy_r[j]) + 1, 1) if stalled == 0
                 else max(max_cycles, 1)
@@ -570,7 +559,11 @@ class _FlowEngine:
         self.deadlocked_r = np.zeros(K, dtype=bool)
         self.active = np.ones(K, dtype=bool)
 
-    def step(self, cycle: int) -> bool:
+    def run(self, max_cycles: int) -> List[FlowOutcome]:
+        _clock(self._step, self._next_event, max_cycles)
+        return self._outcomes(max_cycles)
+
+    def _step(self, cycle: int) -> bool:
         if not self.active.any():
             return False
         K = self.K
@@ -764,7 +757,9 @@ class _FlowEngine:
                 self.holder[lo:hi] = -1
         return any_moved
 
-    def next_events(self, cycle: int) -> List[int]:
+    def _next_event(self, cycle: int) -> Optional[int]:
+        # the next injection anywhere, or the next scheduled fault of a
+        # run with flits in flight
         events: List[int] = []
         if self.next_pid < self.num:
             events.append(int(self.inject[self.next_pid]))
@@ -775,9 +770,9 @@ class _FlowEngine:
                 k = int(np.searchsorted(dc, cycle, side="right"))
                 if k < dc.size:
                     events.append(int(dc[k]))
-        return events
+        return min(events, default=None)
 
-    def finalize(self, max_cycles: int) -> List[FlowOutcome]:
+    def _outcomes(self, max_cycles: int) -> List[FlowOutcome]:
         outs = []
         for j in range(self.K):
             pids = np.flatnonzero(self.run_of == j)

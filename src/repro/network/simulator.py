@@ -37,8 +37,8 @@ Two engines implement the *same* deterministic semantics:
   executable specification;
 - :class:`VectorizedSimulator` -- the production engine, with one
   simulation path: :meth:`~VectorizedSimulator.run_batch` advances K
-  independent replications (:class:`BatchItem`) in lock step, and **a
-  solo run is a one-item batch**.  Routes are flattened into a CSR
+  independent replications (:class:`BatchItem`) in one kernel call, and
+  **a solo run is a one-item batch**.  Routes are flattened into a CSR
   :class:`~repro.network.routing.RouteTable` (one table per router
   instance over the union of the unfaulted items' pairs), per-packet
   state lives in NumPy arrays, and the cycle loop itself is the fused
@@ -312,6 +312,17 @@ def _validate_item(
     return arr, flit_arr
 
 
+def _validate_max_cycles(max_cycles) -> int:
+    """The cycle cap as a Python int, checked once for every engine:
+    anything but an integer (a float, a string, a bool) raises
+    :class:`TypeError` instead of truncating differently per backend."""
+    if isinstance(max_cycles, (bool, np.bool_)) or not isinstance(
+        max_cycles, (int, np.integer)
+    ):
+        raise TypeError(f"max_cycles must be an integer, got {max_cycles!r}")
+    return int(max_cycles)
+
+
 def _pid_tenants(
     tenants: Optional[Sequence[int]], order: np.ndarray
 ) -> Optional[List[int]]:
@@ -468,6 +479,7 @@ class ReferenceSimulator:
         (see :mod:`repro.network.workloads`); when given, the result
         carries :attr:`SimResult.tenant_stats`.
         """
+        max_cycles = _validate_max_cycles(max_cycles)
         flow = _as_flow(switching)
         arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
         faulted = faults is not None and faults.num_events > 0
@@ -619,8 +631,9 @@ class VectorizedSimulator:
     replications on this topology -- routes flattened into CSR route
     tables and converted to directed-link-id sequences once per table --
     and hands them to the fused advance kernel
-    (:func:`repro.network.kernel.run_fused`), which advances all of them
-    in one lock-step cycle loop; :meth:`run` is a one-item batch.  The
+    (:func:`repro.network.kernel.run_fused`), which advances them with
+    one mode engine per switching discipline, each on its own clock;
+    :meth:`run` is a one-item batch.  The
     kernel keeps per-link FIFOs as intrusive linked lists over flat pid
     arrays (store-and-forward) or per (link, VC) finite-buffer state
     (wormhole / vct), gives every replication a disjoint id space,
@@ -673,13 +686,15 @@ class VectorizedSimulator:
         :class:`ReferenceSimulator`, with the same ``max_cycles`` -- the
         batch-equivalence suite enforces it across every switching mode.
 
-        Validation (negative injection cycles, multi-flit traffic under
-        store-and-forward, bad flit specs, packets too big for a vct
-        buffer) raises eagerly for the whole batch -- every item is
-        checked before any item simulates.  Faulted items prepare alone
-        (epoch-split tables cannot be shared); unfaulted items sharing a
-        router instance share one union route table.
+        Validation (a non-integer ``max_cycles``, negative injection
+        cycles, multi-flit traffic under store-and-forward, bad flit
+        specs, packets too big for a vct buffer) raises eagerly for the
+        whole batch -- every item is checked before any item simulates.
+        Faulted items prepare alone (epoch-split tables cannot be
+        shared); unfaulted items sharing a router instance share one
+        union route table.
         """
+        max_cycles = _validate_max_cycles(max_cycles)
         items = list(items)
         flows = [_as_flow(item.switching) for item in items]
         checked = [

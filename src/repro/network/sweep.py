@@ -11,9 +11,9 @@ topology.  This module runs those grids at scale:
 - every point runs through one path, :func:`run_batch_points`; the
   ``batch`` knob only sets how wide :func:`_pack` cuts its tasks.
   ``batch > 1`` packs open-loop points sharing a topology and cycle cap,
-  every switching mode included, into lock-step
+  every switching mode included, into
   :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` runs,
-  so K replications advance in *one* fused-kernel cycle loop and share
+  so K replications advance in *one* fused-kernel call and share
   one route-table build; an executor distributes whole tasks.  Records
   are bit-identical whatever the packing; collective points are
   closed-loop and always run alone;
@@ -78,7 +78,11 @@ from repro.network.routing import (
     DimensionOrderRouter,
     GreedyRouter,
 )
-from repro.network.simulator import BatchItem, VectorizedSimulator
+from repro.network.simulator import (
+    BatchItem,
+    VectorizedSimulator,
+    _validate_max_cycles,
+)
 from repro.network.topology import Topology, topology_of
 from repro.network.traffic import PATTERNS, flit_sizes, make_traffic
 from repro.network.workloads import (
@@ -597,14 +601,19 @@ def expand_grid(
 
     This is the single grid semantics shared by :func:`run_sweep` and
     the sweep service: every axis value is validated eagerly (unknown
-    names, impossible fault plans and bad flit specs raise before any
-    point runs), each grid cell is normalised via :func:`normalize_spec`
+    names, impossible fault plans, bad flit specs and a non-integer
+    ``max_cycles`` raise :class:`ValueError` before any point runs),
+    each grid cell is normalised via :func:`normalize_spec`
     and duplicates collapse while preserving first-seen grid order.
     ``workloads`` adds multi-tenant points (``""`` = the single-tenant
     grid): inline tenant specs are parsed eagerly, ``trace:<key>``
     references resolve at run time.  A grid cannot cross non-empty
     workloads with non-empty collectives -- a cell cannot be both.
     """
+    try:
+        max_cycles = _validate_max_cycles(max_cycles)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
     for p in patterns:
         if p not in PATTERNS:
             raise ValueError(f"unknown traffic pattern {p!r}; choose from {sorted(PATTERNS)}")

@@ -16,6 +16,8 @@ re-arms the cached selection verdict around each one.
 """
 
 import logging
+import shlex
+import subprocess
 
 import pytest
 
@@ -143,9 +145,10 @@ class TestNativeBitIdentity:
             topo, "native", traffic, faults=plan
         )
 
-    def test_mixed_batch_forces_step_mode(self):
-        """sf + wormhole in one batch: two engines share the clock, so
-        the native engine runs through repro_sf_step, not run_alone."""
+    def test_mixed_batch_runs_each_engine_on_its_own_clock(self):
+        """sf + wormhole in one batch: the native sf engine runs its
+        items in one C call, the NumPy flow engine its own, and neither
+        clock changes the other's outcomes."""
         topo = parse_topology("11:5")
         items = [
             BatchItem(traffic=uniform_traffic(topo, 120, 20, seed=1)),
@@ -260,6 +263,66 @@ class TestForcedFallback:
         topo = parse_topology("11:4")
         traffic = uniform_traffic(topo, 60, 12, seed=9)
         assert _run(topo, "native", traffic) == _run(topo, "numpy", traffic)
+
+    @needs_native
+    @pytest.mark.parametrize("exports", [
+        # the ABI 3 kernel's shape: a step mode beside the run mode
+        "i64 repro_abi_version(void) { return 3; }\n"
+        "i64 repro_sf_step(void) { return 0; }\n"
+        "i64 repro_sf_run(void) { return 0; }\n",
+        # the current ABI number, but no run entry point
+        f"i64 repro_abi_version(void) {{ return {native_mod.ABI_VERSION}; }}\n",
+    ], ids=["foreign-abi", "missing-symbol"])
+    def test_rejected_cached_object_rebuilds(self, scratch_cache, tmp_path, exports):
+        """A loadable cache entry the binder must refuse -- an old ABI,
+        or a missing symbol -- is rebuilt, and the rebuild (not the
+        refused object dlopen already holds at that path) is bound."""
+        cc = native_mod._compiler()
+        so_path = native_mod.cached_object_path(
+            native_mod.source_path(), cc, native_mod._cflags()
+        )
+        so_path.parent.mkdir(parents=True, exist_ok=True)
+        stub = tmp_path / "stub.c"
+        stub.write_text("typedef long long i64;\n" + exports)
+        subprocess.run(
+            [*shlex.split(cc), str(stub), "-o", str(so_path), "-shared", "-fPIC"],
+            check=True,
+        )
+
+        lib, why = native_mod.load_library()
+        assert lib is not None, f"rebuild failed: {why}"
+        assert "recompiled" in why
+        assert lib.repro_abi_version() == native_mod.ABI_VERSION
+        topo = parse_topology("11:4")
+        traffic = uniform_traffic(topo, 60, 12, seed=9)
+        assert _run(topo, "native", traffic) == _run(topo, "numpy", traffic)
+
+    @needs_native
+    def test_compiler_command_with_arguments(self, monkeypatch, scratch_cache):
+        """``$CC`` is a command line (``ccache gcc``, ``gcc -O2``): it is
+        split into argv, and the whole line keys the cached object."""
+        cc = native_mod._compiler()
+        monkeypatch.setenv("CC", f"{cc} -O2")
+        backends.reset()
+        lib, why = native_mod.load_library()
+        assert lib is not None, why
+        assert "compiled kernel" in why
+        topo = parse_topology("101:5")
+        traffic = uniform_traffic(topo, 120, 20, seed=4)
+        assert _run(topo, "native", traffic) == _run(topo, "numpy", traffic)
+        assert native_mod.cached_object_path(
+            native_mod.source_path(), f"{cc} -O2", native_mod._cflags()
+        ) != native_mod.cached_object_path(
+            native_mod.source_path(), cc, native_mod._cflags()
+        )
+
+    def test_unparsable_compiler_command_falls_back(self, monkeypatch, scratch_cache):
+        monkeypatch.setenv("CC", 'cc "-O2')
+        backends.reset()
+        lib, why = native_mod.load_library()
+        assert lib is None
+        assert "quotation" in why
+        assert resolve_backend("auto").name == "numpy"
 
     @needs_native
     def test_fresh_compile_in_empty_cache(self, scratch_cache):

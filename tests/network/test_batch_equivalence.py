@@ -16,6 +16,7 @@ reference loop is complete.
 import pytest
 
 from repro.cubes.hypercube import hypercube
+from repro.network.backends import native as _native
 from repro.network.batch import (
     BatchedSimulator,
     BatchItem,
@@ -29,7 +30,7 @@ from repro.network.routing import (
     DimensionOrderRouter,
     GreedyRouter,
 )
-from repro.network.simulator import VectorizedSimulator
+from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
 from repro.network.topology import faulted_topology, topology_of
 from repro.network.traffic import flit_sizes, make_traffic
 
@@ -43,6 +44,14 @@ def _topologies():
 
 
 TOPOLOGIES = _topologies()
+
+BACKENDS = [
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        _native.load_library()[0] is None,
+        reason="no usable C toolchain for the native backend",
+    )),
+]
 
 ROUTER_MAKERS = {
     "ecube": DimensionOrderRouter,
@@ -137,26 +146,66 @@ def test_batched_matches_sequential_under_cycle_cap(cap):
     assert all(r.cycles <= cap for r in got)
 
 
-def test_mixed_switching_modes_in_one_batch():
-    """sf, wormhole and vct items co-batch natively in one lock-step
-    loop and still match their sequential runs bit for bit."""
-    topo = TOPOLOGIES["fibonacci"]
-    traffic = make_traffic("uniform", topo, 100, 10, seed=7)
+MIXED_CAPS = (1, 7, 29, 100000)
+
+
+def _mixed_items(topo):
+    """sf, wormhole and vct items over one traffic, an empty item of
+    each mode, and an item whose packets are all unroutable
+    (GreedyRouter on Q_4(101) has no route for these four pairs)."""
+    traffic = make_traffic("uniform", topo, 60, 6, seed=7)
     sizes = flit_sizes(len(traffic), "1-4", seed=8)
-    items = [
+    wormhole = FlowControl("wormhole", buffer_depth=2, num_vcs=2)
+    vct = FlowControl("vct", buffer_depth=6, num_vcs=2)
+    unroutable = [(0, 7, 11), (1, 8, 11), (2, 10, 8), (3, 11, 8)]
+    return [
         BatchItem(traffic, router=BfsRouter()),
-        BatchItem(
-            traffic, router=BfsRouter(),
-            switching=FlowControl("wormhole", buffer_depth=2, num_vcs=2),
-            flits=sizes,
-        ),
-        BatchItem(
-            traffic, router=BfsRouter(),
-            switching=FlowControl("vct", buffer_depth=6, num_vcs=2),
-            flits=sizes,
-        ),
+        BatchItem(traffic, router=BfsRouter(), switching=wormhole, flits=sizes),
+        BatchItem(traffic, router=BfsRouter(), switching=vct, flits=sizes),
+        BatchItem([]),
+        BatchItem([], switching=wormhole),
+        BatchItem([], switching=vct),
+        BatchItem(unroutable, router=GreedyRouter(), switching=wormhole, flits=2),
     ]
-    assert BatchedSimulator(topo).run_batch(items) == _sequential(topo, items)
+
+
+def _reference(topo, items, max_cycles):
+    return [
+        ReferenceSimulator(topo, it.router).run(
+            it.traffic, max_cycles=max_cycles, faults=it.faults,
+            switching=it.switching, flits=it.flits,
+        )
+        for it in items
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("cap", MIXED_CAPS)
+def test_mixed_switching_modes_in_one_batch(cap, backend):
+    """sf, wormhole and vct items co-batch natively -- each mode engine
+    on its own clock -- and every item, empty and all-unroutable ones
+    included, matches ReferenceSimulator bit for bit under every cap."""
+    topo = topology_of(("101", 4))
+    items = _mixed_items(topo)
+    got = BatchedSimulator(topo, backend=backend).run_batch(items, max_cycles=cap)
+    assert got == _reference(topo, items, cap)
+    assert got[-1].injected == got[-1].dropped == 4
+    assert all(r.injected == 0 and r.cycles == 1 for r in got[3:6])
+
+
+def test_mixed_caps_cut_the_flow_runs_while_the_sf_run_finishes():
+    """The cap grid above must reach the case where the two engines'
+    clocks stop apart: the sf run done early, the flow runs cut off."""
+    topo = topology_of(("101", 4))
+    items = _mixed_items(topo)
+
+    def splits(cap):
+        sf, wormhole, vct = _reference(topo, items[:3], cap)
+        return sf.stalled == 0 and sf.cycles < cap and all(
+            r.stalled > 0 and r.cycles == cap for r in (wormhole, vct)
+        )
+
+    assert any(splits(cap) for cap in MIXED_CAPS)
 
 
 @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))

@@ -304,6 +304,10 @@ def test_bad_grid_is_rejected_with_the_cli_error_text(served):
         client.submit(dict(topologies=["Q:3"], cycles=3))
     with pytest.raises(ServiceError, match="bad tenant token"):
         client.submit(dict(topologies=["Q:3"], workloads=["fg:nope"]))
+    # a wire cap must be a JSON integer: the string "100" used to be
+    # accepted and fail mid-job
+    with pytest.raises(ServiceError, match="max_cycles must be an integer"):
+        client.submit(dict(topologies=["Q:3"], max_cycles="100"))
     # trace references resolve against client-local files; the wire
     # carries no trace payloads, so the server refuses them up front
     with pytest.raises(ServiceError, match="cannot be submitted over the wire"):

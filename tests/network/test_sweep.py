@@ -3,6 +3,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -462,6 +463,20 @@ class TestRunSweep:
             run_sweep(["Q:3"], patterns=("nope",))
         with pytest.raises(ValueError, match="unknown router"):
             run_sweep(["Q:3"], routers=("nope",))
+
+    @pytest.mark.parametrize("bad", [7.5, 100.0, "100", True])
+    def test_non_integer_max_cycles_fails_up_front(self, bad):
+        """A float, string or bool cap is rejected while the grid
+        expands, on every backend alike, instead of reaching a kernel
+        (or a record's int ``cycles`` column)."""
+        with pytest.raises(ValueError, match="max_cycles must be an integer"):
+            expand_grid(["11:4"], loads=[0.2], max_cycles=bad)
+        with pytest.raises(ValueError, match="max_cycles must be an integer"):
+            run_sweep(topologies=["11:4"], loads=[0.2], max_cycles=bad)
+
+    def test_numpy_integer_max_cycles_is_normalised(self):
+        [spec] = expand_grid(["11:4"], loads=[0.2], max_cycles=np.int64(50))
+        assert type(spec.max_cycles) is int and spec.max_cycles == 50
 
 
 class TestWriters:

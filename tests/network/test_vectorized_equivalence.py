@@ -13,9 +13,13 @@ virtual-cut-through flow control (finite buffers, multi-flit packets,
 virtual channels).
 """
 
+from functools import partial
+
+import numpy as np
 import pytest
 
 from repro.cubes.hypercube import hypercube
+from repro.network.backends import native as _native
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.routing import (
@@ -187,6 +191,48 @@ def test_negative_injection_cycles_rejected_by_both_engines():
             sim.run(traffic, switching=FlowControl("wormhole"), flits=2)
     with pytest.raises(ValueError, match="non-negative"):
         ReferenceSimulator(topo).run(traffic, route_table=table)
+
+
+NATIVE_OK = _native.load_library()[0] is not None
+
+ENGINES = {
+    "reference": ReferenceSimulator,
+    "numpy": partial(VectorizedSimulator, backend="numpy"),
+    "native": partial(VectorizedSimulator, backend="native"),
+}
+
+
+@pytest.mark.parametrize("bad", [7.5, 100.0, "100", True])
+@pytest.mark.parametrize("engine", [
+    "reference",
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not NATIVE_OK, reason="no usable C toolchain for the native backend"
+    )),
+])
+def test_non_integer_max_cycles_rejected_by_every_engine(engine, bad):
+    """Regression: 7.5 used to give cycles=8 on the reference engine, a
+    float cycles=7.5 on NumPy and a ctypes TypeError on native, and True
+    gave cycles=True.  Every engine now rejects the same way up front,
+    in every switching mode and for an empty batch too."""
+    topo = TOPOLOGIES["fibonacci"]
+    traffic = make_traffic("uniform", topo, 40, 5, seed=0)
+    sim = ENGINES[engine](topo)
+    for switching in ("sf", "wormhole"):
+        with pytest.raises(TypeError, match="max_cycles must be an integer"):
+            sim.run(traffic, max_cycles=bad, switching=switching)
+    if engine != "reference":
+        with pytest.raises(TypeError, match="max_cycles must be an integer"):
+            sim.run_batch([], max_cycles=bad)
+
+
+def test_numpy_integer_max_cycles_is_accepted():
+    topo = TOPOLOGIES["fibonacci"]
+    traffic = make_traffic("hotspot", topo, 80, 1, seed=3)
+    for sim in (ReferenceSimulator(topo), VectorizedSimulator(topo)):
+        got = sim.run(traffic, max_cycles=np.int64(6))
+        assert got == sim.run(traffic, max_cycles=6)
+        assert type(got.cycles) is int and got.cycles == 6
 
 
 def test_faults_and_route_table_are_mutually_exclusive():
