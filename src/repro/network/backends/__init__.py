@@ -24,7 +24,10 @@ instead of silently degrading -- which is exactly what lets CI assert
 the compiled kernel really loaded.  Only ``auto`` is allowed to fall
 back, and it says why (once; :func:`reset` re-arms it).
 
-Every backend is bit-identical by contract: the equivalence and
+Two backends exist: ``numpy`` (both engines in NumPy, always
+available) and ``native`` (both engines' run loops in C, one call per
+engine per batch; see :mod:`repro.network.backends.native`).  Every
+backend is bit-identical by contract: the equivalence and
 differential-fuzz suites run the same cases through
 ``ReferenceSimulator``, the NumPy engines and the native kernel and
 byte-compare the outcomes, so switching backends can never change a

@@ -1,17 +1,19 @@
-"""The native backend: the sf cycle loop compiled from ``csrc/advance.c``.
+"""The native backend: both mode engines' cycle loops compiled from
+``csrc/advance.c``.
 
-The hot path of every sweep is the store-and-forward cycle loop --
-millions of tiny FIFO operations whose per-element cost in NumPy is
-dominated by array-op dispatch, not arithmetic.  This backend compiles
+The hot path of every sweep is a cycle loop -- millions of tiny FIFO
+and buffer operations whose per-element cost in NumPy is dominated by
+array-op dispatch, not arithmetic.  This backend compiles
 ``csrc/advance.c`` on demand with the system C compiler into a shared
 object cached under ``<cache>/native/advance-<hash>.so`` (``<cache>``
 is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, the same root the result
-cache uses), binds it via :mod:`ctypes`, and swaps one C call,
-``repro_sf_run``, in for the whole clock loop of
-:meth:`repro.network.kernel._SfEngine.run` -- nothing else changes:
-batch preparation, the flow-control engine (wormhole / vct stay on
-NumPy), the outcome code and every outcome array are the NumPy code
-paths, so bit-identity is structural, not aspirational.
+cache uses), binds it via :mod:`ctypes`, and swaps one C call in for
+each engine's whole clock loop: ``repro_sf_run`` for
+:meth:`repro.network.kernel._SfEngine.run` and ``repro_flow_run`` for
+:meth:`repro.network.kernel._FlowEngine.run` (wormhole and vct).
+Nothing else changes: batch preparation, the outcome code and every
+outcome array are the NumPy code paths, so bit-identity is structural,
+not aspirational.
 
 The ``.so`` name is a hash of the C source, the compiler and the flags,
 so editing any of them compiles a fresh object instead of trusting a
@@ -60,16 +62,27 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ABI_VERSION = 4
-_BASE_CFLAGS = ["-O2", "-shared", "-fPIC"]
+ABI_VERSION = 5
+# -falign-functions=64 pins each entry point to a cache-line boundary:
+# without it, code added anywhere in advance.c can shift repro_sf_run by
+# a few bytes, which measurably slowed its hot loop on one x86-64 host
+# (the same instructions, 16 bytes later, 54% slower)
+_BASE_CFLAGS = ["-O2", "-shared", "-fPIC", "-falign-functions=64"]
 
 _LOCK = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _lib_detail: Optional[str] = None
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
 # max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, 3 scratch
-_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 21
+_SF_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 21
+# max_cycles, 5 scalars, 14 const arrays, 12 mutable int64 arrays, the
+# two mutable bool arrays, then the scratch array and its length
+_FLOW_ARGTYPES = (
+    [ctypes.c_int64] * 6 + [_I64P] * 26 + [_U8P] * 2
+    + [_I64P, ctypes.c_int64]
+)
 
 
 def source_path() -> Optional[Path]:
@@ -149,7 +162,8 @@ def _bind(so_path: Path) -> ctypes.CDLL:
     lib = ctypes.CDLL(str(so_path))
     try:
         abi_fn = lib.repro_abi_version
-        run_fn = lib.repro_sf_run
+        sf_fn = lib.repro_sf_run
+        flow_fn = lib.repro_flow_run
     except AttributeError as exc:
         _ctypes.dlclose(lib._handle)
         raise OSError(f"missing symbol in {so_path.name}: {exc}") from exc
@@ -161,8 +175,10 @@ def _bind(so_path: Path) -> ctypes.CDLL:
         raise OSError(
             f"{so_path.name} speaks ABI {abi}, expected {ABI_VERSION}"
         )
-    run_fn.restype = ctypes.c_int64
-    run_fn.argtypes = _ARGTYPES
+    sf_fn.restype = ctypes.c_int64
+    sf_fn.argtypes = _SF_ARGTYPES
+    flow_fn.restype = ctypes.c_int64
+    flow_fn.argtypes = _FLOW_ARGTYPES
     return lib
 
 
@@ -267,12 +283,56 @@ class _NativeSfEngine(_SfEngine):
         return self._outcomes(max_cycles)
 
 
-class NativeBackend(Backend):
-    """C sf engine (one call per batch), NumPy everything else.
+class _NativeFlowEngine(_FlowEngine):
+    """The NumPy flow-control engine with its clock loop swapped for the
+    C kernel: :meth:`run` is one ``repro_flow_run`` call over the arrays
+    the parent built, then the parent's ``_outcomes`` reads them."""
 
-    The pipelined modes (wormhole / vct) run the NumPy flow engine, so
-    this backend accelerates exactly the store-and-forward discipline.
-    """
+    def __init__(
+        self, topo: Topology, runs: Sequence[KernelRun], lib: ctypes.CDLL
+    ):
+        super().__init__(topo, runs)
+        self._lib = lib
+
+    def run(self, max_cycles: int) -> List[FlowOutcome]:
+        num_ext = int(self.holder.size)
+        has_dead = self.dead_at_ext is not None
+        # each run's sorted fault cycles, flattened with offsets
+        death_off = np.zeros(self.K + 1, dtype=np.int64)
+        np.cumsum([dc.size for dc in self.death_cycles], out=death_off[1:])
+        const = [
+            np.ascontiguousarray(arr, dtype=np.int64) for arr in (
+                self.inject, self.nhops, self.gfirst, self.run_of,
+                self.ext_seq, self.ext_base, self.phys_of_ext, self.cap_ext,
+                self.run_of_ext,
+                self.dead_at_ext if has_dead else np.zeros(1, dtype=np.int64),
+                self.totals, self.max_death,
+                np.concatenate(self.death_cycles), death_off,
+            )
+        ]
+        mutable = [
+            self.holder, self.occ, self.hopb, self.head, self.srcf,
+            self.tailb, self.delivered_at, self.arrived, self.delivered_r,
+            self.dropped_r, self.maxq_r, self.last_busy_r,
+        ]
+        scratch = np.empty(
+            9 * num_ext + 4 * self.num_links + self.num + self.K,
+            dtype=np.int64,
+        )
+        end = self._lib.repro_flow_run(
+            max_cycles, self.num, self.K, num_ext, self.num_links,
+            int(has_dead), *[_as_i64p(arr) for arr in const + mutable],
+            self.deadlocked_r.ctypes.data_as(_U8P),
+            self.active.ctypes.data_as(_U8P),
+            _as_i64p(scratch), scratch.size,
+        )
+        if end < 0:
+            raise RuntimeError("repro_flow_run: scratch array too short")
+        return self._outcomes(max_cycles)
+
+
+class NativeBackend(Backend):
+    """Both mode engines in C: one call per engine per batch."""
 
     name = "native"
 
@@ -280,11 +340,14 @@ class NativeBackend(Backend):
         lib, reason = load_library()
         return lib is not None, reason
 
-    def sf_engine(self, topo: Topology, runs: Sequence[KernelRun]) -> object:
+    def _library(self) -> ctypes.CDLL:
         lib, reason = load_library()
         if lib is None:
             raise RuntimeError(f"native backend unavailable: {reason}")
-        return _NativeSfEngine(topo, runs, lib)
+        return lib
+
+    def sf_engine(self, topo: Topology, runs: Sequence[KernelRun]) -> object:
+        return _NativeSfEngine(topo, runs, self._library())
 
     def flow_engine(self, topo: Topology, runs: Sequence[KernelRun]) -> object:
-        return _FlowEngine(topo, runs)
+        return _NativeFlowEngine(topo, runs, self._library())

@@ -57,12 +57,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.network.faults import _NEVER
-from repro.network.flowcontrol import (
-    FlowControl,
-    FlowOutcome,
-    _validate_vct,
-    link_dimension,
-)
+from repro.network.flowcontrol import FlowControl, FlowOutcome, _validate_vct
 from repro.network.topology import Topology
 
 __all__ = [
@@ -167,7 +162,9 @@ def _ext_channels(
     The VC of a hop follows the router's dimension order on
     word-addressed topologies (the flipped bit position modulo ``V``)
     and the hop index elsewhere -- exactly
-    :func:`repro.network.flowcontrol.vc_of_hop`, in array form.
+    :func:`repro.network.flowcontrol.vc_of_hop`, in array form: a
+    link's dimension is the first column where its end nodes' rows of
+    the topology's cached ``n x d`` word matrix differ.
     """
     if link_seq.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -175,11 +172,12 @@ def _ext_channels(
         return link_seq
     n = topo.num_nodes
     if topo.word_length is not None:
-        num_links = int(link_seq.max()) + 1
-        dim_of_link = np.empty(num_links, dtype=np.int64)
-        for li, code in enumerate(link_codes):
-            u, v = int(code) // n, int(code) % n
-            dim_of_link[li] = link_dimension(topo, u, v)
+        words = topo.memo("word_matrix", lambda: np.frombuffer(
+            "".join(topo.node_word(i) for i in range(n)).encode(),
+            dtype=np.uint8,
+        ).reshape(n, topo.word_length))
+        u, v = np.divmod(link_codes, n)
+        dim_of_link = np.argmax(words[u] != words[v], axis=1)
         return link_seq * num_vcs + dim_of_link[link_seq] % num_vcs
     seg_lengths = np.diff(link_offsets)
     pos_within = np.arange(link_seq.size, dtype=np.int64) - np.repeat(
@@ -230,8 +228,9 @@ def _clock(
 ) -> None:
     """The NumPy engines' one clock loop: advance one cycle after any
     movement, jump to the engine's next event when it is quiescent, and
-    stop when there is no next event or the cap is reached.  (The C sf
-    kernel's ``repro_sf_run`` is this same loop.)"""
+    stop when there is no next event or the cap is reached.  (The C
+    kernels' ``repro_sf_run`` and ``repro_flow_run`` are this same
+    loop.)"""
     cycle = 0
     while cycle < max_cycles:
         if step(cycle):
@@ -459,8 +458,13 @@ class _FlowEngine:
         n = topo.num_nodes
         K = len(runs)
         self.K = K
-        ext_cache: Dict[Tuple[int, int], np.ndarray] = {}
-        gext_parts: List[np.ndarray] = []
+        # runs sharing a route table and VC count share one copy of its
+        # channel sequence: packet p's channel at hop i (0-based) is
+        # ext_seq[gfirst[p] + i], shifted into its run's id space by
+        # ext_base[run_of[p]]
+        seq_parts: List[np.ndarray] = []
+        seq_base_of: Dict[Tuple[int, int], int] = {}
+        seq_base = 0
         firsts: List[np.ndarray] = []
         phys_parts: List[np.ndarray] = []
         cap_parts: List[np.ndarray] = []
@@ -469,21 +473,21 @@ class _FlowEngine:
         nhops_parts: List[np.ndarray] = []
         nf_parts: List[np.ndarray] = []
         ext_base = [0]
-        seq_base = 0
         link_base = 0
         any_dead = False
         death_cycles: List[np.ndarray] = []
         for j, r in enumerate(runs):
             V = r.flow.num_vcs
             key = (id(r.link_seq), V)
-            if key not in ext_cache:
-                ext_cache[key] = _ext_channels(
+            if key not in seq_base_of:
+                seq_base_of[key] = seq_base
+                seq_parts.append(_ext_channels(
                     topo, r.link_seq, r.link_offsets, r.link_codes, V
-                )
+                ))
+                seq_base += r.link_seq.size
             num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
             num_ext = num_links * V
-            gext_parts.append(ext_cache[key] + ext_base[-1])
-            firsts.append(r.first_link_at + seq_base)
+            firsts.append(r.first_link_at + seq_base_of[key])
             phys_parts.append(
                 link_base + np.arange(num_ext, dtype=np.int64) // V
             )
@@ -494,15 +498,15 @@ class _FlowEngine:
             inject_parts.append(r.inject)
             nhops_parts.append(r.nhops)
             nf_parts.append(r.nf)
-            seq_base += r.link_seq.size
             link_base += num_links
             ext_base.append(ext_base[-1] + num_ext)
             dc = np.asarray(sorted(set(r.link_dead.values())), dtype=np.int64)
             death_cycles.append(dc)
             any_dead = any_dead or bool(r.link_dead)
-        self.ext_base = ext_base
+        self.ext_base = np.asarray(ext_base, dtype=np.int64)
+        self.num_links = link_base
         num_ext_total = ext_base[-1]
-        self.gext_seq = np.concatenate(gext_parts)
+        self.ext_seq = np.concatenate(seq_parts)
         self.phys_of_ext = np.concatenate(phys_parts)
         self.cap_ext = np.concatenate(cap_parts)
         self.run_of_ext = np.concatenate(runext_parts)
@@ -612,7 +616,8 @@ class _FlowEngine:
             is_head = self.head[p] == i
             to = np.full(e_idx.size, -1, dtype=np.int64)
             nl = ~is_last
-            to[nl] = self.gext_seq[self.gfirst[p[nl]] + i[nl]]
+            to[nl] = (self.ext_seq[self.gfirst[p[nl]] + i[nl]]
+                      + self.ext_base[self.run_of[p[nl]]])
             down_ok = np.zeros(e_idx.size, dtype=bool)
             down_ok[nl] = np.where(
                 is_head[nl],
@@ -644,7 +649,8 @@ class _FlowEngine:
         # 4. injection candidates: one flit per waiting packet
         ip = ie = ih = None
         if self.injecting.size:
-            e1 = self.gext_seq[self.gfirst[self.injecting]]
+            e1 = (self.ext_seq[self.gfirst[self.injecting]]
+                  + self.ext_base[self.run_of[self.injecting]])
             is_head_inj = self.head[self.injecting] == 0
             ok = np.where(
                 is_head_inj,

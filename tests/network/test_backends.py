@@ -34,10 +34,12 @@ from repro.network.backends import (
 from repro.network.backends import native as native_mod
 from repro.network.batch import BatchedSimulator, BatchItem
 from repro.network.faults import FaultPlan
+from repro.network.flowcontrol import FlowControl
+from repro.network.routing import BfsRouter, DimensionOrderRouter
 from repro.network.service.cache import ResultCache
 from repro.network.simulator import VectorizedSimulator
 from repro.network.sweep import parse_topology, run_sweep
-from repro.network.traffic import make_traffic, uniform_traffic
+from repro.network.traffic import flit_sizes, make_traffic, uniform_traffic
 
 NATIVE_OK = native_mod.load_library()[0] is not None
 needs_native = pytest.mark.skipif(
@@ -147,7 +149,7 @@ class TestNativeBitIdentity:
 
     def test_mixed_batch_runs_each_engine_on_its_own_clock(self):
         """sf + wormhole in one batch: the native sf engine runs its
-        items in one C call, the NumPy flow engine its own, and neither
+        items in one C call, the native flow engine its own, and neither
         clock changes the other's outcomes."""
         topo = parse_topology("11:5")
         items = [
@@ -174,15 +176,81 @@ class TestNativeBitIdentity:
         b = BatchedSimulator(topo, backend="native").run_batch(items)
         assert a == b
 
-    def test_flow_control_points_still_run(self):
-        """Pipelined modes stay on NumPy under the native backend, and
-        the results say so by being identical."""
+    def test_fault_kills_through_held_empty_buffer(self):
+        """A 4-flit packet over depth-1 buffers leaves its first channel
+        held but empty after cycle 1 (the head moved on, the source could
+        not refill a full buffer).  A link fault there at cycle 2 must
+        kill the packet at cycle 2 through that empty buffer, not a cycle
+        later when the next flit lands in it."""
+        topo = parse_topology("Q:4")
+        u, v = BfsRouter().route(topo, 0, 3)[:2]
+        plan = FaultPlan.parse(f"l{u}-{v}@2")
+        kwargs = dict(
+            faults=plan, switching=FlowControl("wormhole", buffer_depth=1),
+            flits=4,
+        )
+        out = _run(topo, "native", [(0, 0, 3)], **kwargs)
+        assert out == _run(topo, "numpy", [(0, 0, 3)], **kwargs)
+        assert out.dropped == 1 and out.cycles == 3
+
+    def test_deadlocked_run_beside_live_one(self):
+        """A run that deadlocks is frozen and recycled mid-batch while its
+        neighbours keep advancing, identically on both engines."""
+        topo = parse_topology("1010:5")
+        n = topo.num_nodes
+        burst = [(0, s, t) for s in range(n) for t in range(n) if s != t]
+        flow = FlowControl("wormhole", buffer_depth=1, num_vcs=1)
+        items = [
+            BatchItem(traffic=burst, router=BfsRouter(), switching=flow, flits=4),
+            BatchItem(traffic=uniform_traffic(topo, 150, 30, seed=2),
+                      router=DimensionOrderRouter(), switching=flow, flits=2),
+            BatchItem(traffic=uniform_traffic(topo, 100, 20, seed=3)),
+        ]
+        a = BatchedSimulator(topo, backend="numpy").run_batch(items)
+        b = BatchedSimulator(topo, backend="native").run_batch(items)
+        assert a == b
+        assert [r.deadlocked for r in b] == [True, False, False]
+        assert b[0].stalled > 0 and b[1].stalled == 0
+
+    def test_vct(self):
         topo = parse_topology("11:5")
         traffic = uniform_traffic(topo, 100, 20, seed=5)
         kwargs = dict(switching="vct", flits=2)
         assert _run(topo, "numpy", traffic, **kwargs) == _run(
             topo, "native", traffic, **kwargs
         )
+
+    def test_mixed_flow_shapes_in_one_batch(self):
+        """Per-run VC counts and buffer depths co-batch in one call."""
+        topo = parse_topology("101:5")
+        shapes = [("wormhole", 1, 1), ("wormhole", 4, 2), ("vct", 4, 3),
+                  ("wormhole", 2, 3)]
+        items = [
+            BatchItem(
+                traffic=uniform_traffic(topo, 200, 15, seed=s),
+                switching=FlowControl(mode, buffer_depth=depth, num_vcs=vcs),
+                flits=flit_sizes(200, "1-4", seed=s),
+            )
+            for s, (mode, depth, vcs) in enumerate(shapes)
+        ]
+        a = BatchedSimulator(topo, backend="numpy").run_batch(items)
+        b = BatchedSimulator(topo, backend="native").run_batch(items)
+        assert a == b
+
+    def test_cap_cuts_flow_runs(self):
+        topo = parse_topology("11:6")
+        items = [
+            BatchItem(
+                traffic=uniform_traffic(topo, 300, 10, seed=s),
+                switching=FlowControl("wormhole", buffer_depth=2, num_vcs=2),
+                flits=4,
+            )
+            for s in range(3)
+        ]
+        a = BatchedSimulator(topo, backend="numpy").run_batch(items, 25)
+        b = BatchedSimulator(topo, backend="native").run_batch(items, 25)
+        assert a == b
+        assert all(r.stalled > 0 and r.cycles == 25 for r in b)
 
 
 @needs_native
@@ -270,13 +338,20 @@ class TestForcedFallback:
         "i64 repro_abi_version(void) { return 3; }\n"
         "i64 repro_sf_step(void) { return 0; }\n"
         "i64 repro_sf_run(void) { return 0; }\n",
+        # the ABI 4 kernel's shape: the sf run mode only
+        "i64 repro_abi_version(void) { return 4; }\n"
+        "i64 repro_sf_run(void) { return 0; }\n",
         # the current ABI number, but no run entry point
         f"i64 repro_abi_version(void) {{ return {native_mod.ABI_VERSION}; }}\n",
-    ], ids=["foreign-abi", "missing-symbol"])
+        # the current ABI number, but no flow engine
+        f"i64 repro_abi_version(void) {{ return {native_mod.ABI_VERSION}; }}\n"
+        "i64 repro_sf_run(void) { return 0; }\n",
+    ], ids=["foreign-abi", "abi-4", "missing-symbol", "missing-flow-engine"])
     def test_rejected_cached_object_rebuilds(self, scratch_cache, tmp_path, exports):
         """A loadable cache entry the binder must refuse -- an old ABI,
-        or a missing symbol -- is rebuilt, and the rebuild (not the
-        refused object dlopen already holds at that path) is bound."""
+        or a missing symbol (either entry point) -- is rebuilt, and the
+        rebuild (not the refused object dlopen already holds at that
+        path) is bound."""
         cc = native_mod._compiler()
         so_path = native_mod.cached_object_path(
             native_mod.source_path(), cc, native_mod._cflags()

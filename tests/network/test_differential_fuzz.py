@@ -15,7 +15,9 @@ too, and a batch pass stacks a
 random K of mixed replications (seeds, loads, patterns, routers, fault
 plans, switching modes -- sf, wormhole and vct all batch natively
 through the fused kernel) into one ``BatchedSimulator`` run and checks
-it against K sequential vectorized runs.
+it against K sequential vectorized runs.  A deadlock pass, with its own
+sampler, loads deadlock-prone cubes hard enough that runs really
+deadlock, and checks reference, NumPy and native on them.
 
 Scaling and reproduction
 ------------------------
@@ -308,13 +310,11 @@ def sample_batch_case(seed: int) -> dict:
     }
 
 
-def run_batch_fuzz_case(seed: int) -> "str | None":
-    """One K-replication batch vs K sequential vectorized runs."""
-    cfg = sample_batch_case(seed)
-    topo = parse_topology(cfg["topology"])
+def _batch_items(topo, reps: list) -> list:
+    """The ``BatchItem`` of every sampled replication."""
     routers: dict = {}
     items = []
-    for rep in cfg["reps"]:
+    for rep in reps:
         # shared router instances, so the batch also exercises its
         # union-route-table sharing path
         router = routers.setdefault(rep["router"], ROUTERS[rep["router"]]())
@@ -340,6 +340,14 @@ def run_batch_fuzz_case(seed: int) -> "str | None":
             traffic=traffic, router=router, faults=plan,
             switching=flow, flits=sizes,
         ))
+    return items
+
+
+def run_batch_fuzz_case(seed: int) -> "str | None":
+    """One K-replication batch vs K sequential vectorized runs."""
+    cfg = sample_batch_case(seed)
+    topo = parse_topology(cfg["topology"])
+    items = _batch_items(topo, cfg["reps"])
     batched = BatchedSimulator(topo).run_batch(
         items, max_cycles=cfg["max_cycles"]
     )
@@ -361,6 +369,78 @@ def run_batch_fuzz_case(seed: int) -> "str | None":
         }
         return _describe(seed, flat, "batch")
     return None
+
+
+# cubes and patterns on which BFS / greedy shortest paths close
+# channel-dependency cycles, so heavy single-VC wormhole bursts really
+# deadlock (the samplers above never load a network that hard)
+DEADLOCK_TOPOS = ("1010:5", "0101:5", "1010:6", "0110:6")
+DEADLOCK_PATTERNS = ("uniform", "alltoall", "bursty", "hotspot")
+
+
+def sample_deadlock_case(seed: int) -> dict:
+    """A deterministic deadlock-prone batch: 2-4 replications, a quarter
+    of them store-and-forward, the rest wormhole with 1-2 VCs, depth 1-2
+    buffers, 2-6 flits and 50-600 packets over a short window, some with
+    link faults."""
+    rng = random.Random(seed)
+    topology = rng.choice(DEADLOCK_TOPOS)
+    edges = list(parse_topology(topology).graph.edges())
+    reps = []
+    for _ in range(rng.randint(2, 4)):
+        switching = "sf" if rng.random() < 0.25 else "wormhole"
+        faults = ""
+        if rng.random() < 0.3:
+            faults = ",".join(
+                "l{}-{}@{}".format(*edges[rng.randrange(len(edges))],
+                                   rng.randrange(60))
+                for _ in range(rng.randint(1, 2))
+            )
+        reps.append({
+            "router": rng.choice(("bfs", "greedy")),
+            "pattern": rng.choice(DEADLOCK_PATTERNS),
+            "switching": switching,
+            "num_vcs": rng.randint(1, 2),
+            "buffer_depth": rng.randint(1, 2),
+            "flits": "1" if switching == "sf" else rng.choice(
+                ("2", "4", "6", "2-6")
+            ),
+            "packets": rng.randint(50, 600),
+            "window": rng.randint(1, 20),
+            "faults": faults,
+            "traffic_seed": rng.randrange(10**6),
+            "flit_seed": rng.randrange(10**6),
+        })
+    return {"topology": topology, "reps": reps}
+
+
+def run_deadlock_case(seed: int) -> "tuple[str | None, int]":
+    """One deadlock-prone batch: every item alone through the reference
+    engine, then the whole batch through the NumPy kernel and -- where a
+    toolchain exists -- the native one.  Returns the repro line on
+    divergence (else None) and how many runs deadlocked."""
+    cfg = sample_deadlock_case(seed)
+    topo = parse_topology(cfg["topology"])
+    items = _batch_items(topo, cfg["reps"])
+    results = [[
+        ReferenceSimulator(topo, it.router).run(
+            it.traffic, faults=it.faults, switching=it.switching,
+            flits=it.flits,
+        )
+        for it in items
+    ]]
+    backends = ["numpy"]
+    if _native.load_library()[0] is not None:
+        backends.append("native")
+    for backend in backends:
+        results.append(
+            BatchedSimulator(topo, backend=backend).run_batch(items)
+        )
+    deadlocked = sum(r.deadlocked for r in results[0])
+    if any(r != results[0] for r in results[1:]):
+        flat = {"topology": cfg["topology"], "k": len(items)}
+        return _describe(seed, flat, "deadlock"), deadlocked
+    return None, deadlocked
 
 
 def _report(failures):
@@ -462,4 +542,26 @@ def test_differential_fuzz_batches():
             )
             if line
         ]
+    )
+
+
+@pytest.mark.heavy
+def test_differential_fuzz_deadlocks():
+    """The deadlock pass: deadlock-prone batches (BFS or greedy routes
+    on cubes whose shortest paths form channel-dependency cycles, tiny
+    buffers, long packets, link faults, sf items co-batched) through the
+    reference engine, NumPy and native, bit for bit.  Deadlock freezing
+    and buffer recycling only run when something deadlocks, so the pass
+    fails if fewer than one run in four cases did (about one run per
+    two cases deadlocks over the default seed range)."""
+    cases = max(1, CASES // 3)
+    failures, deadlocked = [], 0
+    for i in range(cases):
+        line, dl = run_deadlock_case(BASE_SEED + i)
+        deadlocked += dl
+        if line:
+            failures.append(line)
+    _report(failures)
+    assert deadlocked >= cases // 4, (
+        f"only {deadlocked} deadlocked runs in {cases} deadlock-prone cases"
     )
