@@ -5,18 +5,30 @@
  * repro.network.kernel._SfEngine.run and _FlowEngine.run -- each
  * engine's step and its own clock -- operating in place on the exact
  * arrays those classes build (int64 throughout, except the flow
- * engine's two NumPy bool arrays, read as bytes).  The Python side
- * prepares the batch (disjoint link / channel id spaces, global pid
- * order, per-run accounting arrays), hands the raw pointers over
- * through ctypes in one call per batch, and reads the same arrays back
- * for the outcomes -- so the only thing that moves into C is the cycle
- * loop.
+ * engine's two NumPy bool arrays, read as bytes; the binder checks
+ * every array's dtype, contiguity and length before the call).  The
+ * Python side prepares the batch, hands the raw pointers over through
+ * ctypes in one call per batch, and reads the same arrays back for the
+ * outcomes -- so the only thing that moves into C is the cycle loop.
  *
- * Store-and-forward (repro_sf_run).  Runs that share a route table
- * share one copy of its link sequence: a packet's next link is
- * link_seq[first_link_at[p] + pos[p]] + link_base[run_of[p]].  The
- * rules this engine must (and does) preserve, in the order the NumPy
- * engine applies them each cycle:
+ * Layout (kernel._Engine builds it once, for both engines).  A channel
+ * is one (link, VC) buffer; store-and-forward is the one-VC case, where
+ * a channel is simply a link.  Run k's channels live in
+ * [ext_base[k], ext_base[k+1]) and run_of_ext[e] is channel e's run, so
+ * shared arrays never leak packets, credits or buffers between runs.
+ * Packets are numbered globally by (inject cycle, run, local pid) and
+ * run_of[p] is packet p's run.  Runs that share a route table and VC
+ * count share one copy of its channel sequence: the channel of hop i
+ * (0-based) of packet p is ext_seq[gfirst[p] + i] + ext_base[run_of[p]].
+ * dead_at_ext[e] is channel e's fault cycle (read only when has_dead),
+ * and the *_r arrays (dropped_r, maxq_r, last_busy_r, ...) are per-run
+ * accounting.
+ *
+ * Store-and-forward (repro_sf_run).  Every channel is an unbounded FIFO
+ * (qhead/qtail/qlen per channel, a succ pointer per packet) and pos[p]
+ * counts the hops packet p has made.  The rules this engine must (and
+ * does) preserve, in the order the NumPy engine applies them each
+ * cycle:
  *
  *   1. inject every packet whose cycle has come, in ascending pid
  *      order: zero-hop packets deliver at their injection cycle, the
@@ -42,10 +54,6 @@
  *      engine's cycles matter to it).
  *
  * Flow control (repro_flow_run: wormhole and virtual cut-through).
- * A channel is one (link, VC) buffer; run k's channels live in
- * [ext_base[k], ext_base[k+1]), and runs that share a route table and
- * VC count share one copy of its channel sequence: the channel of hop
- * i (0-based) of packet p is ext_seq[gfirst[p] + i] + ext_base[run_of[p]].
  * holder/occ/hopb describe each channel (holding pid or -1, flits
  * buffered, the holder's 1-based hop there); head/srcf/tailb each
  * packet (hop of its head flit, flits still at the source, hop of its
@@ -141,13 +149,13 @@ static void fifo_append(
  * 1 when anything moved (injection, fault drop or queue advance). */
 static i64 sf_step(
     i64 cycle,
-    i64 num, i64 K, i64 num_links, i64 has_dead,
-    const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
-    const i64 *run_of_link, const i64 *dead_at,
+    i64 num, i64 K, i64 num_ext, i64 has_dead,
+    const i64 *inject, const i64 *nhops, const i64 *gfirst,
+    const i64 *run_of, const i64 *ext_seq, const i64 *ext_base,
+    const i64 *run_of_ext, const i64 *dead_at_ext,
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
-    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
+    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *dropped_r,
     i64 *touched, i64 *pend, i64 *state)
 {
     i64 moved = 0;
@@ -162,7 +170,7 @@ static i64 sf_step(
             if (nhops[p] == 0) {
                 delivered_at[p] = inject[p];
             } else {
-                fifo_append(p, link_seq[first_link_at[p]] + link_base[run_of[p]],
+                fifo_append(p, ext_seq[gfirst[p]] + ext_base[run_of[p]],
                             succ, qhead, qtail, qlen);
                 in_flight_r[run_of[p]] += 1;
                 in_flight += 1;
@@ -180,30 +188,30 @@ static i64 sf_step(
             }
         }
         i64 ntouch = 0;
-        for (i64 ln = 0; ln < num_links; ln++) {
-            const i64 len = qlen[ln];
+        for (i64 e = 0; e < num_ext; e++) {
+            const i64 len = qlen[e];
             if (len == 0) {
                 continue;
             }
-            const i64 rk = run_of_link[ln];
+            const i64 rk = run_of_ext[e];
             /* 3. queue depth per run, measured before any fault drop */
             if (len > maxq_r[rk]) {
                 maxq_r[rk] = len;
             }
             /* 4. a dead link loses its whole queue this cycle */
-            if (has_dead && dead_at[ln] <= cycle) {
-                drop_r[rk] += len;
+            if (has_dead && dead_at_ext[e] <= cycle) {
+                dropped_r[rk] += len;
                 in_flight_r[rk] -= len;
                 in_flight -= len;
-                qhead[ln] = -1;
-                qtail[ln] = -1;
-                qlen[ln] = 0;
+                qhead[e] = -1;
+                qtail[e] = -1;
+                qlen[e] = 0;
                 continue;
             }
             /* 5. serve the head-of-queue packet */
-            const i64 p = qhead[ln];
-            qhead[ln] = succ[p];
-            qlen[ln] = len - 1;
+            const i64 p = qhead[e];
+            qhead[e] = succ[p];
+            qlen[e] = len - 1;
             pos[p] += 1;
             if (pos[p] == nhops[p]) {
                 delivered_at[p] = cycle + 1;
@@ -215,7 +223,7 @@ static i64 sf_step(
                  * next pointer: p left its queue, nothing reads
                  * succ[p] until the flush below rewrites it) */
                 const i64 t =
-                    link_seq[first_link_at[p] + pos[p]] + link_base[run_of[p]];
+                    ext_seq[gfirst[p] + pos[p]] + ext_base[run_of[p]];
                 i64 prev = -1;
                 i64 cur = pend[t];
                 if (cur < 0) {
@@ -262,22 +270,22 @@ static i64 sf_step(
  * handy for debugging). */
 i64 repro_sf_run(
     i64 max_cycles,
-    i64 num, i64 K, i64 num_links, i64 has_dead,
-    const i64 *inject, const i64 *nhops, const i64 *first_link_at,
-    const i64 *run_of, const i64 *link_seq, const i64 *link_base,
-    const i64 *run_of_link, const i64 *dead_at,
+    i64 num, i64 K, i64 num_ext, i64 has_dead,
+    const i64 *inject, const i64 *nhops, const i64 *gfirst,
+    const i64 *run_of, const i64 *ext_seq, const i64 *ext_base,
+    const i64 *run_of_ext, const i64 *dead_at_ext,
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
-    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *drop_r,
+    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *dropped_r,
     i64 *touched, i64 *pend, i64 *state)
 {
     i64 cycle = 0;
     while (cycle < max_cycles) {
         const i64 moved = sf_step(
-            cycle, num, K, num_links, has_dead,
-            inject, nhops, first_link_at, run_of, link_seq, link_base,
-            run_of_link, dead_at, delivered_at, pos, succ, qhead, qtail, qlen,
-            in_flight_r, last_busy_r, maxq_r, drop_r, touched, pend,
+            cycle, num, K, num_ext, has_dead,
+            inject, nhops, gfirst, run_of, ext_seq, ext_base,
+            run_of_ext, dead_at_ext, delivered_at, pos, succ, qhead, qtail, qlen,
+            in_flight_r, last_busy_r, maxq_r, dropped_r, touched, pend,
             state);
         if (moved) {
             cycle += 1;

@@ -26,7 +26,10 @@ back, and it says why (once; :func:`reset` re-arms it).
 
 Two backends exist: ``numpy`` (both engines in NumPy, always
 available) and ``native`` (both engines' run loops in C, one call per
-engine per batch; see :mod:`repro.network.backends.native`).  Every
+engine per batch; see :mod:`repro.network.backends.native`).  Both share
+one batch layout, built by :class:`repro.network.kernel._Engine` (for
+store-and-forward, the one-VC case of the flow engine's channels), and
+one outcome code, so a backend replaces only the cycle loop.  Every
 backend is bit-identical by contract: the equivalence and
 differential-fuzz suites run the same cases through
 ``ReferenceSimulator``, the NumPy engines and the native kernel and

@@ -8,12 +8,16 @@ array-op dispatch, not arithmetic.  This backend compiles
 object cached under ``<cache>/native/advance-<hash>.so`` (``<cache>``
 is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, the same root the result
 cache uses), binds it via :mod:`ctypes`, and swaps one C call in for
-each engine's whole clock loop: ``repro_sf_run`` for
-:meth:`repro.network.kernel._SfEngine.run` and ``repro_flow_run`` for
-:meth:`repro.network.kernel._FlowEngine.run` (wormhole and vct).
-Nothing else changes: batch preparation, the outcome code and every
-outcome array are the NumPy code paths, so bit-identity is structural,
-not aspirational.
+each engine's whole clock loop: ``repro_sf_run`` for the
+store-and-forward engine and ``repro_flow_run`` for the flow-control
+engine (wormhole and vct).  Nothing else changes: the batch layout
+(one for both engines, built by :class:`repro.network.kernel._Engine`),
+the outcome code and every outcome array are the NumPy code paths, so
+bit-identity is structural, not aspirational.  Both calls marshal that
+one layout under its NumPy names, and every array is checked on its way
+in -- dtype, C-contiguity and the exact length the C side indexes -- so
+a mismatch raises :class:`ValueError` naming the array instead of
+letting C read or write past its end.
 
 The ``.so`` name is a hash of the C source, the compiler and the flags,
 so editing any of them compiles a fresh object instead of trusting a
@@ -232,17 +236,31 @@ def reset() -> None:
         _lib_detail = None
 
 
-def _as_i64p(arr: np.ndarray) -> "ctypes._Pointer":
-    return arr.ctypes.data_as(_I64P)
+def _checked(name: str, arr: np.ndarray, length: int, ctype=_I64P):
+    """``arr`` as a pointer for one kernel call, checked against what the
+    C side reads through it: int64 (or bool, read as bytes, for a
+    ``_U8P``), C-contiguous and exactly ``length`` entries.  A mismatch
+    raises :class:`ValueError` naming the array before any C code runs:
+    the kernel would otherwise index past a short array's end, misread
+    a foreign dtype's bytes, or -- through a silent copy -- write where
+    ``_outcomes`` never reads."""
+    want = np.dtype(np.int64 if ctype is _I64P else np.bool_)
+    if (arr.dtype != want or arr.shape != (length,)
+            or not arr.flags.c_contiguous):
+        raise ValueError(
+            f"native kernel argument {name!r} must be a C-contiguous {want} "
+            f"array of length {length}; got {arr.dtype}, shape {arr.shape}"
+            f"{'' if arr.flags.c_contiguous else ', not contiguous'}"
+        )
+    return arr.ctypes.data_as(ctype)
 
 
-class _NativeSfEngine(_SfEngine):
-    """The NumPy sf engine with its clock loop swapped for the C kernel.
-
-    State construction and the outcome code are inherited unchanged:
-    :meth:`run` is one ``repro_sf_run`` call that mutates the very
-    arrays the parent built, then the parent's ``_outcomes`` reads them.
-    """
+class _NativeEngine:
+    """Mixed in ahead of a NumPy mode engine: construction and
+    ``_outcomes`` stay the NumPy class's, and ``run`` becomes one C call
+    working in place on the arrays that constructor built.  Every array
+    crosses the ctypes boundary through :func:`_checked`, under its NumPy
+    attribute name."""
 
     def __init__(
         self, topo: Topology, runs: Sequence[KernelRun], lib: ctypes.CDLL
@@ -250,81 +268,81 @@ class _NativeSfEngine(_SfEngine):
         super().__init__(topo, runs)
         self._lib = lib
 
+    def _pointers(self, length: int, *names: str) -> list:
+        """Checked pointers to the engine arrays ``names``, each of
+        which the C side indexes over ``length`` entries."""
+        return [_checked(name, getattr(self, name), length) for name in names]
+
+    def _layout(self) -> list:
+        """The shared layout, as both entry points take it first: the
+        packets' ``inject``, ``nhops``, ``gfirst`` and ``run_of``, the
+        channel sequences and the K+1 per-run channel bases."""
+        P, K = self.num, self.K
+        return [
+            *self._pointers(P, "inject", "nhops", "gfirst", "run_of"),
+            *self._pointers(self.ext_seq.size, "ext_seq"),
+            *self._pointers(K + 1, "ext_base"),
+        ]
+
+    def _dead_at_ext(self):
+        # read only when the batch has faults (the has_dead scalar)
+        if self.dead_at_ext is None:
+            return _checked("dead_at_ext", np.zeros(0, dtype=np.int64), 0)
+        return _checked("dead_at_ext", self.dead_at_ext, int(self.ext_base[-1]))
+
+
+class _NativeSfEngine(_NativeEngine, _SfEngine):
+    """The NumPy sf engine with its clock loop swapped for one
+    ``repro_sf_run`` call."""
+
     def run(self, max_cycles: int) -> List[FlowOutcome]:
-        num_links = int(self.qlen.size)
-        has_dead = self.dead_at is not None
-        # the C side reads raw int64 pointers; the parent builds int64,
-        # contiguous arrays, but never trust that silently
-        const = [
-            np.ascontiguousarray(arr, dtype=np.int64) for arr in (
-                self.inject, self.nhops, self.first_link_at, self.run_of,
-                self.link_seq, self.link_base, self.run_of_link,
-                self.dead_at if has_dead else np.zeros(1, dtype=np.int64),
-            )
-        ]
-        mutable = [
-            self.delivered_at, self.pos, self.succ, self.qhead, self.qtail,
-            self.qlen, self.in_flight_r, self.last_busy_r, self.maxq_r,
-            self.drop_r,
-        ]
-        scratch = [
-            # the touched-target list, then the pending-list heads (all
-            # -1; the kernel leaves them that way) ...
-            np.empty(max(self.num, 1), dtype=np.int64),
-            np.full(max(num_links, 1), -1, dtype=np.int64),
-            # ... and the two scalars the parent keeps as Python ints:
-            # next_pid and in_flight, both 0 at the start
-            np.zeros(2, dtype=np.int64),
-        ]
+        P, K, C = self.num, self.K, int(self.ext_base[-1])
         self._lib.repro_sf_run(
-            max_cycles, self.num, self.K, num_links, int(has_dead),
-            *[_as_i64p(arr) for arr in const + mutable + scratch],
+            max_cycles, P, K, C, int(self.dead_at_ext is not None),
+            *self._layout(),
+            *self._pointers(C, "run_of_ext"),
+            self._dead_at_ext(),
+            *self._pointers(P, "delivered_at", "pos", "succ"),
+            *self._pointers(C, "qhead", "qtail", "qlen"),
+            *self._pointers(K, "in_flight_r", "last_busy_r", "maxq_r",
+                            "dropped_r"),
+            # scratch: the touched-target list, the pending-list heads
+            # (all -1; the kernel leaves them that way) and the two
+            # scalars the NumPy class keeps as Python ints: next_pid and
+            # in_flight, both 0 at the start
+            _checked("touched", np.empty(max(P, 1), dtype=np.int64), max(P, 1)),
+            _checked("pend", np.full(max(C, 1), -1, dtype=np.int64), max(C, 1)),
+            _checked("state", np.zeros(2, dtype=np.int64), 2),
         )
         return self._outcomes(max_cycles)
 
 
-class _NativeFlowEngine(_FlowEngine):
-    """The NumPy flow-control engine with its clock loop swapped for the
-    C kernel: :meth:`run` is one ``repro_flow_run`` call over the arrays
-    the parent built, then the parent's ``_outcomes`` reads them."""
-
-    def __init__(
-        self, topo: Topology, runs: Sequence[KernelRun], lib: ctypes.CDLL
-    ):
-        super().__init__(topo, runs)
-        self._lib = lib
+class _NativeFlowEngine(_NativeEngine, _FlowEngine):
+    """The NumPy flow-control engine with its clock loop swapped for one
+    ``repro_flow_run`` call."""
 
     def run(self, max_cycles: int) -> List[FlowOutcome]:
-        num_ext = int(self.holder.size)
-        has_dead = self.dead_at_ext is not None
+        P, K, C, L = self.num, self.K, int(self.ext_base[-1]), self.num_links
         # each run's sorted fault cycles, flattened with offsets
-        death_off = np.zeros(self.K + 1, dtype=np.int64)
+        death = np.concatenate(self.death_cycles)
+        death_off = np.zeros(K + 1, dtype=np.int64)
         np.cumsum([dc.size for dc in self.death_cycles], out=death_off[1:])
-        const = [
-            np.ascontiguousarray(arr, dtype=np.int64) for arr in (
-                self.inject, self.nhops, self.gfirst, self.run_of,
-                self.ext_seq, self.ext_base, self.phys_of_ext, self.cap_ext,
-                self.run_of_ext,
-                self.dead_at_ext if has_dead else np.zeros(1, dtype=np.int64),
-                self.totals, self.max_death,
-                np.concatenate(self.death_cycles), death_off,
-            )
-        ]
-        mutable = [
-            self.holder, self.occ, self.hopb, self.head, self.srcf,
-            self.tailb, self.delivered_at, self.arrived, self.delivered_r,
-            self.dropped_r, self.maxq_r, self.last_busy_r,
-        ]
-        scratch = np.empty(
-            9 * num_ext + 4 * self.num_links + self.num + self.K,
-            dtype=np.int64,
-        )
+        scratch = np.empty(9 * C + 4 * L + P + K, dtype=np.int64)
         end = self._lib.repro_flow_run(
-            max_cycles, self.num, self.K, num_ext, self.num_links,
-            int(has_dead), *[_as_i64p(arr) for arr in const + mutable],
-            self.deadlocked_r.ctypes.data_as(_U8P),
-            self.active.ctypes.data_as(_U8P),
-            _as_i64p(scratch), scratch.size,
+            max_cycles, P, K, C, L, int(self.dead_at_ext is not None),
+            *self._layout(),
+            *self._pointers(C, "phys_of_ext", "cap_ext", "run_of_ext"),
+            self._dead_at_ext(),
+            *self._pointers(K, "totals", "max_death"),
+            _checked("death", death, death.size),
+            _checked("death_off", death_off, K + 1),
+            *self._pointers(C, "holder", "occ", "hopb"),
+            *self._pointers(P, "head", "srcf", "tailb", "delivered_at"),
+            *self._pointers(K, "arrived", "delivered_r", "dropped_r",
+                            "maxq_r", "last_busy_r"),
+            _checked("deadlocked_r", self.deadlocked_r, K, _U8P),
+            _checked("active", self.active, K, _U8P),
+            _checked("scratch", scratch, scratch.size), scratch.size,
         )
         if end < 0:
             raise RuntimeError("repro_flow_run: scratch array too short")

@@ -10,13 +10,18 @@ engine protocol is one call, ``run(max_cycles)``, returning one
 :class:`~repro.network.flowcontrol.FlowOutcome` per run: each engine
 advances its own runs on its own clock.
 
-Layout (the PR 5 batching discipline, extended to flow control):
+Layout (built once, for both engines, by their base class ``_Engine``):
 
-- every replication owns a **disjoint id space** -- run ``k``'s directed
-  links live in ``[link_base[k], link_base[k+1])`` and, in the pipelined
-  modes, its extended channels (link x virtual channel) live in
-  ``[ext_base[k], ext_base[k+1])`` -- so shared FIFO / buffer arrays can
-  never leak packets, credits or VC allocations between runs;
+- a **channel** is one (link, virtual channel) buffer, and
+  store-and-forward is the one-VC case: its channels are simply its
+  links, so both engines -- and the C engines behind them -- address
+  one set of arrays (``ext_seq``, ``gfirst``, ``ext_base``,
+  ``run_of_ext``, ``dead_at_ext``, the ``*_r`` per-run accounting);
+- every replication owns a **disjoint id space** -- run ``k``'s
+  channels live in ``[ext_base[k], ext_base[k+1])`` -- so shared FIFO /
+  buffer arrays can never leak packets, credits or VC allocations
+  between runs, while runs sharing a route table and VC count share
+  one copy of its channel sequence;
 - packets are renumbered globally by ``(inject_cycle, run, local pid)``,
   a stable sort that preserves each run's internal packet order, so
   every FIFO tie-break, link arbitration ("oldest packet wins the
@@ -243,100 +248,156 @@ def _clock(
 
 
 # ---------------------------------------------------------------------------
-# Store-and-forward mode engine: intrusive per-link FIFOs, K runs
+# The batch layout both mode engines share
 # ---------------------------------------------------------------------------
 
 
-class _SfEngine:
-    """K store-and-forward runs over shared flat FIFO arrays.
+class _Engine:
+    """K runs of one switching mode, laid out once for both modes.
 
-    The constructor builds the batch state (disjoint link-id spaces,
-    global pid order, per-run accounting arrays); :meth:`run` advances
-    it on the engine's own clock (:func:`_clock` over ``_step`` and
-    ``_next_event``) and condenses one outcome per run.
+    A channel is one (link, VC) buffer, and store-and-forward is the
+    one-VC case: :func:`_ext_channels` with ``num_vcs=1`` returns the
+    link sequence itself, so an sf channel is simply a link.  The
+    constructor builds the layout -- disjoint per-run channel id
+    spaces, shared channel sequences, the global pid order, per-channel
+    fault cycles and the per-run accounting arrays -- then hands the
+    subclass the pid permutation for its mode state (``_init_state``).
+    :meth:`run` advances the subclass's ``_step`` / ``_next_event`` on
+    the engine's own clock (:func:`_clock`) and condenses one outcome
+    per run.
     """
 
     def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
         n = topo.num_nodes
         K = len(runs)
         self.K = K
-        # runs sharing a route table share one copy of its link sequence:
-        # packet p's next link is link_seq[first_link_at[p] + pos[p]],
-        # shifted into its run's id space by link_base[run_of[p]]
+        # runs sharing a route table and VC count share one copy of its
+        # channel sequence: see _channel
         seq_parts: List[np.ndarray] = []
-        seq_base_of: Dict[int, int] = {}
+        seq_base_of: Dict[Tuple[int, int], int] = {}
         seq_base = 0
-        link_counts: List[int] = []
         firsts: List[np.ndarray] = []
-        nhops_parts: List[np.ndarray] = []
-        inject_parts: List[np.ndarray] = []
-        link_base = [0]
-        any_dead = False
+        vcs: List[int] = []
+        ext_base = [0]
         for r in runs:
-            num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
-            if id(r.link_seq) not in seq_base_of:
-                seq_base_of[id(r.link_seq)] = seq_base
-                seq_parts.append(r.link_seq)
+            V = r.flow.num_vcs if r.flow.pipelined else 1
+            key = (id(r.link_seq), V)
+            if key not in seq_base_of:
+                seq_base_of[key] = seq_base
+                seq_parts.append(_ext_channels(
+                    topo, r.link_seq, r.link_offsets, r.link_codes, V
+                ))
                 seq_base += r.link_seq.size
-            firsts.append(r.first_link_at + seq_base_of[id(r.link_seq)])
-            nhops_parts.append(r.nhops)
-            inject_parts.append(r.inject)
-            link_base.append(link_base[-1] + num_links)
-            link_counts.append(num_links)
-            any_dead = any_dead or bool(r.link_dead)
-        self.link_seq = np.concatenate(seq_parts)
-        self.link_base = np.asarray(link_base[:-1], dtype=np.int64)
-        num_links_total = link_base[-1]
-        self.run_of_link = np.repeat(
-            np.arange(K, dtype=np.int64),
-            np.asarray(link_counts, dtype=np.int64),
+            firsts.append(r.first_link_at + seq_base_of[key])
+            num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
+            vcs.append(V)
+            ext_base.append(ext_base[-1] + num_links * V)
+        self.ext_seq = np.concatenate(seq_parts)
+        self.ext_base = np.asarray(ext_base, dtype=np.int64)
+        self.run_of_ext = np.repeat(
+            np.arange(K, dtype=np.int64), np.diff(self.ext_base)
         )
-        self.dead_at = None
-        if any_dead:
-            self.dead_at = np.full(num_links_total, _NEVER, dtype=np.int64)
+        self.dead_at_ext = None
+        if any(r.link_dead for r in runs):
+            # every (link, VC) buffer of a dying link dies with it; a
+            # plan may name links no route uses -- they resolve to no
+            # channel here
+            self.dead_at_ext = np.full(ext_base[-1], _NEVER, dtype=np.int64)
             for j, r in enumerate(runs):
-                if not r.link_dead:
-                    continue
                 for (u, v), c in r.link_dead.items():
                     code = u * n + v
-                    i = int(np.searchsorted(r.link_codes, code))
-                    if i < r.link_codes.size and r.link_codes[i] == code:
-                        self.dead_at[link_base[j] + i] = c
+                    li = int(np.searchsorted(r.link_codes, code))
+                    if li < r.link_codes.size and r.link_codes[li] == code:
+                        lo = ext_base[j] + li * vcs[j]
+                        self.dead_at_ext[lo:lo + vcs[j]] = c
 
         # global packet order: stable sort by injection cycle over the
         # run-major concatenation = (inject, run, local pid), so each
-        # run's internal order -- and every FIFO tie-break -- survives
-        sizes = np.asarray([a.size for a in inject_parts], dtype=np.int64)
-        order = np.argsort(np.concatenate(inject_parts), kind="stable")
-        self.inject = np.concatenate(inject_parts)[order]
-        self.nhops = np.concatenate(nhops_parts)[order]
-        self.first_link_at = np.concatenate(firsts)[order]
-        self.run_of = np.repeat(np.arange(K, dtype=np.int64), sizes)[order]
+        # run's internal order -- and every tie-break -- survives
+        self.inject = np.concatenate([r.inject for r in runs])
+        order = np.argsort(self.inject, kind="stable")
+        self.inject = self.inject[order]
+        self.nhops = np.concatenate([r.nhops for r in runs])[order]
+        self.gfirst = np.concatenate(firsts)[order]
+        self.run_of = np.repeat(
+            np.arange(K, dtype=np.int64), [r.inject.size for r in runs]
+        )[order]
         self.num = int(self.inject.size)
-
+        self.totals = np.bincount(self.run_of, minlength=K)
         self.delivered_at = np.full(self.num, -1, dtype=np.int64)
-        self.pos = np.zeros(self.num, dtype=np.int64)
-        self.succ = np.full(self.num, -1, dtype=np.int64)
-        self.qhead = np.full(num_links_total, -1, dtype=np.int64)
-        self.qtail = np.full(num_links_total, -1, dtype=np.int64)
-        self.qlen = np.zeros(num_links_total, dtype=np.int64)
-
-        # per-run accounting (the reference loop's scalars, as arrays)
-        self.in_flight_r = np.zeros(K, dtype=np.int64)
-        self.last_busy_r = np.full(K, -1, dtype=np.int64)
-        self.maxq_r = np.zeros(K, dtype=np.int64)
-        self.drop_r = np.zeros(K, dtype=np.int64)
-        self.in_flight = 0
         self.next_pid = 0
+        # per-run accounting (the reference loops' scalars, as arrays)
+        self.dropped_r = np.zeros(K, dtype=np.int64)
+        self.maxq_r = np.zeros(K, dtype=np.int64)
+        self.last_busy_r = np.full(K, -1, dtype=np.int64)
+        self.deadlocked_r = np.zeros(K, dtype=bool)
+        self._init_state(runs, order)
 
-    def _next_link(self, pids: np.ndarray) -> np.ndarray:
-        """The global id of the link each packet queues on next."""
-        return (self.link_seq[self.first_link_at[pids] + self.pos[pids]]
-                + self.link_base[self.run_of[pids]])
+    def _init_state(self, runs: Sequence[KernelRun], order: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _step(self, cycle: int) -> bool:
+        raise NotImplementedError
+
+    def _next_event(self, cycle: int) -> Optional[int]:
+        raise NotImplementedError
+
+    def _channel(self, pids: np.ndarray, hops) -> np.ndarray:
+        """The global channel of hop ``hops`` (0-based) of each packet."""
+        return (self.ext_seq[self.gfirst[pids] + hops]
+                + self.ext_base[self.run_of[pids]])
 
     def run(self, max_cycles: int) -> List[FlowOutcome]:
         _clock(self._step, self._next_event, max_cycles)
         return self._outcomes(max_cycles)
+
+    def _outcomes(self, max_cycles: int) -> List[FlowOutcome]:
+        # a run's packets in ascending global pid order are exactly its
+        # packets in injection order
+        by_run = np.split(
+            np.argsort(self.run_of, kind="stable"), np.cumsum(self.totals)[:-1]
+        )
+        outs = []
+        for j, pids in enumerate(by_run):
+            d = self.delivered_at[pids]
+            dropped = int(self.dropped_r[j])
+            stalled = int(pids.size) - int((d >= 0).sum()) - dropped
+            # a run frozen by deadlock, or with nothing left pending,
+            # ended at its own last busy cycle (an empty run: cycle 1);
+            # anything else still stuck means the cap cut it off
+            if self.deadlocked_r[j] or stalled == 0:
+                cycles = max(int(self.last_busy_r[j]) + 1, 1)
+            else:
+                cycles = max(max_cycles, 1)
+            outs.append(FlowOutcome(
+                cycles=cycles,
+                delivered_at=d,
+                max_queue=int(self.maxq_r[j]),
+                dropped_in_flight=dropped,
+                stalled=stalled,
+                deadlocked=bool(self.deadlocked_r[j]),
+            ))
+        return outs
+
+
+# ---------------------------------------------------------------------------
+# Store-and-forward mode engine: intrusive per-link FIFOs, K runs
+# ---------------------------------------------------------------------------
+
+
+class _SfEngine(_Engine):
+    """K store-and-forward runs over shared flat FIFO arrays, one FIFO
+    per channel (= link)."""
+
+    def _init_state(self, runs: Sequence[KernelRun], order: np.ndarray) -> None:
+        num_links = int(self.ext_base[-1])
+        self.pos = np.zeros(self.num, dtype=np.int64)
+        self.succ = np.full(self.num, -1, dtype=np.int64)
+        self.qhead = np.full(num_links, -1, dtype=np.int64)
+        self.qtail = np.full(num_links, -1, dtype=np.int64)
+        self.qlen = np.zeros(num_links, dtype=np.int64)
+        self.in_flight_r = np.zeros(self.K, dtype=np.int64)
+        self.in_flight = 0
 
     def _step(self, cycle: int) -> bool:
         moved = False
@@ -350,7 +411,7 @@ class _SfEngine:
             moving_fresh = fresh[self.nhops[fresh] > 0]
             if moving_fresh.size:
                 _fifo_append(self.succ, self.qhead, self.qtail, self.qlen,
-                             moving_fresh, self._next_link(moving_fresh))
+                             moving_fresh, self._channel(moving_fresh, 0))
                 self.in_flight_r += np.bincount(
                     self.run_of[moving_fresh], minlength=self.K
                 )
@@ -364,15 +425,15 @@ class _SfEngine:
             self.last_busy_r[self.in_flight_r > 0] = cycle
             busy = np.flatnonzero(self.qlen)
             # queue depth per run, measured before any fault drop
-            np.maximum.at(self.maxq_r, self.run_of_link[busy], self.qlen[busy])
-            if self.dead_at is not None:
-                alive = self.dead_at[busy] > cycle
+            np.maximum.at(self.maxq_r, self.run_of_ext[busy], self.qlen[busy])
+            if self.dead_at_ext is not None:
+                alive = self.dead_at_ext[busy] > cycle
                 if not alive.all():
                     slain = busy[~alive]
                     lost = self.qlen[slain]
-                    np.add.at(self.drop_r, self.run_of_link[slain], lost)
+                    np.add.at(self.dropped_r, self.run_of_ext[slain], lost)
                     np.subtract.at(
-                        self.in_flight_r, self.run_of_link[slain], lost
+                        self.in_flight_r, self.run_of_ext[slain], lost
                     )
                     self.in_flight -= int(lost.sum())
                     self.qhead[slain] = -1
@@ -395,7 +456,7 @@ class _SfEngine:
             if moving.size:
                 _fifo_append(
                     self.succ, self.qhead, self.qtail, self.qlen, moving,
-                    self._next_link(moving),
+                    self._channel(moving, self.pos[moving]),
                 )
             moved = True
         return moved
@@ -407,39 +468,13 @@ class _SfEngine:
             return int(self.inject[self.next_pid])
         return None
 
-    def _outcomes(self, max_cycles: int) -> List[FlowOutcome]:
-        outs = []
-        for j in range(self.K):
-            # a run's packets in ascending global pid order are exactly
-            # its packets in injection order
-            pids = np.flatnonzero(self.run_of == j)
-            d = self.delivered_at[pids]
-            delivered = int((d >= 0).sum())
-            stalled = int(pids.size) - delivered - int(self.drop_r[j])
-            # a run with nothing left pending ended at its own last busy
-            # cycle (an empty run: cycle 1); anything still stuck means
-            # the cap cut it off
-            cycles = (
-                max(int(self.last_busy_r[j]) + 1, 1) if stalled == 0
-                else max(max_cycles, 1)
-            )
-            outs.append(FlowOutcome(
-                cycles=cycles,
-                delivered_at=d,
-                max_queue=int(self.maxq_r[j]),
-                dropped_in_flight=int(self.drop_r[j]),
-                stalled=stalled,
-                deadlocked=False,
-            ))
-        return outs
-
 
 # ---------------------------------------------------------------------------
 # Flow-control mode engine: finite (link x VC) buffers, K runs
 # ---------------------------------------------------------------------------
 
 
-class _FlowEngine:
+class _FlowEngine(_Engine):
     """K wormhole / virtual-cut-through runs over shared buffer arrays.
 
     The per-cycle body applies
@@ -454,118 +489,40 @@ class _FlowEngine:
     its buffers are recycled so the surviving runs pay nothing for it.
     """
 
-    def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
-        n = topo.num_nodes
-        K = len(runs)
-        self.K = K
-        # runs sharing a route table and VC count share one copy of its
-        # channel sequence: packet p's channel at hop i (0-based) is
-        # ext_seq[gfirst[p] + i], shifted into its run's id space by
-        # ext_base[run_of[p]]
-        seq_parts: List[np.ndarray] = []
-        seq_base_of: Dict[Tuple[int, int], int] = {}
-        seq_base = 0
-        firsts: List[np.ndarray] = []
-        phys_parts: List[np.ndarray] = []
-        cap_parts: List[np.ndarray] = []
-        runext_parts: List[np.ndarray] = []
-        inject_parts: List[np.ndarray] = []
-        nhops_parts: List[np.ndarray] = []
-        nf_parts: List[np.ndarray] = []
-        ext_base = [0]
-        link_base = 0
-        any_dead = False
-        death_cycles: List[np.ndarray] = []
-        for j, r in enumerate(runs):
-            V = r.flow.num_vcs
-            key = (id(r.link_seq), V)
-            if key not in seq_base_of:
-                seq_base_of[key] = seq_base
-                seq_parts.append(_ext_channels(
-                    topo, r.link_seq, r.link_offsets, r.link_codes, V
-                ))
-                seq_base += r.link_seq.size
-            num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
-            num_ext = num_links * V
-            firsts.append(r.first_link_at + seq_base_of[key])
-            phys_parts.append(
-                link_base + np.arange(num_ext, dtype=np.int64) // V
-            )
-            cap_parts.append(
-                np.full(num_ext, r.flow.buffer_depth, dtype=np.int64)
-            )
-            runext_parts.append(np.full(num_ext, j, dtype=np.int64))
-            inject_parts.append(r.inject)
-            nhops_parts.append(r.nhops)
-            nf_parts.append(r.nf)
-            link_base += num_links
-            ext_base.append(ext_base[-1] + num_ext)
-            dc = np.asarray(sorted(set(r.link_dead.values())), dtype=np.int64)
-            death_cycles.append(dc)
-            any_dead = any_dead or bool(r.link_dead)
-        self.ext_base = np.asarray(ext_base, dtype=np.int64)
-        self.num_links = link_base
-        num_ext_total = ext_base[-1]
-        self.ext_seq = np.concatenate(seq_parts)
-        self.phys_of_ext = np.concatenate(phys_parts)
-        self.cap_ext = np.concatenate(cap_parts)
-        self.run_of_ext = np.concatenate(runext_parts)
-        self.death_cycles = death_cycles
+    def _init_state(self, runs: Sequence[KernelRun], order: np.ndarray) -> None:
+        K, num_ext = self.K, int(self.ext_base[-1])
+        run = self.run_of_ext
+        vcs = np.asarray([r.flow.num_vcs for r in runs], dtype=np.int64)
+        link_base = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.ext_base) // vcs, out=link_base[1:])
+        self.num_links = int(link_base[-1])
+        self.phys_of_ext = link_base[run] + (
+            np.arange(num_ext, dtype=np.int64) - self.ext_base[run]
+        ) // vcs[run]
+        self.cap_ext = np.asarray(
+            [r.flow.buffer_depth for r in runs], dtype=np.int64
+        )[run]
+        # fault plans may name links no route uses: they still schedule
+        # wake-up events (max_death) but resolve to no channel
+        self.death_cycles = [
+            np.asarray(sorted(set(r.link_dead.values())), dtype=np.int64)
+            for r in runs
+        ]
         self.max_death = np.asarray(
-            [int(dc[-1]) if dc.size else -1 for dc in death_cycles],
+            [int(dc[-1]) if dc.size else -1 for dc in self.death_cycles],
             dtype=np.int64,
         )
-        self.dead_at_ext = None
-        if any_dead:
-            # every (link, VC) buffer of a dying link dies with it; a
-            # plan may name links no route uses -- they still schedule
-            # wake-up events (max_death) but resolve to no buffer here
-            self.dead_at_ext = np.full(num_ext_total, _NEVER, dtype=np.int64)
-            for j, r in enumerate(runs):
-                if not r.link_dead:
-                    continue
-                V = r.flow.num_vcs
-                for (u, v), c in r.link_dead.items():
-                    code = u * n + v
-                    li = int(np.searchsorted(r.link_codes, code))
-                    if li < r.link_codes.size and r.link_codes[li] == code:
-                        lo = ext_base[j] + li * V
-                        self.dead_at_ext[lo:lo + V] = np.minimum(
-                            self.dead_at_ext[lo:lo + V], c
-                        )
 
-        # global packet order: (inject, run, local pid), as in sf
-        sizes = np.asarray([a.size for a in inject_parts], dtype=np.int64)
-        order = np.argsort(np.concatenate(inject_parts), kind="stable")
-        self.inject = np.concatenate(inject_parts)[order]
-        self.nhops = np.concatenate(nhops_parts)[order]
-        self.gfirst = np.concatenate(firsts)[order]
-        self.run_of = np.repeat(np.arange(K, dtype=np.int64), sizes)[order]
-        self.num = int(self.inject.size)
-        self.totals = np.bincount(self.run_of, minlength=K)
-
-        self.holder = np.full(num_ext_total, -1, dtype=np.int64)
-        self.occ = np.zeros(num_ext_total, dtype=np.int64)
-        self.hopb = np.zeros(num_ext_total, dtype=np.int64)
+        self.holder = np.full(num_ext, -1, dtype=np.int64)
+        self.occ = np.zeros(num_ext, dtype=np.int64)
+        self.hopb = np.zeros(num_ext, dtype=np.int64)
         self.head = np.zeros(self.num, dtype=np.int64)
-        self.srcf = np.concatenate(nf_parts)[order].astype(np.int64)
+        self.srcf = np.concatenate([r.nf for r in runs])[order].astype(np.int64)
         self.tailb = np.zeros(self.num, dtype=np.int64)
-        self.delivered_at = np.full(self.num, -1, dtype=np.int64)
-
         self.injecting = np.empty(0, dtype=np.int64)
-        self.next_pid = 0
-        # per-run accounting (the reference loop's scalars, as arrays)
         self.arrived = np.zeros(K, dtype=np.int64)
         self.delivered_r = np.zeros(K, dtype=np.int64)
-        self.dropped_r = np.zeros(K, dtype=np.int64)
-        self.maxq_r = np.zeros(K, dtype=np.int64)
-        self.last_busy_r = np.full(K, -1, dtype=np.int64)
-        self.deadlocked_r = np.zeros(K, dtype=bool)
         self.active = np.ones(K, dtype=bool)
-
-    def run(self, max_cycles: int) -> List[FlowOutcome]:
-        _clock(self._step, self._next_event, max_cycles)
-        return self._outcomes(max_cycles)
 
     def _step(self, cycle: int) -> bool:
         if not self.active.any():
@@ -616,8 +573,7 @@ class _FlowEngine:
             is_head = self.head[p] == i
             to = np.full(e_idx.size, -1, dtype=np.int64)
             nl = ~is_last
-            to[nl] = (self.ext_seq[self.gfirst[p[nl]] + i[nl]]
-                      + self.ext_base[self.run_of[p[nl]]])
+            to[nl] = self._channel(p[nl], i[nl])
             down_ok = np.zeros(e_idx.size, dtype=bool)
             down_ok[nl] = np.where(
                 is_head[nl],
@@ -649,8 +605,7 @@ class _FlowEngine:
         # 4. injection candidates: one flit per waiting packet
         ip = ie = ih = None
         if self.injecting.size:
-            e1 = (self.ext_seq[self.gfirst[self.injecting]]
-                  + self.ext_base[self.run_of[self.injecting]])
+            e1 = self._channel(self.injecting, 0)
             is_head_inj = self.head[self.injecting] == 0
             ok = np.where(
                 is_head_inj,
@@ -777,26 +732,3 @@ class _FlowEngine:
                 if k < dc.size:
                     events.append(int(dc[k]))
         return min(events, default=None)
-
-    def _outcomes(self, max_cycles: int) -> List[FlowOutcome]:
-        outs = []
-        for j in range(self.K):
-            pids = np.flatnonzero(self.run_of == j)
-            stalled = (
-                int(self.totals[j])
-                - int(self.delivered_r[j])
-                - int(self.dropped_r[j])
-            )
-            if self.deadlocked_r[j] or stalled == 0:
-                cycles = max(int(self.last_busy_r[j]) + 1, 1)
-            else:
-                cycles = max(max_cycles, 1)
-            outs.append(FlowOutcome(
-                cycles=cycles,
-                delivered_at=self.delivered_at[pids],
-                max_queue=int(self.maxq_r[j]),
-                dropped_in_flight=int(self.dropped_r[j]),
-                stalled=stalled,
-                deadlocked=bool(self.deadlocked_r[j]),
-            ))
-        return outs

@@ -248,8 +248,9 @@ def _flow_result(
     all_tenants: Optional[Sequence[int]] = None,
     pid_tenants: Optional[Sequence[int]] = None,
 ) -> SimResult:
-    """Assemble a :class:`SimResult` from a flow-engine outcome (shared
-    by both engines so the aggregation itself cannot diverge).
+    """Assemble a :class:`SimResult` from an engine's raw outcome (shared
+    by every engine -- both reference loops and the kernel -- so the
+    aggregation itself cannot diverge).
 
     ``all_tenants`` tags every offered packet and ``pid_tenants`` the
     routed packets in pid order; when supplied, the per-tenant stats ride
@@ -518,15 +519,28 @@ class ReferenceSimulator:
             outcome = reference_flow_run(
                 self.topo, flow, routes, inject, nf, link_dead, max_cycles
             )
-            return _flow_result(
-                outcome,
-                np.asarray(inject, dtype=np.int64),
-                np.asarray([len(r) - 1 for r in routes], dtype=np.int64),
-                np.asarray(mis_of, dtype=np.int64),
-                dropped,
-                all_tenants=tenants,
-                pid_tenants=pid_tenants if tenants is not None else None,
-            )
+        else:
+            outcome = self._sf_run(routes, inject, link_dead, max_cycles)
+        return _flow_result(
+            outcome,
+            np.asarray(inject, dtype=np.int64),
+            np.asarray([len(r) - 1 for r in routes], dtype=np.int64),
+            np.asarray(mis_of, dtype=np.int64),
+            dropped,
+            all_tenants=tenants,
+            pid_tenants=pid_tenants if tenants is not None else None,
+        )
+
+    @staticmethod
+    def _sf_run(
+        routes: List[List[int]],
+        inject: List[int],
+        link_dead: Dict[Tuple[int, int], int],
+        max_cycles: int,
+    ) -> FlowOutcome:
+        """The store-and-forward cycle loop: the per-packet executable
+        spec of the sf engines, ending in the same raw outcome as
+        :func:`~repro.network.flowcontrol.reference_flow_run`."""
         num = len(routes)
         delivered_at = [-1] * num
         hop = [0] * num
@@ -574,31 +588,13 @@ class ReferenceSimulator:
                 else:
                     queues.setdefault((route[at], route[at + 1]), deque()).append(pid)
             cycle += 1
-        latencies: List[int] = []
-        hops: List[int] = []
-        misroutes = 0
-        for pid in range(num):
-            if delivered_at[pid] >= 0:
-                latencies.append(delivered_at[pid] - inject[pid])
-                hops.append(hop[pid])
-                misroutes += mis_of[pid]
-        tstats: Tuple[TenantStats, ...] = ()
-        if tenants is not None:
-            tstats = tenant_stats_of(
-                tenants, pid_tenants,
-                [delivered_at[pid] >= 0 for pid in range(num)], latencies,
-            )
-        return SimResult(
+        return FlowOutcome(
             cycles=max(cycle, 1),
-            injected=num + dropped,
-            delivered=num - remaining,
-            latencies=tuple(latencies),
+            delivered_at=np.asarray(delivered_at, dtype=np.int64),
             max_queue=max_queue,
-            dropped=dropped + dropped_in_flight,
-            misroutes=misroutes,
-            hops=tuple(hops),
+            dropped_in_flight=dropped_in_flight,
             stalled=remaining - dropped_in_flight,
-            tenant_stats=tstats,
+            deadlocked=False,
         )
 
 

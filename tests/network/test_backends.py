@@ -18,11 +18,13 @@ re-arms the cached selection verdict around each one.
 import logging
 import shlex
 import subprocess
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.network import backends
+from repro.network import backends, kernel, simulator
 from repro.network.backends import (
     Backend,
     BackendUnavailableError,
@@ -117,6 +119,59 @@ class TestRegistry:
 
 def _run(topo, backend, traffic, **kwargs):
     return VectorizedSimulator(topo, backend=backend).run(traffic, **kwargs)
+
+
+def _kernel_runs(monkeypatch, topo, items):
+    """The ``KernelRun``s one batch hands the kernel, captured on their
+    way into ``run_fused``."""
+    captured = []
+    fused = simulator.run_fused
+
+    def capture(topo, runs, *args, **kwargs):
+        captured.extend(runs)
+        return fused(topo, runs, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_fused", capture)
+    BatchedSimulator(topo, backend="numpy").run_batch(items)
+    return captured
+
+
+class TestBatchLayout:
+    def test_runs_sharing_a_route_table_share_one_channel_sequence(
+        self, monkeypatch
+    ):
+        """Runs on one route table hold one copy of its channel sequence
+        per VC count: three sf runs share one link sequence (the one-VC
+        channels), and three wormhole runs -- two with 2 VCs, one with
+        3 -- share two channel sequences."""
+        topo = parse_topology("11:5")
+        router = BfsRouter()
+        items = [
+            BatchItem(traffic=uniform_traffic(topo, 60, 10, seed=s), router=router)
+            for s in range(3)
+        ] + [
+            BatchItem(
+                traffic=uniform_traffic(topo, 60, 10, seed=s),
+                router=router,
+                switching=FlowControl("wormhole", num_vcs=vcs),
+                flits=2,
+            )
+            for s, vcs in ((3, 2), (4, 2), (5, 3))
+        ]
+        runs = _kernel_runs(monkeypatch, topo, items)
+        first = runs[0]
+        assert all(r.link_seq is first.link_seq for r in runs)
+
+        sf = kernel._SfEngine(topo, runs[:3])
+        assert np.array_equal(sf.ext_seq, first.link_seq)
+        flow = kernel._FlowEngine(topo, runs[3:])
+        per_vcs = [
+            kernel._ext_channels(
+                topo, first.link_seq, first.link_offsets, first.link_codes, vcs
+            )
+            for vcs in (2, 3)
+        ]
+        assert np.array_equal(flow.ext_seq, np.concatenate(per_vcs))
 
 
 @needs_native
@@ -251,6 +306,44 @@ class TestNativeBitIdentity:
         b = BatchedSimulator(topo, backend="native").run_batch(items, 25)
         assert a == b
         assert all(r.stalled > 0 and r.cycles == 25 for r in b)
+
+
+class TestCheckedBoundary:
+    """Every array crosses into C through one check -- dtype,
+    C-contiguity and the exact length the C side indexes -- so a
+    mismatch raises, naming the array, and the kernel is never called
+    (a short ``qlen`` would let the sf kernel write past its end)."""
+
+    @pytest.mark.parametrize("switching, name, corrupt", [
+        ("sf", "qlen", lambda a: a[:2]),
+        ("sf", "inject", lambda a: a.astype(np.int32)),
+        ("sf", "delivered_at", lambda a: np.repeat(a, 2)[::2]),
+        ("wormhole", "holder", lambda a: a[:-1]),
+        ("wormhole", "active", lambda a: a.astype(np.int64)),
+        ("wormhole", "srcf", lambda a: a.astype(np.int32)),
+    ], ids=["sf-short", "sf-int32", "sf-strided", "flow-short", "flow-int64-flag",
+            "flow-int32"])
+    def test_bad_array_raises_before_the_call(
+        self, monkeypatch, switching, name, corrupt
+    ):
+        topo = parse_topology("Q:5")
+        items = [BatchItem(
+            traffic=uniform_traffic(topo, 500, 20, seed=1),
+            switching=switching, flits=1 if switching == "sf" else 2,
+        )]
+        runs = _kernel_runs(monkeypatch, topo, items)
+        calls = []
+        lib = SimpleNamespace(
+            repro_sf_run=lambda *args: calls.append(args),
+            repro_flow_run=lambda *args: calls.append(args),
+        )
+        engine_cls = (native_mod._NativeSfEngine if switching == "sf"
+                      else native_mod._NativeFlowEngine)
+        engine = engine_cls(topo, runs, lib)
+        setattr(engine, name, corrupt(getattr(engine, name)))
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            engine.run(100000)
+        assert calls == []
 
 
 @needs_native
