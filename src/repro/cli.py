@@ -141,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_swp.add_argument(
         "--batch", type=int, default=1,
-        help="co-batch up to N compatible points (open-loop pattern "
-             "points sharing a topology, any switching mode) per "
+        help="co-batch up to N compatible points (points sharing a "
+             "topology, any switching mode, collectives included) per "
              "lock-step simulator run; results are bit-identical, the "
              "grid just finishes faster (default: %(default)s = "
              "unbatched)",

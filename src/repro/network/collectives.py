@@ -47,14 +47,16 @@ Compilation (:func:`run_collective`)
 Rounds are separated by barriers: all messages of round ``r`` are
 injected at one cycle, and round ``r + 1`` is injected at the cycle the
 engine reports round ``r`` complete.  The barrier cycles are
-*discovered by simulation* (each round probed at its absolute barrier
-cycle -- exact, because the network is drained at every barrier), so
-they are correct under contention, multi-flit serialisation and faults
--- and because both engines are bit-identical, compiling against either
-yields the same traffic and the same :class:`CollectiveResult`.  A
-round that deadlocks or stalls at ``max_cycles`` stops injecting
-further rounds and the final engine pass reports the wedged state
-instead of hanging.
+*discovered by simulation*, so they are correct under contention,
+multi-flit serialisation and faults.  The network drains at every
+barrier, so each round is simulated once, alone at its barrier cycle,
+and the rounds' results add up to one run over the full traffic.  One
+lock-step loop compiles every collective, round ``r`` of all of them
+as one ``run_batch`` call (so a sweep pack's collectives advance
+together), on either engine; being bit-identical, both yield the same
+traffic and :class:`CollectiveResult`.  A round that deadlocks or
+stalls at ``max_cycles`` ends its collective: later rounds are never
+injected and the wedged state is reported instead of hanging.
 
 Every schedule is checked by :func:`verify_collective_schedule` (valid
 nodes, single-port feasibility per round, tree/ring messages on real
@@ -74,9 +76,12 @@ from repro.network.flowcontrol import FlowControl
 from repro.network.hamilton import find_hamiltonian_path
 from repro.network.routing import BfsRouter
 from repro.network.simulator import (
+    BatchItem,
     ReferenceSimulator,
     SimResult,
     VectorizedSimulator,
+    _build_table,
+    _validate_max_cycles,
 )
 from repro.network.topology import Topology
 from repro.network.traffic import flit_sizes
@@ -328,20 +333,13 @@ def schedule_link_loads(
     for rnd in schedule:
         for pair in rnd:
             counts[pair] = counts.get(pair, 0) + 1
-    route_of: Dict[Tuple[int, int], Optional[List[int]]] = {}
-    if hasattr(router, "build_table"):
-        # batched resolution: one BFS per destination, not one per pair
-        table = router.build_table(topo, list(counts))
-        for pair, row in table.pair_row.items():
-            route_of[pair] = None if row < 0 else table.route_nodes(row).tolist()
-    else:
-        for pair in counts:
-            route_of[pair] = router.route(topo, *pair)
+    table = _build_table(topo, router, list(counts))
     loads: Dict[Tuple[int, int], int] = {}
     for pair, mult in counts.items():
-        path = route_of[pair]
-        if path is None:
+        row = table.pair_row[pair]
+        if row < 0:
             continue
+        path = table.route_nodes(row).tolist()
         for a, b in zip(path, path[1:]):
             loads[(a, b)] = loads.get((a, b), 0) + mult
     return loads
@@ -355,9 +353,9 @@ class CollectiveResult:
     single-port lower bound ``ceil(log2 n)``; ``round_starts`` holds the
     injection (barrier) cycle of every round actually injected -- fewer
     than ``rounds`` only when the run deadlocked or hit ``max_cycles``
-    mid-collective.  ``result`` is the engine's :class:`SimResult` over
-    the full compiled ``traffic`` (completion time = ``result.cycles``),
-    and ``max_link_load`` / ``avg_link_load`` condense
+    mid-collective.  ``result`` sums the round runs, and equals one
+    engine run over the full compiled ``traffic`` (completion time =
+    ``result.cycles``); ``max_link_load`` / ``avg_link_load`` condense
     :func:`schedule_link_loads` over the links the schedule actually
     uses.
     """
@@ -410,8 +408,9 @@ def run_collective(
     The schedule's rounds are injected one barrier at a time: round
     ``r + 1`` enters at the cycle the engine reports round ``r``
     complete, so no message is offered before every message it depends
-    on has been delivered; the returned ``result`` is one engine pass
-    over the full compiled traffic.  ``engine`` is ``"vectorized"`` /
+    on has been delivered.  Each round is simulated once, and the
+    returned ``result`` is their sum: what one engine pass over the
+    full compiled traffic reports.  ``engine`` is ``"vectorized"`` /
     ``"reference"`` (or a simulator class); since the engines are
     bit-identical, both compile the same barriers and return the same
     result -- the collectives equivalence tests assert exactly that.
@@ -432,47 +431,10 @@ def run_collective(
             ) from None
     else:
         engine_cls = engine
-    schedule = collective_schedule(name, topo, root=root)
-    if not verify_collective_schedule(topo, name, schedule, root=root):
-        raise RuntimeError(
-            f"collective {name!r} produced an invalid schedule on {topo.name} (bug)"
-        )
     sim = engine_cls(topo, router)
-    total = sum(len(rnd) for rnd in schedule)
-    sizes = flit_sizes(total, flits, seed=flit_seed)
-    traffic: List[Tuple[int, int, int]] = []
-    starts: List[int] = []
-    cycle = 0
-    # each round is probed in isolation: the network is provably drained
-    # at every barrier (the next round injects only after every earlier
-    # message was delivered or dropped), so a round injected alone at
-    # its absolute barrier cycle behaves exactly as it does inside the
-    # full run -- O(rounds) engine work instead of re-simulating the
-    # growing prefix every round.  A round that stalls (deadlock, or
-    # undelivered work at the max_cycles cap) ends the compilation;
-    # completing *exactly at* the cap is a completion, not a wedge.
-    for rnd in schedule:
-        starts.append(cycle)
-        chunk = [(cycle, u, v) for u, v in rnd]
-        chunk_sizes = sizes[len(traffic): len(traffic) + len(chunk)]
-        traffic.extend(chunk)
-        probe = sim.run(
-            chunk,
-            max_cycles=max_cycles,
-            faults=faults,
-            switching=switching,
-            flits=chunk_sizes,
-        )
-        if probe.deadlocked or probe.stalled:
-            break
-        # max() guards the all-dropped round, whose run reports cycles=1
-        cycle = max(cycle, probe.cycles)
-    result = sim.run(
-        traffic,
-        max_cycles=max_cycles,
-        faults=faults,
-        switching=switching,
-        flits=sizes[: len(traffic)],
+    job = (name, root, sim.router, switching, flits, flit_seed, faults)
+    [(schedule, starts, traffic, result)] = _run_collectives(
+        sim, [job], max_cycles
     )
     loads = schedule_link_loads(topo, schedule, router=sim.router)
     return CollectiveResult(
@@ -481,9 +443,75 @@ def run_collective(
         root=root,
         rounds=len(schedule),
         round_bound=round_lower_bound(topo),
-        round_starts=tuple(starts),
-        traffic=tuple(traffic),
+        round_starts=starts,
+        traffic=traffic,
         result=result,
         max_link_load=max(loads.values()) if loads else 0,
         avg_link_load=(sum(loads.values()) / len(loads)) if loads else 0.0,
     )
+
+
+def _merge_rounds(runs: List[SimResult]) -> SimResult:
+    """One run's result from its rounds' runs, which never overlap:
+    counts add up, ``cycles`` and ``max_queue`` are the maxima (``1``
+    and ``0``, an empty run's, without rounds), per-packet tuples join
+    in round (= pid) order, and a deadlocked round deadlocks the run."""
+    return SimResult(
+        cycles=max((r.cycles for r in runs), default=1),
+        injected=sum(r.injected for r in runs),
+        delivered=sum(r.delivered for r in runs),
+        latencies=tuple(x for r in runs for x in r.latencies),
+        max_queue=max((r.max_queue for r in runs), default=0),
+        dropped=sum(r.dropped for r in runs),
+        misroutes=sum(r.misroutes for r in runs),
+        hops=tuple(x for r in runs for x in r.hops),
+        stalled=sum(r.stalled for r in runs),
+        deadlocked=any(r.deadlocked for r in runs),
+    )
+
+
+def _run_collectives(sim, jobs, max_cycles: int) -> List[tuple]:
+    """The one compilation loop: run collectives on ``sim``'s topology
+    in lock step, round ``r`` of every collective still running as one
+    ``sim.run_batch`` call.  A job is ``(name, root, router, switching,
+    flits, flit_seed, faults)``, ``router`` resolved; each gives back
+    ``(schedule, round_starts, traffic, result)``.  A round starts at
+    ``max(start, cycles)`` of the last (an all-dropped round reports
+    ``cycles=1``); one that deadlocks or stalls ends its collective,
+    and finishing exactly at the cap completes it."""
+    topo, max_cycles = sim.topo, _validate_max_cycles(max_cycles)
+    schedules, sizes = [], []
+    for name, root, _, _, flits, flit_seed, _ in jobs:
+        schedule = collective_schedule(name, topo, root=root)
+        if not verify_collective_schedule(topo, name, schedule, root=root):
+            raise RuntimeError(
+                f"collective {name!r} produced an invalid schedule on {topo.name} (bug)"
+            )
+        schedules.append(schedule)
+        total = sum(len(rnd) for rnd in schedule)
+        sizes.append(flit_sizes(total, flits, seed=flit_seed))
+    # per job: each injected round's barrier cycle, messages and run
+    starts, traffic, runs = ([[] for _ in jobs] for _ in range(3))
+    live = [j for j, schedule in enumerate(schedules) if schedule]
+    r = 0
+    while live:
+        items = []
+        for j in live:
+            cycle = max(starts[j][-1], runs[j][-1].cycles) if r else 0
+            chunk = [(cycle, u, v) for u, v in schedules[j][r]]
+            at = len(traffic[j])
+            starts[j].append(cycle)
+            traffic[j].extend(chunk)
+            _, _, router, switching, _, _, faults = jobs[j]
+            items.append(BatchItem(
+                chunk, router, faults, switching, sizes[j][at:at + len(chunk)]
+            ))
+        for j, out in zip(live, sim.run_batch(items, max_cycles=max_cycles)):
+            runs[j].append(out)
+        r += 1
+        live = [j for j in live if r < len(schedules[j])
+                and not (runs[j][-1].deadlocked or runs[j][-1].stalled)]
+    return [
+        (schedule, tuple(s), tuple(t), _merge_rounds(rs))
+        for schedule, s, t, rs in zip(schedules, starts, traffic, runs)
+    ]

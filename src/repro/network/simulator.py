@@ -435,7 +435,7 @@ def _prepare_faulted(
 
 
 class ReferenceSimulator:
-    """Store-and-forward simulator: the per-packet executable spec.
+    """The per-packet executable spec, in all three switching modes.
 
     Parameters
     ----------
@@ -449,6 +449,19 @@ class ReferenceSimulator:
     def __init__(self, topo: Topology, router=None):
         self.topo = topo
         self.router = router if router is not None else BfsRouter()
+
+    def run_batch(
+        self, items: Sequence[BatchItem], max_cycles: int = 100000
+    ) -> List[SimResult]:
+        """Each item through :meth:`run` on its own router (``None``: this
+        simulator's), as :meth:`VectorizedSimulator.run_batch` takes them."""
+        return [
+            (self if it.router is None else ReferenceSimulator(self.topo, it.router)).run(
+                it.traffic, max_cycles, faults=it.faults, switching=it.switching,
+                flits=it.flits, tenants=it.tenants,
+            )
+            for it in items
+        ]
 
     def run(
         self,

@@ -10,13 +10,13 @@ topology.  This module runs those grids at scale:
   so grids parallelise across the cores of a process pool;
 - every point runs through one path, :func:`run_batch_points`; the
   ``batch`` knob only sets how wide :func:`_pack` cuts its tasks.
-  ``batch > 1`` packs open-loop points sharing a topology and cycle cap,
-  every switching mode included, into
+  ``batch > 1`` packs points sharing a topology and cycle cap, every
+  switching mode and collective points included, into
   :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` runs,
-  so K replications advance in *one* fused-kernel call and share
-  one route-table build; an executor distributes whole tasks.  Records
-  are bit-identical whatever the packing; collective points are
-  closed-loop and always run alone;
+  so K replications advance in *one* fused-kernel call (a pack's
+  collectives in one call per round) and share one route-table build;
+  an executor distributes whole tasks.  Records are bit-identical
+  whatever the packing;
 - every grid runs through one cache-first loop, :func:`stream_sweep`:
   cache hits first, then each task's records as it completes, stored
   before they are yielded.  :func:`run_sweep` drains it and the sweep
@@ -37,9 +37,9 @@ topology.  This module runs those grids at scale:
   ``deadlocked`` columns carrying the deadlock story;
 - the ``collectives`` axis runs the *closed-loop* collective workloads
   of :mod:`repro.network.collectives`: a collective point compiles its
-  schedule with true per-round barriers (:func:`run_collective`, root
-  selected by the seed) instead of generating open-loop pattern
-  traffic, and carries ``rounds`` / ``round_bound`` columns; its
+  schedule with true per-round barriers (as :func:`run_collective`
+  does, the seed selecting the root) instead of generating open-loop
+  pattern traffic, and carries ``rounds`` / ``round_bound`` columns; its
   ``pattern`` and ``load`` are normalised (``"-"`` / ``1.0``) so the
   grid never duplicates collective points across those axes.
 
@@ -68,7 +68,7 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.analytic.bounds import analytic_saturation_bound
-from repro.network.collectives import COLLECTIVES, run_collective
+from repro.network.collectives import COLLECTIVES, _run_collectives, round_lower_bound
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import SWITCHING_MODES, FlowControl
 from repro.network.routing import (
@@ -181,7 +181,8 @@ class PointSpec:
     single-flit packets) so duplicate grid points collapse.
 
     A non-empty ``collective`` turns the point into a closed-loop
-    collective run (:func:`run_collective`, the seed picking the root);
+    collective run (as :func:`run_collective`, the seed picking the root
+    and the flit sizes, packed with the other points of its topology);
     ``pattern``/``load``/``inject_window`` are then ignored (and
     normalised to ``"-"``/``1.0`` by :func:`run_sweep` so the grid does
     not replicate the point along those axes).
@@ -374,7 +375,6 @@ def _condense(
     plan: Optional[FaultPlan],
     result,
     rounds: int = 0,
-    round_bound: int = 0,
     tenant_names: Sequence[str] = (),
 ) -> SweepRecord:
     """Flatten one simulation outcome into a :class:`SweepRecord` (the
@@ -416,7 +416,7 @@ def _condense(
         buffer_depth=spec.buffer_depth if pipelined else 0,
         flits=spec.flits if pipelined else "1",
         rounds=rounds,
-        round_bound=round_bound,
+        round_bound=round_lower_bound(topo) if spec.collective else 0,
         nodes=topo.num_nodes,
         injected=result.injected,
         delivered=result.delivered,
@@ -446,37 +446,17 @@ def run_point(
 
     Pattern points generate ``load``-normalised open-loop traffic;
     collective points (``spec.collective`` non-empty) compile and run
-    the closed-loop barriered collective instead, the seed choosing the
-    root; workload points (``spec.workload`` non-empty) compile the
-    multi-tenant overlay -- or replay the trace resolved through
-    ``traces`` -- and carry per-tenant stats in the record.  ``backend``
+    the closed-loop barriered collective instead, round by round, the
+    seed choosing the root; workload points (``spec.workload``
+    non-empty) compile the multi-tenant overlay -- or replay the trace
+    resolved through ``traces`` -- and carry per-tenant stats in the
+    record.  ``backend``
     selects the kernel implementation
     (:mod:`repro.network.backends`); it is deliberately *not* part of
     the spec -- records are bit-identical across backends, so the point
     and its cache key describe the simulation, not the machinery.
     """
     return run_batch_points([spec], backend=backend, traces=traces)[0]
-
-
-def _run_collective(spec: PointSpec, backend=None) -> SweepRecord:
-    """A collective point, run alone: its barriers re-plan traffic
-    between rounds, so it never co-batches."""
-    topo = parse_topology(spec.topology)
-    router = _resolve_router(spec.router)()
-    plan = _point_plan(spec, topo)
-    if spec.collective not in COLLECTIVES:
-        raise ValueError(
-            f"unknown collective {spec.collective!r}; "
-            f"choose from {sorted(COLLECTIVES)}"
-        )
-    coll = run_collective(
-        topo, spec.collective, root=spec.seed % topo.num_nodes,
-        router=router, engine=partial(VectorizedSimulator, backend=backend),
-        switching=_point_flow(spec),
-        flits=spec.flits if spec.switching != "sf" else 1,
-        flit_seed=spec.seed, faults=plan, max_cycles=spec.max_cycles,
-    )
-    return _condense(spec, topo, plan, coll.result, coll.rounds, coll.round_bound)
 
 
 def normalize_spec(spec: PointSpec) -> PointSpec:
@@ -522,17 +502,18 @@ def run_batch_points(
     backend=None,
     traces: Optional[Mapping[str, Trace]] = None,
 ) -> List[SweepRecord]:
-    """Run a group of grid points, co-batching the open-loop ones.
+    """Run a group of grid points, co-batching those that share a
+    topology and cycle cap on one simulator.
 
-    Pattern and workload points sharing a topology and cycle cap are
-    packed into one lock-step
+    The group's pattern and workload points run as one lock-step
     :meth:`~repro.network.simulator.VectorizedSimulator.run_batch` --
     one router instance per router name, so replications also share
     route tables; switching modes mix freely within a pack, and
     workload points' per-packet tenant ids ride on the
-    :class:`~repro.network.batch.BatchItem`.  Closed-loop collective
-    points run alone.  Records come back in ``specs`` order and are
-    bit-identical whatever the grouping.
+    :class:`~repro.network.simulator.BatchItem`.  Its collective points
+    advance in lock step, one ``run_batch`` per round (see
+    :mod:`repro.network.collectives`).  Records come back in ``specs``
+    order and are bit-identical whatever the grouping.
 
     This is the one point-execution path: :func:`run_point` is a
     one-spec call, and :func:`stream_sweep` runs the tasks :func:`_pack`
@@ -542,41 +523,42 @@ def run_batch_points(
     records: List[Optional[SweepRecord]] = [None] * len(specs)
     groups: Dict[Tuple[str, int], List[int]] = {}
     for i, spec in enumerate(specs):
-        if spec.collective:
-            records[i] = _run_collective(spec, backend)
-        else:
-            groups.setdefault((spec.topology, spec.max_cycles), []).append(i)
+        groups.setdefault((spec.topology, spec.max_cycles), []).append(i)
     for (tspec, max_cycles), members in groups.items():
         topo = parse_topology(tspec)
+        sim = VectorizedSimulator(topo, backend=backend)
         routers: Dict[str, object] = {}
-        items: List[BatchItem] = []
-        plans: List[Optional[FaultPlan]] = []
-        names_of: List[Sequence[str]] = []
+        open_loop, items, closed, jobs = [], [], [], []
         for i in members:
             spec = specs[i]
             router = routers.setdefault(
                 spec.router, _resolve_router(spec.router)()
             )
             plan = _point_plan(spec, topo)
+            if spec.collective:
+                closed.append((i, plan))
+                jobs.append((
+                    spec.collective, spec.seed % topo.num_nodes, router,
+                    _point_flow(spec),
+                    spec.flits if spec.switching != "sf" else 1, spec.seed,
+                    plan,
+                ))
+                continue
             traffic, tenants, tenant_names = _point_packets(
                 spec, topo, plan, traces
             )
+            open_loop.append((i, plan, tenant_names))
             items.append(BatchItem(
                 traffic=traffic, router=router, faults=plan,
                 switching=_point_flow(spec),
                 flits=_point_flits(spec, len(traffic)), tenants=tenants,
             ))
-            plans.append(plan)
-            names_of.append(tenant_names)
-        outcomes = VectorizedSimulator(topo, backend=backend).run_batch(
-            items, max_cycles=max_cycles
-        )
-        for i, plan, result, tenant_names in zip(
-            members, plans, outcomes, names_of
-        ):
-            records[i] = _condense(
-                specs[i], topo, plan, result, tenant_names=tenant_names
-            )
+        outcomes = sim.run_batch(items, max_cycles=max_cycles) if items else []
+        for (i, plan, names), result in zip(open_loop, outcomes):
+            records[i] = _condense(specs[i], topo, plan, result, tenant_names=names)
+        colls = _run_collectives(sim, jobs, max_cycles)
+        for (i, plan), (schedule, _, _, result) in zip(closed, colls):
+            records[i] = _condense(specs[i], topo, plan, result, len(schedule))
     return records  # type: ignore[return-value]
 
 
@@ -673,15 +655,14 @@ def expand_grid(
 
 
 def _pack(specs: Sequence[PointSpec], batch: int) -> List[List[int]]:
-    """Cut spec indices into :func:`run_batch_points` tasks: open-loop
-    points sharing a (topology, cycle cap) pack together, in grid order,
-    up to ``batch`` wide; every collective point is a task of its own.
-    Only :func:`stream_sweep` calls it, so :func:`run_sweep` and the
-    sweep service pack alike."""
-    groups: Dict[object, List[int]] = {}
+    """Cut spec indices into :func:`run_batch_points` tasks: points
+    sharing a (topology, cycle cap), collective points included, pack
+    together in grid order, up to ``batch`` wide.  Only
+    :func:`stream_sweep` calls it, so :func:`run_sweep` and the sweep
+    service pack alike."""
+    groups: Dict[Tuple[str, int], List[int]] = {}
     for i, s in enumerate(specs):
-        key = i if s.collective else (s.topology, s.max_cycles)
-        groups.setdefault(key, []).append(i)
+        groups.setdefault((s.topology, s.max_cycles), []).append(i)
     return [
         members[j:j + batch]
         for members in groups.values()
@@ -782,8 +763,8 @@ def run_sweep(
     point's pattern/load axes are normalised away, so one collective
     entry contributes exactly one point per (topology, router, faults,
     flow, seed) cell.  ``batch > 1`` packs up to that many compatible
-    points (open-loop points sharing topology and cycle cap, any mix of
-    switching modes) into each lock-step run (see :func:`_pack`) --
+    points (sharing topology and cycle cap, any mix of switching modes
+    and collectives) into each lock-step run (see :func:`_pack`) --
     records stay bit-identical, only the wall-clock changes.
     ``processes > 1`` runs the packed tasks on a process pool; specs are
     validated eagerly via :func:`expand_grid` (unknown names, impossible

@@ -33,6 +33,7 @@ from repro.network.routing import (
 from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
 from repro.network.topology import faulted_topology, topology_of
 from repro.network.traffic import flit_sizes, make_traffic
+from repro.network.workloads import compile_workload
 
 
 def _topologies():
@@ -169,16 +170,6 @@ def _mixed_items(topo):
     ]
 
 
-def _reference(topo, items, max_cycles):
-    return [
-        ReferenceSimulator(topo, it.router).run(
-            it.traffic, max_cycles=max_cycles, faults=it.faults,
-            switching=it.switching, flits=it.flits,
-        )
-        for it in items
-    ]
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("cap", MIXED_CAPS)
 def test_mixed_switching_modes_in_one_batch(cap, backend):
@@ -188,7 +179,7 @@ def test_mixed_switching_modes_in_one_batch(cap, backend):
     topo = topology_of(("101", 4))
     items = _mixed_items(topo)
     got = BatchedSimulator(topo, backend=backend).run_batch(items, max_cycles=cap)
-    assert got == _reference(topo, items, cap)
+    assert got == ReferenceSimulator(topo).run_batch(items, max_cycles=cap)
     assert got[-1].injected == got[-1].dropped == 4
     assert all(r.injected == 0 and r.cycles == 1 for r in got[3:6])
 
@@ -200,12 +191,33 @@ def test_mixed_caps_cut_the_flow_runs_while_the_sf_run_finishes():
     items = _mixed_items(topo)
 
     def splits(cap):
-        sf, wormhole, vct = _reference(topo, items[:3], cap)
+        sf, wormhole, vct = ReferenceSimulator(topo).run_batch(items[:3], cap)
         return sf.stalled == 0 and sf.cycles < cap and all(
             r.stalled > 0 and r.cycles == cap for r in (wormhole, vct)
         )
 
     assert any(splits(cap) for cap in MIXED_CAPS)
+
+
+def test_reference_run_batch_is_each_item_through_run():
+    """ReferenceSimulator.run_batch runs every item alone on the oracle:
+    an item without a router takes the simulator's, a tenants item gets
+    its per-tenant stats, and the vectorized batch agrees bit for bit."""
+    topo = TOPOLOGIES["fibonacci"]
+    ecube = DimensionOrderRouter()
+    work = compile_workload("bg:uniform:0.3;fg:hotspot:0.2:1", topo, 8, seed=3)
+    items = [
+        BatchItem(make_traffic("uniform", topo, 50, 6, seed=1)),
+        BatchItem(work.traffic, router=BfsRouter(), tenants=work.tenants),
+    ]
+    got = ReferenceSimulator(topo, ecube).run_batch(items, max_cycles=40)
+    assert got == [
+        ReferenceSimulator(topo, ecube).run(items[0].traffic, 40),
+        ReferenceSimulator(topo).run(work.traffic, 40, tenants=work.tenants),
+    ]
+    assert got == VectorizedSimulator(topo, ecube).run_batch(items, 40)
+    assert got[0] != ReferenceSimulator(topo).run(items[0].traffic, 40)
+    assert len(got[1].tenant_stats) == 2
 
 
 @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))

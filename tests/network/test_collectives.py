@@ -238,11 +238,12 @@ class TestBarriers:
     def test_compiled_traffic_replays_to_the_same_result(
         self, name, switching, flow, flits
     ):
-        """The barriers are discovered by probing each round in isolation
-        (the network is drained at every barrier), so replaying the full
-        compiled traffic in one engine run must reproduce the reported
-        SimResult exactly -- the probe scheme's correctness proof, run
-        for every collective in both switching modes."""
+        """Each round is simulated once, alone at its barrier (the
+        network is drained at every barrier), and the round runs are
+        summed, so replaying the full compiled traffic in one engine run
+        must reproduce the reported SimResult exactly -- the merge's
+        correctness proof, run for every collective in both switching
+        modes."""
         topo = TOPOLOGIES["fibonacci"]
         res = run_collective(topo, name, root=4, switching=flow, flits=flits)
         sizes = flit_sizes(len(res.traffic), flits, seed=0)

@@ -8,7 +8,10 @@ asserts the reference and vectorized engines produce bit-identical
 ``SimResult``s on every sampled case.  A backend pass replays the same
 sampled space through the NumPy and native kernel backends (skipped
 where no C toolchain exists).  A companion pass fuzzes the
-closed-loop collective compiler the same way, a workload pass samples
+closed-loop collective compiler the same way (and replays its compiled
+traffic in one run), a lock-step pass packs sampled collective sweep
+points by (topology, cycle cap) and checks each pack against the
+points run alone, a workload pass samples
 random multi-tenant overlays (tenant mixes, priorities, QoS rate caps)
 and requires every engine and backend to agree on the per-tenant stats
 too, and a batch pass stacks a
@@ -42,7 +45,14 @@ from repro.network.collectives import COLLECTIVES, run_collective
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
-from repro.network.sweep import ROUTERS, parse_topology
+from repro.network.sweep import (
+    ROUTERS,
+    PointSpec,
+    normalize_spec,
+    parse_topology,
+    run_batch_points,
+    run_point,
+)
 from repro.network.traffic import PATTERNS, flit_sizes, make_traffic
 from repro.network.workloads import compile_workload
 
@@ -184,7 +194,9 @@ def run_native_case(seed: int) -> "str | None":
 
 
 def run_collective_case(seed: int) -> "str | None":
-    """One closed-loop collective case through both engines."""
+    """One closed-loop collective case through both engines, then the
+    compiled traffic replayed in one vectorized run: the rounds are
+    simulated apart, and their summed result must equal the replay."""
     cfg = sample_case(seed)
     topo = parse_topology(cfg["topology"])
     router = ROUTERS[cfg["router"]]()
@@ -206,7 +218,26 @@ def run_collective_case(seed: int) -> "str | None":
     vec = run_collective(topo, cfg["collective"], engine="vectorized", **kwargs)
     if ref != vec:
         return _describe(seed, cfg, "collective")
+    replay = VectorizedSimulator(topo, router).run(
+        vec.traffic, max_cycles=cfg["max_cycles"], faults=plan, switching=flow,
+        flits=flit_sizes(len(vec.traffic), kwargs["flits"], seed=cfg["flit_seed"]),
+    )
+    if replay != vec.result:
+        return _describe(seed, cfg, "collective-replay")
     return None
+
+
+def collective_point(seed: int) -> PointSpec:
+    """The sweep point of a sampled case, as its collective: the point's
+    seed picks the root and the flit sizes."""
+    cfg = sample_case(seed)
+    return normalize_spec(PointSpec(
+        topology=cfg["topology"], router=cfg["router"], seed=cfg["root"],
+        max_cycles=cfg["max_cycles"], faults=cfg["faults"],
+        switching=cfg["switching"], num_vcs=cfg["num_vcs"],
+        buffer_depth=cfg["buffer_depth"], flits=cfg["flits"],
+        collective=cfg["collective"],
+    ))
 
 
 def sample_workload(rng: random.Random) -> str:
@@ -422,13 +453,7 @@ def run_deadlock_case(seed: int) -> "tuple[str | None, int]":
     cfg = sample_deadlock_case(seed)
     topo = parse_topology(cfg["topology"])
     items = _batch_items(topo, cfg["reps"])
-    results = [[
-        ReferenceSimulator(topo, it.router).run(
-            it.traffic, faults=it.faults, switching=it.switching,
-            flits=it.flits,
-        )
-        for it in items
-    ]]
+    results = [ReferenceSimulator(topo).run_batch(items)]
     backends = ["numpy"]
     if _native.load_library()[0] is not None:
         backends.append("native")
@@ -509,6 +534,29 @@ def test_differential_fuzz_collectives():
             if line
         ]
     )
+
+
+@pytest.mark.heavy
+def test_differential_fuzz_collective_batches():
+    """The lock-step pass: CASES sampled collective points, grouped by
+    (topology, cycle cap) as a sweep pack groups them, each group in one
+    ``run_batch_points`` call -- round r of every collective one kernel
+    batch -- must give the records of every point run alone."""
+    groups: dict = {}
+    for i in range(CASES):
+        spec = collective_point(BASE_SEED + i)
+        groups.setdefault((spec.topology, spec.max_cycles), []).append(
+            (BASE_SEED + i, spec)
+        )
+    failures = []
+    for (topology, cap), members in sorted(groups.items()):
+        specs = [spec for _, spec in members]
+        batched = run_batch_points(specs)
+        for (seed, spec), got in zip(members, batched):
+            if got != run_point(spec):
+                flat = {"topology": topology, "max_cycles": cap, "k": len(specs)}
+                failures.append(_describe(seed, flat, "collective-batch"))
+    _report(failures)
 
 
 @pytest.mark.heavy

@@ -232,7 +232,9 @@ def test_submit_batch_must_be_a_json_integer(served, batch):
 
 def test_mixed_axes_grid_round_trips_the_wire(served):
     """Fault, flow-control and collective columns all survive the wire:
-    records and derived curve keys equal the in-process harness."""
+    records and derived curve keys equal the in-process harness, and a
+    batched submit to a cacheless server -- collective points packed
+    with open-loop ones -- simulates the same records."""
     _, client = served
     grid = dict(
         topologies=["11:4"], patterns=["uniform"], loads=[0.2],
@@ -244,6 +246,9 @@ def test_mixed_axes_grid_round_trips_the_wire(served):
     direct = run_sweep(**grid)
     assert records == direct
     assert sorted(saturation_curves(records)) == sorted(saturation_curves(direct))
+    with running_server(cache=None) as server:
+        batched = SweepClient(port=server.port, timeout=120).submit(grid, batch=8)
+    assert batched == direct
 
 
 def test_two_tenant_grid_round_trips_the_wire_byte_for_byte(served, tmp_path):

@@ -341,25 +341,36 @@ class TestBatchAxis:
             batch=4, **self.GRID
         )
 
-    def test_only_collective_points_run_alone(self):
-        """Every open-loop pattern point batches natively -- sf and
-        wormhole co-batch into one pack -- while every closed-loop
-        collective point is a task of its own."""
+    def test_collective_points_pack_with_open_loop_points(self, monkeypatch):
+        """Collective points join the pack of their (topology, cycle
+        cap): the pack's open-loop points run as one kernel batch, then
+        round r of every collective in it is one more -- 1 + max(rounds)
+        run_batch calls, where running each collective alone took
+        rounds + 1 calls per point."""
+        from repro.network.simulator import VectorizedSimulator
+
         grid = dict(
             topologies=["11:5"], patterns=("uniform",), loads=(0.2, 0.4),
             switching=("sf", "wormhole"), flits=("2",),
             collectives=("", "broadcast"), inject_window=8,
         )
         specs = expand_grid(**grid)
-        tasks = _pack(specs, 8)
-        [open_loop] = [t for t in tasks if not specs[t[0]].collective]
-        # 2 sf + 2 wormhole loads, one pack
-        assert sorted(specs[i].switching for i in open_loop) == (
-            ["sf"] * 2 + ["wormhole"] * 2
+        [task] = _pack(specs, 8)
+        assert sorted(bool(specs[i].collective) for i in task) == (
+            [False] * 4 + [True] * 2
         )
-        alone = [t for t in tasks if specs[t[0]].collective]
-        assert [len(t) for t in alone] == [1, 1]  # one per switching mode
-        assert run_sweep(batch=8, **grid) == run_sweep(**grid)
+        serial = run_sweep(**grid)
+        calls = []
+        real = VectorizedSimulator.run_batch
+
+        def counted(self, items, max_cycles=100000):
+            calls.append(len(items))
+            return real(self, items, max_cycles)
+
+        monkeypatch.setattr(VectorizedSimulator, "run_batch", counted)
+        assert run_sweep(batch=8, **grid) == serial
+        rounds = max(r.rounds for r in serial if r.collective)
+        assert calls == [4] + [2] * rounds
 
     def test_batched_faulted_grid_matches(self):
         grid = dict(

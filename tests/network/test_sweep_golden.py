@@ -11,7 +11,11 @@ pin them against fixtures checked in under ``tests/network/golden/``:
 - ``sweep_curve_keys.json`` -- the sorted ``saturation_curves`` keys of
   a mixed grid with the fault, flow-control and collective axes all in
   play, pinning the key normalisation (flow tags, ``"-"`` patterns,
-  ``1.0`` loads for collectives).
+  ``1.0`` loads for collectives);
+- ``sweep_collectives.json`` and ``sweep_collectives_capped.json`` --
+  the byte-exact records of two collective grids, one of them lossy
+  under a node fault and one stalled by a 12-cycle cap, whatever the
+  batch width.
 
 Regenerating a fixture after an *intentional* schema change is a
 one-liner (see each test's docstring); an unintentional diff is a
@@ -23,8 +27,11 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main
-from repro.network.sweep import SweepRecord, run_sweep, saturation_curves
+from repro.network.collectives import COLLECTIVES
+from repro.network.sweep import SweepRecord, run_sweep, saturation_curves, write_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -39,6 +46,21 @@ MIXED_GRID = dict(
     vcs=(2,), buffers=(4,), flits=("1-4",), collectives=("", "broadcast"),
     inject_window=8,
 )
+
+COLLECTIVE_AXES = dict(
+    collectives=tuple(sorted(COLLECTIVES)), switching=("sf", "wormhole"),
+    faults=("", "n2@3"), seeds=(0, 1), inject_window=8,
+)
+COLLECTIVE_GRIDS = {
+    "sweep_collectives.json": dict(
+        COLLECTIVE_AXES, topologies=["Q:4", "11:5"], vcs=(2,), buffers=(4,),
+        flits=("1-4",),
+    ),
+    "sweep_collectives_capped.json": dict(
+        COLLECTIVE_AXES, topologies=["1010:5"], vcs=(1,), buffers=(1,),
+        flits=("2-6",), max_cycles=12,
+    ),
+}
 
 
 def test_cli_csv_matches_golden_bytes(tmp_path):
@@ -109,3 +131,18 @@ def test_json_rows_share_the_csv_schema(tmp_path):
     assert len(data) == 8
     for row in data:
         assert list(row) == names
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("fixture", sorted(COLLECTIVE_GRIDS))
+def test_collective_records_match_golden_bytes(fixture, batch, tmp_path):
+    """Collective records, byte for byte, alone or packed 16 wide.
+    Regenerate after an intentional change with::
+
+        PYTHONPATH=src:tests/network python -c "from test_sweep_golden \\
+            import *; [write_json(run_sweep(**g), 'tests/network/golden/' \\
+            + f) for f, g in COLLECTIVE_GRIDS.items()]"
+    """
+    out = tmp_path / fixture
+    write_json(run_sweep(batch=batch, **COLLECTIVE_GRIDS[fixture]), str(out))
+    assert out.read_bytes() == (GOLDEN / fixture).read_bytes()
