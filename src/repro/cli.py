@@ -77,6 +77,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.network.backends import AUTO, BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="gfc",
         description="Generalized Fibonacci cubes: reproduction toolkit",
@@ -155,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
              "incremental (default: no cache)",
     )
     p_swp.add_argument(
-        "--backend", choices=["auto", "numpy", "native"], default=None,
+        "--backend", choices=[AUTO, *BACKENDS], default=None,
         help="kernel backend for every simulated point (default: "
              "$REPRO_BACKEND or auto); results are bit-identical either "
              "way, 'native' fails loudly when no compiler exists",
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s = every cell alone)",
     )
     p_srv.add_argument(
-        "--backend", choices=["auto", "numpy", "native"], default=None,
+        "--backend", choices=[AUTO, *BACKENDS], default=None,
         help="kernel backend the worker pool simulates with (default: "
              "$REPRO_BACKEND or auto)",
     )
@@ -863,8 +865,8 @@ def _cmd_backends(args) -> int:
         status = "available" if info["available"] else "unavailable"
         print(f"{info['name']:>{width}}  {status:<12} {info['reason']}")
     auto = resolve_backend("auto")
-    _, why = auto.availability()
-    print(f"{'auto':>{width}}  -> {auto.name:<9} {why}")
+    why = next(i["reason"] for i in infos if i["name"] == auto)
+    print(f"{'auto':>{width}}  -> {auto:<9} {why}")
     return 0
 
 

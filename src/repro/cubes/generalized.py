@@ -24,7 +24,6 @@ from typing import Iterator, List, Optional
 import numpy as np
 
 from repro.graphs.core import Graph
-from repro.graphs.median import majority_word
 from repro.words.aho import MultiFactorAutomaton
 from repro.words.automaton import FactorAutomaton
 from repro.words.core import int_to_word, word_to_int
@@ -166,8 +165,16 @@ class GeneralizedFibonacciCube(AvoidingCube):
 
         By Mulder's theorem this is equivalent (for induced connected
         subgraphs) to being a median graph; Proposition 6.4 proves it holds
-        iff ``len(f) == 2``.  Cubic in the number of vertices with a tiny
-        constant (three ANDs and one OR per triple).
+        iff ``len(f) == 2``.  One scan, :meth:`median_violation`.
+        """
+        return self.median_violation() is None
+
+    def median_violation(self):
+        """A triple of words whose majority is missing, or ``None`` if closed.
+
+        Cubic in the number of vertices with a tiny constant: the
+        majority ``(a & b) | (c & (a | b))`` costs one AND and one OR per
+        triple once the pair terms are hoisted out of the inner loop.
         """
         codes = [int(c) for c in self.codes]
         index = self._index
@@ -180,24 +187,7 @@ class GeneralizedFibonacciCube(AvoidingCube):
                 ab_or = a | b
                 for c_pos in range(b_pos + 1, n):
                     c = codes[c_pos]
-                    med = ab | (c & ab_or)
-                    if med not in index:
-                        return False
-        return True
-
-    def median_violation(self):
-        """A triple of words whose majority is missing, or ``None`` if closed."""
-        codes = [int(c) for c in self.codes]
-        index = self._index
-        n = len(codes)
-        for a_pos in range(n):
-            a = codes[a_pos]
-            for b_pos in range(a_pos + 1, n):
-                b = codes[b_pos]
-                for c_pos in range(b_pos + 1, n):
-                    c = codes[c_pos]
-                    med = majority_word(a, b, c)
-                    if med not in index:
+                    if (ab | (c & ab_or)) not in index:
                         return (
                             int_to_word(a, self.d),
                             int_to_word(b, self.d),

@@ -1,4 +1,4 @@
-"""The native backend: both mode engines' cycle loops compiled from
+"""The ``native`` backend: both mode engines' cycle loops compiled from
 ``csrc/advance.c``.
 
 The hot path of every sweep is a cycle loop -- millions of tiny FIFO
@@ -51,13 +51,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.network.backends import Backend
 from repro.network.flowcontrol import FlowOutcome
 from repro.network.kernel import KernelRun, _FlowEngine, _SfEngine
 from repro.network.topology import Topology
 
 __all__ = [
-    "NativeBackend",
     "cached_object_path",
     "load_library",
     "reset",
@@ -260,11 +258,18 @@ class _NativeEngine:
     ``_outcomes`` stay the NumPy class's, and ``run`` becomes one C call
     working in place on the arrays that constructor built.  Every array
     crosses the ctypes boundary through :func:`_checked`, under its NumPy
-    attribute name."""
+    attribute name.  ``lib`` defaults to :func:`load_library`'s."""
 
     def __init__(
-        self, topo: Topology, runs: Sequence[KernelRun], lib: ctypes.CDLL
+        self,
+        topo: Topology,
+        runs: Sequence[KernelRun],
+        lib: Optional[ctypes.CDLL] = None,
     ):
+        if lib is None:
+            lib, reason = load_library()
+            if lib is None:
+                raise RuntimeError(f"native backend unavailable: {reason}")
         super().__init__(topo, runs)
         self._lib = lib
 
@@ -348,24 +353,3 @@ class _NativeFlowEngine(_NativeEngine, _FlowEngine):
             raise RuntimeError("repro_flow_run: scratch array too short")
         return self._outcomes(max_cycles)
 
-
-class NativeBackend(Backend):
-    """Both mode engines in C: one call per engine per batch."""
-
-    name = "native"
-
-    def availability(self) -> Tuple[bool, str]:
-        lib, reason = load_library()
-        return lib is not None, reason
-
-    def _library(self) -> ctypes.CDLL:
-        lib, reason = load_library()
-        if lib is None:
-            raise RuntimeError(f"native backend unavailable: {reason}")
-        return lib
-
-    def sf_engine(self, topo: Topology, runs: Sequence[KernelRun]) -> object:
-        return _NativeSfEngine(topo, runs, self._library())
-
-    def flow_engine(self, topo: Topology, runs: Sequence[KernelRun]) -> object:
-        return _NativeFlowEngine(topo, runs, self._library())

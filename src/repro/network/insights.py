@@ -28,10 +28,12 @@ raw records, each emitting zero or more typed :class:`Insight` findings:
   (``Q_<d>``) and at least one (generalized) Fibonacci cube, compare
   knee loads and peak throughput and declare which family saturates
   later;
-- ``analytic-divergence`` -- a **warning** when a uniform, unfaulted,
-  store-and-forward curve's simulated knee lands *above*
-  :data:`ANALYTIC_KNEE_RATIO` x the topology's analytic saturation
-  bound ``theta*`` (:mod:`repro.analytic.bounds`): the simulator claims
+- ``analytic-divergence`` -- a **warning** for every curve the
+  predict-then-verify cross-check
+  (:func:`~repro.analytic.crosscheck.crosscheck_report`) calls
+  ``divergent``: a uniform, unfaulted, store-and-forward curve whose
+  simulated knee lands above ``KNEE_TOLERANCE`` x the topology's
+  analytic saturation bound ``theta*``.  The simulator then claims
   more cross-bisection bandwidth than the wiring has, so the model and
   the machine disagree.
 
@@ -55,11 +57,9 @@ import re
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analytic.bounds import analytic_saturation_bound
 from repro.network.sweep import CurvePoint, SweepRecord, saturation_curves
 
 __all__ = [
-    "ANALYTIC_KNEE_RATIO",
     "DEGRADATION_DELTA",
     "Insight",
     "KNEE_FACTOR",
@@ -86,11 +86,6 @@ DEGRADATION_DELTA = 0.05
 # Delivery-rate gap between the best and worst tenant of one workload
 # record that counts as QoS starvation.
 STARVATION_DELTA = 0.15
-# Simulated knee loads above this multiple of the analytic saturation
-# bound theta* are flagged as model/simulator divergence (knees are
-# quantized up to the next grid load, hence a band above 1, matching
-# the crosscheck driver's KNEE_TOLERANCE).
-ANALYTIC_KNEE_RATIO = 1.25
 
 SEVERITIES = ("info", "warning", "alert")
 
@@ -428,39 +423,34 @@ def _verdict(curves: Curves, records: Sequence[SweepRecord]) -> List[Insight]:
 def _analytic_divergence(
     curves: Curves, records: Sequence[SweepRecord]
 ) -> List[Insight]:
-    """Predict-then-verify: a uniform-traffic curve whose simulated knee
-    exceeds :data:`ANALYTIC_KNEE_RATIO` x the topology's analytic
-    saturation bound claims bandwidth the bisection does not have."""
+    """Predict-then-verify: one warning per ``divergent`` comparison of
+    :func:`~repro.analytic.crosscheck.crosscheck_report` -- a
+    uniform-traffic curve whose simulated knee claims bandwidth the
+    bisection does not have."""
+    # imported here: the crosscheck module imports knee_of from this one
+    from repro.analytic.crosscheck import crosscheck_report
+
+    report = crosscheck_report(records)
     out: List[Insight] = []
-    for key in curves:
-        topology, _router, pattern, faults, flow, collective = key
-        # the channel-load model assumes uniform open-loop traffic on
-        # the intact store-and-forward network
-        if pattern != "uniform" or faults or flow or collective:
-            continue
-        bound = analytic_saturation_bound(topology)
-        if bound <= 0:
-            continue
-        knee = knee_of(curves[key])
-        if knee is None or knee <= ANALYTIC_KNEE_RATIO * bound:
+    for c in report["comparisons"]:
+        if c["verdict"] != "divergent":
             continue
         out.append(Insight(
             rule="analytic-divergence",
             severity="warning",
-            scope=_scope_of(key),
+            # eligible curves are uniform, unfaulted, sf, non-collective
+            scope=_scope_of((c["topology"], c["router"], "uniform", "", "", "")),
             message=(
-                f"{topology} under uniform traffic shows a simulated "
-                f"saturation knee at load {knee!r}, "
-                f"{knee / bound:.2f}x the analytic bound "
-                f"theta*={bound:.3f} (tolerance "
-                f"{ANALYTIC_KNEE_RATIO}x): the simulator claims more "
+                f"{c['topology']} under uniform traffic shows a simulated "
+                f"saturation knee at load {c['knee_load']!r}, "
+                f"{c['knee_ratio']:.2f}x the analytic bound "
+                f"theta*={c['analytic_bound']:.3f} (tolerance "
+                f"{report['tolerance']}x): the simulator claims more "
                 "cross-bisection bandwidth than the topology has -- "
                 "model or simulator is wrong"
             ),
             data={
-                "analytic_bound": bound,
-                "knee_load": knee,
-                "knee_ratio": knee / bound,
+                key: c[key] for key in ("analytic_bound", "knee_load", "knee_ratio")
             },
         ))
     return out

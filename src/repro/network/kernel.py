@@ -201,26 +201,26 @@ def run_fused(
 
     Runs partition by discipline into at most two mode engines (the
     store-and-forward FIFO engine and the finite-buffer flow-control
-    engine), both supplied by the selected *backend*
-    (:mod:`repro.network.backends`: a name, a backend instance, or
-    ``None`` for ``$REPRO_BACKEND`` / ``auto``).  Each engine's
-    ``run(max_cycles)`` advances its own runs on its own clock -- the sf
-    engine first, then the flow engine -- and the outcomes scatter back
-    into run order.  Runs never interact and idle cycles are no-ops for
-    a run by construction, so each outcome is bit-identical to the run
-    advancing alone -- on every backend.
+    engine), both of the *backend* named (:mod:`repro.network.backends`:
+    ``"numpy"``, ``"native"``, ``"auto"``, or ``None`` for
+    ``$REPRO_BACKEND`` / ``auto``).  Each engine's ``run(max_cycles)``
+    advances its own runs on its own clock -- the sf engine first, then
+    the flow engine -- and the outcomes scatter back into run order.
+    Runs never interact and idle cycles are no-ops for a run by
+    construction, so each outcome is bit-identical to the run advancing
+    alone -- on every backend.
     """
-    from repro.network.backends import resolve_backend
+    from repro.network.backends import engines
 
-    be = resolve_backend(backend)
+    sf_engine, flow_engine = engines(backend)
     for run in runs:
         if run.flow.pipelined:
             _validate_vct(run.flow, run.nf)
     results: List[Optional[FlowOutcome]] = [None] * len(runs)
-    for pipelined, make_engine in ((False, be.sf_engine), (True, be.flow_engine)):
+    for pipelined, engine in ((False, sf_engine), (True, flow_engine)):
         idx = [i for i, r in enumerate(runs) if r.flow.pipelined == pipelined]
         if idx:
-            outs = make_engine(topo, [runs[i] for i in idx]).run(max_cycles)
+            outs = engine(topo, [runs[i] for i in idx]).run(max_cycles)
             for i, out in zip(idx, outs):
                 results[i] = out
     return results  # type: ignore[return-value]

@@ -87,11 +87,9 @@ class SweepServer:
     pool width (``None`` = the executor default), simulated in threads
     unless ``use_processes`` (NumPy releases the GIL for the heavy array
     work, so threads are the cheap default; processes sidestep it
-    entirely for pure-python-bound grids).  ``backend`` selects the
-    kernel implementation every worker simulates with
-    (:mod:`repro.network.backends`) -- a backend *name* string, because
-    it must cross the pickle boundary into process-pool workers; records
-    and cache entries are bit-identical whatever the choice.
+    entirely for pure-python-bound grids).  ``backend`` names the kernel
+    backend every worker simulates with (:mod:`repro.network.backends`);
+    records and cache entries are bit-identical whatever the choice.
     """
 
     def __init__(

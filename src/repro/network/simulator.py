@@ -44,8 +44,8 @@ Two engines implement the *same* deterministic semantics:
   state lives in NumPy arrays, and the cycle loop itself is the fused
   advance kernel of :mod:`repro.network.kernel`: intrusive per-link
   FIFOs over flat arrays, a handful of array gathers per cycle instead
-  of a Python loop over packets, idle gaps skipped outright.  The
-  kernel's inner loop is supplied by a selectable backend
+  of a Python loop over packets, idle gaps skipped outright.  A
+  backend name selects the kernel's cycle loop
   (:mod:`repro.network.backends`: ``numpy``, the compiled ``native``
   kernel, or ``auto``).  Both engines -- every backend, every batch
   size -- produce bit-identical :class:`SimResult` values, which the
@@ -345,37 +345,16 @@ def _pairs(codes: np.ndarray, n: int) -> np.ndarray:
     return np.stack(np.divmod(codes, n), axis=1)
 
 
-def _prepare(
-    topo: Topology,
-    router,
-    arr: np.ndarray,
-    route_table: Optional[RouteTable],
-    faults: Optional[FaultPlan] = None,
-) -> _Prepared:
-    """Resolve validated traffic (see :func:`_validate_item`) against a
-    route table: the given one, one built over its distinct pairs, or
-    per-epoch fault-masked ones under a fault plan."""
-    if faults is not None and faults.num_events:
-        if route_table is not None:
-            raise ValueError("pass either route_table or faults, not both")
-        return _prepare_faulted(topo, router, arr, faults)
-    return _prepare_shared(topo, router, [arr], route_table)[0]
-
-
 def _prepare_shared(
-    topo: Topology,
-    router,
-    arrs: Sequence[np.ndarray],
-    table: Optional[RouteTable] = None,
+    topo: Topology, router, arrs: Sequence[np.ndarray]
 ) -> List[_Prepared]:
-    """Map unfaulted runs' validated traffic onto one route table -- the
-    given one, or one built over the union of their pairs -- and one
+    """Map unfaulted runs' validated traffic (see :func:`_validate_item`)
+    onto one route table, built over the union of their pairs, and one
     per-row misroute array.  Routes are deterministic per pair, so the
     union table holds exactly the paths a per-run build would."""
-    if table is None:
-        n = topo.num_nodes
-        union = np.unique(np.concatenate([a[:, 1] * n + a[:, 2] for a in arrs]))
-        table = _build_table(topo, router, _pairs(union, n))
+    n = topo.num_nodes
+    union = np.unique(np.concatenate([a[:, 1] * n + a[:, 2] for a in arrs]))
+    table = _build_table(topo, router, _pairs(union, n))
     mis = _row_misroutes(topo, table)
     preps = []
     for arr in arrs:
@@ -467,7 +446,6 @@ class ReferenceSimulator:
         self,
         traffic: Sequence[Tuple[int, int, int]],
         max_cycles: int = 100000,
-        route_table: Optional[RouteTable] = None,
         faults: Optional[FaultPlan] = None,
         switching: Union[str, FlowControl] = "sf",
         flits: Union[int, Sequence[int]] = 1,
@@ -479,11 +457,9 @@ class ReferenceSimulator:
         dropped immediately (visible through ``delivery_rate``).
 
         Routes are resolved one packet at a time through ``router.route``
-        (the original engine's behaviour); pass ``route_table`` to reuse a
-        prebuilt table instead, e.g. to time the two cycle engines alone.
-        A ``faults`` plan (mutually exclusive with ``route_table``)
-        switches to per-epoch fault-masked routing with in-flight drops;
-        see the module docstring.
+        (the original engine's behaviour).  A ``faults`` plan switches to
+        per-epoch fault-masked routing with in-flight drops; see the
+        module docstring.
 
         ``switching`` selects the flow-control discipline -- a mode name
         or a full :class:`FlowControl` -- and ``flits`` the per-packet
@@ -496,8 +472,7 @@ class ReferenceSimulator:
         max_cycles = _validate_max_cycles(max_cycles)
         flow = _as_flow(switching)
         arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
-        faulted = faults is not None and faults.num_events > 0
-        if route_table is None and not faulted:
+        if faults is None or not faults.num_events:
             inject: List[int] = []
             routes: List[List[int]] = []
             nf: List[int] = []
@@ -520,7 +495,7 @@ class ReferenceSimulator:
             mis_of = _misroutes(self.topo, leg[:, 0], leg[:, 1], leg[:, 2]).tolist()
             link_dead: Dict[Tuple[int, int], int] = {}
         else:
-            prep = _prepare(self.topo, self.router, arr, route_table, faults)
+            prep = _prepare_faulted(self.topo, self.router, arr, faults)
             routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
             inject = prep.inject.tolist()
             dropped = prep.num_dropped
@@ -653,9 +628,9 @@ class VectorizedSimulator:
     the batch around a run.
 
     ``router`` is the default for items that do not carry their own;
-    ``backend`` selects the kernel implementation for this simulator's
-    runs (a name or :class:`~repro.network.backends.Backend` instance;
-    ``None`` defers to ``$REPRO_BACKEND`` / ``auto``).
+    ``backend`` names the kernel backend for this simulator's runs
+    (``"numpy"``, ``"native"``, ``"auto"``; ``None`` defers to
+    ``$REPRO_BACKEND`` / ``auto``).
     """
 
     def __init__(self, topo: Topology, router=None, backend=None):

@@ -377,14 +377,14 @@ def _condense(
     rounds: int = 0,
     tenant_names: Sequence[str] = (),
 ) -> SweepRecord:
-    """Flatten one simulation outcome into a :class:`SweepRecord` (the
-    single condensation path, shared by every runner so batched and
-    unbatched records cannot diverge).  ``tenant_names`` labels a
-    workload point's tenant ids; the per-tenant stats then land in the
-    ``tenants`` column, with p95s computed here by the sweep's own
+    """Flatten one simulation outcome of the canonical ``spec`` (see
+    :func:`normalize_spec`) into a :class:`SweepRecord` (the single
+    condensation path, shared by every runner so batched and unbatched
+    records cannot diverge).  ``tenant_names`` labels a workload point's
+    tenant ids; the per-tenant stats then land in the ``tenants``
+    column, with p95s computed here by the sweep's own
     :func:`nearest_rank_p95` (one percentile definition for the whole
     harness)."""
-    pipelined = spec.switching != "sf"
     tenants_col = ""
     if result.tenant_stats:
         tenants_col = encode_tenant_column(
@@ -398,23 +398,17 @@ def _condense(
     return SweepRecord(
         topology=topo.name,
         router=spec.router,
-        pattern=spec.pattern if not (spec.collective or spec.workload) else "-",
+        pattern=spec.pattern,
         collective=spec.collective,
-        # the column is always the canonical spelling, even when the
-        # caller hands run_point a raw spec directly
-        workload=(
-            spec.workload
-            if not spec.workload or spec.workload.startswith("trace:")
-            else canonical_workload(spec.workload)
-        ),
+        workload=spec.workload,
         load=spec.load,
         seed=spec.seed,
         faults=spec.faults,
         num_faults=plan.num_events if plan is not None else 0,
         switching=spec.switching,
-        num_vcs=spec.num_vcs if pipelined else 1,
-        buffer_depth=spec.buffer_depth if pipelined else 0,
-        flits=spec.flits if pipelined else "1",
+        num_vcs=spec.num_vcs,
+        buffer_depth=spec.buffer_depth,
+        flits=spec.flits,
         rounds=rounds,
         round_bound=round_lower_bound(topo) if spec.collective else 0,
         nodes=topo.num_nodes,
@@ -450,8 +444,7 @@ def run_point(
     seed choosing the root; workload points (``spec.workload``
     non-empty) compile the multi-tenant overlay -- or replay the trace
     resolved through ``traces`` -- and carry per-tenant stats in the
-    record.  ``backend``
-    selects the kernel implementation
+    record.  ``backend`` names the kernel backend
     (:mod:`repro.network.backends`); it is deliberately *not* part of
     the spec -- records are bit-identical across backends, so the point
     and its cache key describe the simulation, not the machinery.
@@ -517,9 +510,11 @@ def run_batch_points(
 
     This is the one point-execution path: :func:`run_point` is a
     one-spec call, and :func:`stream_sweep` runs the tasks :func:`_pack`
-    cuts.
+    cuts.  Each spec runs, and is recorded, as its :func:`normalize_spec`
+    form -- the form its cache key names -- so a raw spec's record is
+    its canonical spec's.
     """
-    specs = list(specs)
+    specs = [normalize_spec(s) for s in specs]
     records: List[Optional[SweepRecord]] = [None] * len(specs)
     groups: Dict[Tuple[str, int], List[int]] = {}
     for i, spec in enumerate(specs):
@@ -689,8 +684,8 @@ def stream_sweep(
     short keeps every cell it finished.
 
     Tasks are :func:`run_batch_points` partials, run on ``executor``
-    (``backend`` must then be a name: the tasks may pickle into a
-    process pool) or, without one, inline in grid order.  The generator
+    (a process pool works: ``backend`` is a name, so the tasks pickle)
+    or, without one, inline in grid order.  The generator
     blocks while it waits for a task, so never step it on a thread of
     ``executor``.  Closing it cancels the tasks that have not started.
     """
@@ -777,11 +772,10 @@ def run_sweep(
     incremental, a grid that fails part way keeps its finished cells,
     and a fully warm grid costs no simulation at all.
 
-    ``backend`` picks the kernel implementation
-    (:mod:`repro.network.backends`; a name string when ``processes >
-    1``).  Backends are bit-identical, so it never enters the grid, the
-    records, or the cache keys: a cache warmed under one backend is
-    fully warm under every other.
+    ``backend`` names the kernel backend
+    (:mod:`repro.network.backends`).  Backends are bit-identical, so it
+    never enters the grid, the records, or the cache keys: a cache
+    warmed under one backend is fully warm under every other.
 
     ``workloads`` adds multi-tenant points (see :func:`expand_grid`);
     ``traces`` maps trace keys to loaded

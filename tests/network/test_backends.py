@@ -1,4 +1,4 @@
-"""The backend layer: registry semantics, native bit-identity, cache
+"""The backend layer: name resolution, native bit-identity, cache
 neutrality and every forced-fallback path.
 
 The native backend's contract is strict: selected explicitly it must
@@ -26,11 +26,10 @@ import pytest
 from repro.cli import main
 from repro.network import backends, kernel, simulator
 from repro.network.backends import (
-    Backend,
+    BACKENDS,
     BackendUnavailableError,
-    NumpyBackend,
-    available_backends,
     backend_infos,
+    engines,
     resolve_backend,
 )
 from repro.network.backends import native as native_mod
@@ -55,7 +54,7 @@ needs_compiler = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _clean_selection():
     """Every test starts and ends with no cached backend verdict (these
-    tests flip compilers, flags and cache dirs under the registry)."""
+    tests flip compilers, flags and cache dirs under the resolver)."""
     backends.reset()
     yield
     backends.reset()
@@ -72,7 +71,7 @@ def scratch_cache(tmp_path, monkeypatch):
 
 class TestRegistry:
     def test_both_backends_registered(self):
-        assert available_backends() == ["numpy", "native"]
+        assert BACKENDS == ("numpy", "native")
 
     def test_infos_shape(self):
         infos = backend_infos()
@@ -83,38 +82,51 @@ class TestRegistry:
         numpy_info = infos[0]
         assert numpy_info["available"] is True
 
-    def test_instance_passes_through(self):
-        be = NumpyBackend()
-        assert resolve_backend(be) is be
-
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("fortran")
 
     def test_env_var_selects(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert resolve_backend(None).name == "numpy"
+        assert resolve_backend(None) == "numpy"
 
     def test_explicit_argument_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "native")
-        assert resolve_backend("numpy").name == "numpy"
+        assert resolve_backend("numpy") == "numpy"
 
     def test_default_is_auto(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         auto = resolve_backend(None)
-        assert auto.name in ("numpy", "native")
-        # auto's verdict is cached: same object on repeat
-        assert resolve_backend("auto") is auto
+        assert auto in BACKENDS
+        assert resolve_backend("auto") == auto
 
-    def test_abstract_backend_is_abstract(self):
-        be = Backend()
+    @pytest.mark.parametrize("choice", ["numpy", " NumPy ", "auto", None])
+    def test_resolves_to_a_plain_name(self, monkeypatch, choice):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        name = resolve_backend(choice)
+        assert type(name) is str and name in BACKENDS
+
+    def test_numpy_engines(self):
+        assert engines("numpy") == (kernel._SfEngine, kernel._FlowEngine)
+
+    @needs_native
+    def test_native_engines(self):
+        assert engines("native") == (
+            native_mod._NativeSfEngine, native_mod._NativeFlowEngine
+        )
+
+    @pytest.mark.parametrize("bad", [1, b"numpy", kernel._SfEngine])
+    def test_non_string_backend_raises_type_error(self, bad):
+        """``backend=`` is a name at every layer: anything else is a
+        TypeError naming the accepted names, from the resolver and from
+        the simulator and sweep entry points that thread it down."""
+        with pytest.raises(TypeError, match="'auto', 'numpy', 'native'"):
+            resolve_backend(bad)
         topo = parse_topology("11:4")
-        with pytest.raises(NotImplementedError):
-            be.availability()
-        with pytest.raises(NotImplementedError):
-            be.sf_engine(topo, [])
-        with pytest.raises(NotImplementedError):
-            be.flow_engine(topo, [])
+        with pytest.raises(TypeError, match="backend must be one of"):
+            VectorizedSimulator(topo, backend=bad).run([(0, 0, 3)])
+        with pytest.raises(TypeError, match="backend must be one of"):
+            run_sweep(["11:4"], loads=(0.2,), inject_window=8, backend=bad)
 
 
 def _run(topo, backend, traffic, **kwargs):
@@ -373,18 +385,30 @@ class TestForcedFallback:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         backends.reset()
 
-        ok, reason = resolve_backend("numpy").availability()  # sanity: registry alive
-        assert ok
+        assert resolve_backend("numpy") == "numpy"
         lib, why = native_mod.load_library()
         assert lib is None
         assert "no C compiler" in why
 
         with pytest.raises(BackendUnavailableError, match="no C compiler"):
             resolve_backend("native")
+        with pytest.raises(BackendUnavailableError, match="no C compiler"):
+            engines("native")
+        with pytest.raises(RuntimeError, match="no C compiler"):
+            native_mod._NativeSfEngine(parse_topology("11:4"), [])
 
-        with caplog.at_level(logging.INFO, logger="repro.network.backends"):
-            assert resolve_backend("auto").name == "numpy"
-        assert any("native unavailable" in r.message for r in caplog.records)
+        # auto falls back with one log line per reset(), not per call
+        def fallback_lines():
+            with caplog.at_level(logging.INFO, logger="repro.network.backends"):
+                caplog.clear()
+                assert resolve_backend("auto") == "numpy"
+                assert engines(None) == (kernel._SfEngine, kernel._FlowEngine)
+            return [r for r in caplog.records if "native unavailable" in r.message]
+
+        assert len(fallback_lines()) == 1
+        assert fallback_lines() == []
+        backends.reset()
+        assert len(fallback_lines()) == 1
 
         # and the stack still simulates (on NumPy) end to end
         topo = parse_topology("11:4")
@@ -402,7 +426,7 @@ class TestForcedFallback:
         assert "failed" in why
         with pytest.raises(BackendUnavailableError):
             resolve_backend("native")
-        assert resolve_backend("auto").name == "numpy"
+        assert resolve_backend("auto") == "numpy"
 
     @needs_native
     def test_corrupt_cached_object_rebuilds(self, scratch_cache):
@@ -490,7 +514,7 @@ class TestForcedFallback:
         lib, why = native_mod.load_library()
         assert lib is None
         assert "quotation" in why
-        assert resolve_backend("auto").name == "numpy"
+        assert resolve_backend("auto") == "numpy"
 
     @needs_native
     def test_fresh_compile_in_empty_cache(self, scratch_cache):
@@ -549,7 +573,7 @@ def test_env_var_native_end_to_end(monkeypatch):
     route sf points through the compiled kernel (resolve strictly), and
     results must match the NumPy leg bit for bit."""
     monkeypatch.setenv("REPRO_BACKEND", "native")
-    assert resolve_backend(None).name == "native"
+    assert resolve_backend(None) == "native"
     topo = parse_topology("101:4")
     traffic = uniform_traffic(topo, 150, 25, seed=1)
     via_env = VectorizedSimulator(topo).run(traffic)

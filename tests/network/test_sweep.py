@@ -15,6 +15,7 @@ from repro.network.sweep import (
     _pack,
     expand_grid,
     nearest_rank_p95,
+    normalize_spec,
     parse_topology,
     run_point,
     run_sweep,
@@ -61,6 +62,58 @@ class TestRunPoint:
     def test_bad_load(self):
         with pytest.raises(ValueError, match="load"):
             run_point(PointSpec(topology="Q:3", load=0.0))
+
+
+class TestRawSpecs:
+    """A raw spec runs, and is recorded, as its :func:`normalize_spec`
+    form -- the form its cache key names -- so a cache warmed by either
+    spelling answers the other with the record a fresh run gives."""
+
+    @staticmethod
+    def raw_specs():
+        from repro.network.workloads import record_trace, trace_key
+
+        trace = record_trace(
+            "bg:uniform:0.2;fg:broadcast:0.4:2", "Q:3",
+            parse_topology("Q:3"), 8, seed=1,
+        )
+        key = trace_key(trace)
+        raws = [
+            PointSpec("Q:3", collective="ring", pattern="uniform", load=0.6,
+                      inject_window=8),
+            PointSpec("Q:3", workload=f"trace:{key}", load=0.3),
+        ]
+        return raws, {key: trace}
+
+    def test_raw_and_canonical_specs_give_one_record(self):
+        raws, traces = self.raw_specs()
+        for raw in raws:
+            canon = normalize_spec(raw)
+            assert (canon.pattern, canon.load) == ("-", 1.0) != (raw.pattern, raw.load)
+            rec = run_point(raw, traces=traces)
+            assert rec == run_point(canon, traces=traces)
+            assert (rec.pattern, rec.load) == ("-", 1.0)
+
+    def test_a_cache_warmed_by_one_spelling_answers_the_other(self, tmp_path):
+        from repro.network.service import ResultCache
+
+        raws, traces = self.raw_specs()
+        for n, raw in enumerate(raws):
+            canon = normalize_spec(raw)
+            for m, (first, second) in enumerate(((raw, canon), (canon, raw))):
+                cache = ResultCache(tmp_path / f"{n}-{m}")
+                [(_, [stored], cached)] = stream_sweep(
+                    [first], cache=cache, traces=traces)
+                assert not cached
+                [(_, [served], cached)] = stream_sweep(
+                    [second], cache=cache, traces=traces)
+                assert cached
+                assert served == stored == run_point(second, traces=traces)
+
+    def test_collective_workload_spec_is_rejected(self):
+        spec = PointSpec("Q:3", collective="ring", workload="a:uniform:0.2")
+        with pytest.raises(ValueError, match="both a collective and a workload"):
+            run_point(spec)
 
 
 class TestNearestRankP95:

@@ -180,7 +180,6 @@ def test_negative_injection_cycles_rejected_by_both_engines():
     preparation path."""
     topo = TOPOLOGIES["fibonacci"]
     traffic = [(-3, 0, 5), (0, 1, 4), (2, 3, 6)]
-    table = BfsRouter().build_table(topo, [(s, d) for _, s, d in traffic])
     plan = _fault_plans(topo)["staged"]
     for sim in (ReferenceSimulator(topo), VectorizedSimulator(topo)):
         with pytest.raises(ValueError, match="non-negative"):
@@ -189,8 +188,6 @@ def test_negative_injection_cycles_rejected_by_both_engines():
             sim.run(traffic, faults=plan)
         with pytest.raises(ValueError, match="non-negative"):
             sim.run(traffic, switching=FlowControl("wormhole"), flits=2)
-    with pytest.raises(ValueError, match="non-negative"):
-        ReferenceSimulator(topo).run(traffic, route_table=table)
 
 
 NATIVE_OK = _native.load_library()[0] is not None
@@ -235,15 +232,6 @@ def test_numpy_integer_max_cycles_is_accepted():
         assert type(got.cycles) is int and got.cycles == 6
 
 
-def test_faults_and_route_table_are_mutually_exclusive():
-    topo = TOPOLOGIES["hypercube"]
-    plan = _fault_plans(topo)["static"]
-    traffic = make_traffic("uniform", topo, 50, 5, seed=0)
-    table = BfsRouter().build_table(topo, [(s, d) for _, s, d in traffic])
-    with pytest.raises(ValueError, match="route_table or faults"):
-        ReferenceSimulator(topo).run(traffic, route_table=table, faults=plan)
-
-
 def test_empty_fault_plan_is_a_no_op():
     topo = TOPOLOGIES["fibonacci"]
     traffic = make_traffic("uniform", topo, 150, 10, seed=4)
@@ -268,15 +256,6 @@ def test_engines_agree_with_canonical_router():
     ref = ReferenceSimulator(topo, CanonicalRouter()).run(traffic)
     vec = VectorizedSimulator(topo, CanonicalRouter()).run(traffic)
     assert ref == vec
-
-
-def test_engines_agree_on_shared_route_table():
-    """Passing a prebuilt table to the reference engine changes nothing."""
-    topo = TOPOLOGIES["hypercube"]
-    traffic = make_traffic("uniform", topo, 200, 15, seed=9)
-    table = BfsRouter().build_table(topo, [(s, d) for _, s, d in traffic])
-    ref = ReferenceSimulator(topo).run(traffic, route_table=table)
-    assert ref == VectorizedSimulator(topo).run(traffic)
 
 
 def test_batched_table_matches_per_pair_routes():
@@ -379,13 +358,13 @@ def test_adaptive_misroutes_match_the_per_pair_definition():
     definition -- hops beyond the healthy topology's BFS distance,
     halved -- for every row of an AdaptiveRouter table under faults."""
     from repro.graphs.traversal import bfs_distances
-    from repro.network.simulator import _prepare, _validate_item
+    from repro.network.simulator import _prepare_faulted, _validate_item
 
     topo = TOPOLOGIES["fibonacci"]
     plan = _fault_plans(topo)["static"]
     traffic = make_traffic("uniform", topo, 400, 12, seed=5, faults=plan)
     arr, _ = _validate_item(traffic, FlowControl(), 1, None)
-    prep = _prepare(topo, AdaptiveRouter(), arr, None, plan)
+    prep = _prepare_faulted(topo, AdaptiveRouter(), arr, plan)
     for r in range(prep.table.num_routes):
         path = prep.table.route_nodes(r).tolist()
         dist = int(bfs_distances(topo.graph, path[-1])[path[0]])
