@@ -7,14 +7,13 @@ The paper settles four cells of Table 1 by machine:
     Q_6(10101) isometric     (Table 1 footnote)
     Q_7(10101) isometric     (Table 1 footnote)
 
-Both engines (BFS reference and vectorised DP) re-derive each, and the
-first non-isometric dimension right above each check is confirmed too.
+The isometry engine re-derives each, and the first non-isometric
+dimension right above each check is confirmed too.
 """
 
 import pytest
 
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import is_isometric_dp
+from repro.isometry import is_isometric
 
 from conftest import print_table
 
@@ -31,25 +30,15 @@ CHECKS = [
 
 
 @pytest.mark.parametrize("f,d,expected", CHECKS)
-def test_bench_e7_bfs(benchmark, f, d, expected):
-    assert benchmark(is_isometric_bfs, (f, d)) == expected
-
-
-@pytest.mark.parametrize("f,d,expected", CHECKS)
-def test_bench_e7_dp(benchmark, f, d, expected):
-    assert benchmark(is_isometric_dp, (f, d)) == expected
+def test_bench_e7_engine(benchmark, f, d, expected):
+    assert benchmark(is_isometric, (f, d)) == expected
 
 
 def test_bench_e7_report(benchmark):
-    rows = benchmark(
-        lambda: [
-            (f, d, exp, is_isometric_bfs((f, d)), is_isometric_dp((f, d)))
-            for f, d, exp in CHECKS
-        ]
-    )
-    assert all(exp == bfs == dp for _, _, exp, bfs, dp in rows)
+    rows = benchmark(lambda: [(f, d, exp, is_isometric((f, d))) for f, d, exp in CHECKS])
+    assert all(exp == got for _, _, exp, got in rows)
     print_table(
         "Section 5 computer checks, re-verified",
-        ["f", "d", "paper", "BFS engine", "DP engine"],
+        ["f", "d", "paper", "engine"],
         rows,
     )

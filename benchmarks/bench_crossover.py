@@ -12,14 +12,14 @@ graphs; it must land exactly on the paper's formula.
 
 import pytest
 
-from repro.isometry.bruteforce import is_isometric_bfs
+from repro.isometry import is_isometric
 
 from conftest import print_table
 
 
 def measured_threshold(f: str, d_max: int) -> int:
     """Largest d <= d_max with Q_d(f) isometric; asserts monotonicity."""
-    pattern = [is_isometric_bfs((f, d)) for d in range(1, d_max + 1)]
+    pattern = [is_isometric((f, d)) for d in range(1, d_max + 1)]
     if all(pattern):
         return d_max
     first_bad = pattern.index(False)

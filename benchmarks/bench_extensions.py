@@ -19,7 +19,7 @@ from repro.cubes.generalized import generalized_fibonacci_cube
 from repro.cubes.multifactor import multi_factor_cube
 from repro.invariants.counts import brute_counts
 from repro.invariants.cubepoly import cube_coefficients, gamma_cube_coefficient
-from repro.isometry.bruteforce import is_isometric_bfs
+from repro.isometry import is_isometric
 from repro.network.cycles import has_even_cycles_everywhere
 
 from conftest import print_table
@@ -30,7 +30,7 @@ def test_bench_x1_multifactor_isometry(benchmark):
         rows = []
         for d in range(2, 8):
             cube = multi_factor_cube(("111", "000"), d)
-            rows.append((d, cube.num_vertices, is_isometric_bfs(cube)))
+            rows.append((d, cube.num_vertices, is_isometric(cube)))
         return rows
 
     rows = benchmark(sweep)

@@ -8,8 +8,7 @@ is *not* isometric in Q_4 while Q_3(101) still is.
 
 from repro.cubes.generalized import generalized_fibonacci_cube
 from repro.graphs.traversal import diameter
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import isometry_report
+from repro.isometry import is_isometric, isometry_report
 
 from conftest import print_table
 
@@ -43,7 +42,7 @@ def test_bench_fig1_isometry_threshold(benchmark):
     """Lemma 2.1 gives isometry up to d = 3; Prop 3.2 kills d >= 4."""
 
     def verdicts():
-        return [(d, is_isometric_bfs(("101", d))) for d in range(1, 7)]
+        return [(d, is_isometric(("101", d))) for d in range(1, 7)]
 
     rows = benchmark(verdicts)
     assert rows == [(1, True), (2, True), (3, True), (4, False), (5, False), (6, False)]

@@ -4,17 +4,16 @@ Not a paper artefact: these benches quantify the engineering decisions
 DESIGN.md calls out, so regressions in the fast paths are measurable.
 
 - cube construction: automaton sweep vs per-word filtering;
-- isometry: vectorised DP vs per-vertex BFS reference;
+- isometry: the blocked engine's early exit vs a full scan;
 - counting: the stepped vertex counting system vs enumeration;
-- BFS: CSR frontier sweep vs deque.
+- BFS: one deque BFS vs a block of 256 sources in the bit-parallel BFS.
 """
 
 import pytest
 
 from repro.cubes.generalized import GeneralizedFibonacciCube
-from repro.graphs.traversal import bfs_distances, bfs_distances_csr
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import is_isometric_dp
+from repro.graphs.traversal import bfs_distances, bfs_distances_many
+from repro.isometry import is_isometric
 from repro.words.counting import count_vertices_automaton
 from repro.words.enumerate import avoiding_int_array, count_avoiding_bruteforce
 
@@ -33,22 +32,15 @@ class TestConstruction:
         assert edges > 0
 
 
-class TestIsometryEngines:
-    """Ablation: the DP engine vs the BFS reference on the same input."""
+class TestIsometryEngine:
+    """The blocked engine: a non-isometric cube stops at its first bad
+    block, an isometric one scans every pair."""
 
-    CASE = ("1100", 8)  # 100+ vertices, non-isometric
+    def test_non_isometric_case(self, benchmark):
+        assert benchmark(is_isometric, ("10101", 12)) is False  # 3,282 vertices
 
-    def test_bfs_reference(self, benchmark):
-        assert benchmark(is_isometric_bfs, self.CASE) is False
-
-    def test_dp_vectorised(self, benchmark):
-        assert benchmark(is_isometric_dp, self.CASE) is False
-
-    def test_bfs_isometric_case(self, benchmark):
-        assert benchmark(is_isometric_bfs, ("11", 12)) is True
-
-    def test_dp_isometric_case(self, benchmark):
-        assert benchmark(is_isometric_dp, ("11", 12)) is True
+    def test_isometric_case(self, benchmark):
+        assert benchmark(is_isometric, ("11", 12)) is True
 
 
 class TestCounting:
@@ -68,7 +60,7 @@ class TestCounting:
 
 
 class TestBfsKernels:
-    """Ablation: CSR frontier sweep vs deque BFS on a dense cube level."""
+    """Ablation: one deque BFS vs 256 sources in one bit-parallel BFS."""
 
     @pytest.fixture(scope="class")
     def big_graph(self):
@@ -78,6 +70,7 @@ class TestBfsKernels:
         dist = benchmark(bfs_distances, big_graph, 0)
         assert int(dist.max()) >= 7
 
-    def test_csr_bfs(self, benchmark, big_graph):
-        dist = benchmark(bfs_distances_csr, big_graph, 0)
-        assert int(dist.max()) >= 7
+    def test_bit_parallel_block(self, benchmark, big_graph):
+        rows = benchmark(bfs_distances_many, big_graph, range(256))
+        assert rows.shape == (256, big_graph.num_vertices)
+        assert int(rows.max()) >= 7

@@ -39,7 +39,7 @@ def test_bench_table1_regeneration(benchmark):
 @pytest.mark.parametrize("f,d", [("10110", 6), ("10101", 6), ("10101", 7)])
 def test_bench_table1_computer_checks(benchmark, f, d):
     """The paper's footnoted computer checks, timed individually."""
-    from repro.isometry.vectorized import is_isometric_dp
+    from repro.isometry import is_isometric
 
-    result = benchmark(is_isometric_dp, (f, d))
+    result = benchmark(is_isometric, (f, d))
     assert result is True

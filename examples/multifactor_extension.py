@@ -15,7 +15,7 @@ Run:  python examples/multifactor_extension.py
 from repro.cubes.multifactor import MultiFactorCube
 from repro.graphs.traversal import is_connected
 from repro.invariants.cubepoly import cube_coefficients
-from repro.isometry.bruteforce import isometric_defect
+from repro.isometry import isometric_defect
 from repro.words.aho import MultiFactorAutomaton
 
 

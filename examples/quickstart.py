@@ -29,10 +29,10 @@ def main() -> None:
     verdict = classify("101", 4)
     print("\ntheorem engine :", verdict)
 
-    # 2. the actual graph (vectorised DP over Hamming levels)
+    # 2. the actual graph (every pair's distance against its Hamming distance)
     report = isometry_report(cube)
     print(
-        f"DP engine      : isometric={report.isometric}, "
+        f"isometry engine: isometric={report.isometric}, "
         f"first bad level={report.first_bad_level}, witness={report.witness}"
     )
 

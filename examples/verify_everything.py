@@ -30,9 +30,8 @@ from repro.invariants.counts import (
 )
 from repro.invariants.medianclosed import is_median_closed, median_certificate_triple
 from repro.invariants.structure import structure_report
-from repro.isometry.bruteforce import is_isometric_bfs
+from repro.isometry import is_isometric
 from repro.isometry.critical import paper_critical_pair
-from repro.isometry.vectorized import is_isometric_dp
 
 
 def check(label: str, fn) -> bool:
@@ -56,7 +55,7 @@ def t1_table1():
 def f1_figure1():
     cube = generalized_fibonacci_cube("101", 4)
     assert (cube.num_vertices, cube.num_edges) == (12, 18)
-    assert not is_isometric_dp(cube)
+    assert not is_isometric(cube)
 
 
 def f2_figure2():
@@ -97,14 +96,14 @@ def e7_computer_checks():
     for f, d, want in [("1100", 6, True), ("10110", 6, True),
                        ("10101", 6, True), ("10101", 7, True),
                        ("1100", 7, False), ("10101", 8, False)]:
-        assert is_isometric_bfs((f, d)) == want, (f, d)
+        assert is_isometric((f, d)) == want, (f, d)
 
 
 def e8_crossovers():
     for s in (2, 3, 4):
         f = "11" + "0" * s
         for d in range(2, s + 7):
-            assert is_isometric_bfs((f, d)) == (d <= s + 4), (f, d)
+            assert is_isometric((f, d)) == (d <= s + 4), (f, d)
 
 
 def e9_critical_words():
@@ -131,8 +130,8 @@ def e12_conjecture():
 
 
 def x1_extensions():
-    assert is_isometric_bfs(multi_factor_cube(("111", "000"), 3))
-    assert not is_isometric_bfs(multi_factor_cube(("111", "000"), 4))
+    assert is_isometric(multi_factor_cube(("111", "000"), 3))
+    assert not is_isometric(multi_factor_cube(("111", "000"), 4))
 
 
 def main() -> int:

@@ -13,13 +13,13 @@ lineage.
 
 Quickstart
 ----------
->>> from repro import generalized_fibonacci_cube, classify, is_isometric_dp
+>>> from repro import generalized_fibonacci_cube, classify, is_isometric
 >>> cube = generalized_fibonacci_cube("101", 4)   # Fig. 1 of the paper
 >>> cube.num_vertices
 12
 >>> str(classify("1100", 7))
 'f=1100 d=7: Q_d(f) NOT iso in Q_d [Theorem 3.3(ii) via 1100]'
->>> is_isometric_dp(("1100", 6))
+>>> is_isometric(("1100", 6))
 True
 
 See ``DESIGN.md`` for the system inventory and ``EXPERIMENTS.md`` for the
@@ -50,8 +50,7 @@ from repro.invariants import brute_counts, recurrences_110, recurrences_111
 from repro.isometry import (
     find_critical_pair,
     idim,
-    is_isometric_bfs,
-    is_isometric_dp,
+    is_isometric,
     is_partial_cube,
     isometry_report,
     paper_critical_pair,
@@ -91,8 +90,7 @@ __all__ = [
     "recurrences_111",
     "find_critical_pair",
     "idim",
-    "is_isometric_bfs",
-    "is_isometric_dp",
+    "is_isometric",
     "is_partial_cube",
     "isometry_report",
     "paper_critical_pair",

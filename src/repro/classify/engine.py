@@ -5,7 +5,7 @@ complement/reversal orbit of ``f`` (Lemmas 2.2/2.3) and returns the first
 decided verdict, raising if two rules were ever to disagree -- i.e. the
 engine doubles as a machine-checked consistency test of the paper's
 statements.  :func:`classify_with_bruteforce` settles the remaining
-UNKNOWN cases by running the isometry engines on the actual graphs, which
+UNKNOWN cases by running the isometry engine on the actual graphs, which
 reproduces the paper's "checked by computer" footnotes.
 """
 
@@ -15,8 +15,7 @@ from typing import Optional
 
 from repro.classify.rules import applicable_rules
 from repro.classify.verdict import Status, Verdict
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import is_isometric_dp
+from repro.isometry.bruteforce import is_isometric
 from repro.words.core import validate_word
 from repro.words.counting import count_vertices_automaton
 
@@ -49,32 +48,21 @@ def classify(f: str, d: int) -> Verdict:
     return Verdict(f, d, Status.UNKNOWN, "no applicable statement", f)
 
 
-def classify_with_bruteforce(
-    f: str,
-    d: int,
-    max_vertices: int = 300000,
-    dp_max_vertices: int = 9000,
-) -> Verdict:
+def classify_with_bruteforce(f: str, d: int, max_vertices: int = 300000) -> Verdict:
     """Verdict with computational fallback for the theorem gaps.
 
-    When :func:`classify` returns UNKNOWN the actual graph is checked:
-    the vectorised DP engine for cubes that fit its quadratic memory, the
-    per-vertex BFS engine otherwise (up to ``max_vertices``).
+    When :func:`classify` returns UNKNOWN and the cube has at most
+    ``max_vertices`` vertices, the isometry engine
+    (:func:`~repro.isometry.is_isometric`) checks the actual graph and
+    the verdict's source reads ``"brute force"``.
     """
     verdict = classify(f, d)
     if verdict.status is not Status.UNKNOWN:
         return verdict
-    n = count_vertices_automaton(f, d)
-    if n > max_vertices:
+    if count_vertices_automaton(f, d) > max_vertices:
         return verdict
-    if n <= dp_max_vertices:
-        ok = is_isometric_dp((f, d))
-        engine = "brute force (DP engine)"
-    else:
-        ok = is_isometric_bfs((f, d))
-        engine = "brute force (BFS engine)"
-    status = Status.ISOMETRIC if ok else Status.NOT_ISOMETRIC
-    return Verdict(f, d, status, engine, f)
+    status = Status.ISOMETRIC if is_isometric((f, d)) else Status.NOT_ISOMETRIC
+    return Verdict(f, d, status, "brute force", f)
 
 
 def decide(f: str, d: int) -> Optional[bool]:

@@ -33,7 +33,7 @@ class Verdict:
         Tri-valued embeddability answer.
     source:
         The paper statement (or engine) that settled it, e.g.
-        ``"Proposition 3.1"`` or ``"brute force (BFS engine)"``.
+        ``"Proposition 3.1"`` or ``"brute force"``.
     via:
         The orbit representative of ``f`` the rule actually matched
         (Lemmas 2.2/2.3 transfer the answer back to ``f``).

@@ -75,10 +75,13 @@ from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
 
+# the --backend choices, [AUTO, *BACKENDS] of repro.network.backends (a test
+# pins the two together), written out so that building the parser does not
+# import the network package for the pure-math subcommands
+_BACKEND_CHOICES = ["auto", "numpy", "native"]
+
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.network.backends import AUTO, BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="gfc",
         description="Generalized Fibonacci cubes: reproduction toolkit",
@@ -157,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
              "incremental (default: no cache)",
     )
     p_swp.add_argument(
-        "--backend", choices=[AUTO, *BACKENDS], default=None,
+        "--backend", choices=_BACKEND_CHOICES, default=None,
         help="kernel backend for every simulated point (default: "
              "$REPRO_BACKEND or auto); results are bit-identical either "
              "way, 'native' fails loudly when no compiler exists",
@@ -313,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: %(default)s = every cell alone)",
     )
     p_srv.add_argument(
-        "--backend", choices=[AUTO, *BACKENDS], default=None,
+        "--backend", choices=_BACKEND_CHOICES, default=None,
         help="kernel backend the worker pool simulates with (default: "
              "$REPRO_BACKEND or auto)",
     )
@@ -873,7 +876,7 @@ def _cmd_backends(args) -> int:
 def _cmd_multifactor(args) -> int:
     from repro.cubes.multifactor import MultiFactorCube
     from repro.graphs.traversal import is_connected
-    from repro.isometry.bruteforce import is_isometric_bfs
+    from repro.isometry import is_isometric
 
     factors = [f for f in args.factors.split(",") if f]
     cube = MultiFactorCube(factors, args.d)
@@ -881,7 +884,7 @@ def _cmd_multifactor(args) -> int:
     print(f"        vertices: {cube.num_vertices}")
     print(f"           edges: {cube.num_edges}")
     print(f"       connected: {is_connected(cube.graph())}")
-    print(f"  isometric in Q: {is_isometric_bfs(cube)}")
+    print(f"  isometric in Q: {is_isometric(cube)}")
     return 0
 
 

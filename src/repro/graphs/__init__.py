@@ -4,8 +4,9 @@ The reproduction does not lean on networkx for any load-bearing algorithm;
 everything needed by the paper (BFS distances, intervals, medians,
 partial-cube machinery, isomorphism on small graphs) is implemented here
 on a compact adjacency-list/CSR graph type.  networkx interop lives in
-:mod:`repro.graphs.nxadapter` and is used only for cross-validation and
-drawing in the examples.
+:mod:`repro.graphs.nxadapter`, which the tests import for
+cross-validation; the package itself never imports it, so networkx stays
+an optional dependency.
 """
 
 from repro.graphs.core import Graph
@@ -25,7 +26,6 @@ from repro.graphs.median import (
     triple_intervals_intersection,
 )
 from repro.graphs.isomorphism import are_isomorphic
-from repro.graphs.nxadapter import from_networkx, to_networkx
 
 __all__ = [
     "Graph",
@@ -42,6 +42,4 @@ __all__ = [
     "median_of_triple",
     "triple_intervals_intersection",
     "are_isomorphic",
-    "from_networkx",
-    "to_networkx",
 ]

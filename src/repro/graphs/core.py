@@ -4,7 +4,7 @@
 optional opaque labels.  Internally it keeps both an adjacency list (for
 incremental construction and readable algorithms) and a lazily built CSR
 (compressed sparse row) representation as two NumPy arrays, which is what
-the vectorised BFS kernels in :mod:`repro.graphs.traversal` consume --
+the bit-parallel BFS in :mod:`repro.graphs.traversal` consumes --
 contiguity matters, per the cache-effects guidance of the HPC notes.
 """
 

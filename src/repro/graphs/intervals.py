@@ -8,7 +8,7 @@ p-critical-word machinery (Lemma 2.4) and of median computations.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -18,15 +18,9 @@ from repro.graphs.traversal import bfs_distances
 __all__ = ["distance_interval", "is_on_shortest_path", "interval_from_distances"]
 
 
-def interval_from_distances(
-    dist_u: np.ndarray, dist_v: np.ndarray, d_uv: Optional[int] = None
-) -> List[int]:
-    """Interval computed from two precomputed distance vectors."""
-    if d_uv is None:
-        # distance between u and v equals dist_u at v; the caller passes
-        # vectors indexed the same way, so infer it from the arg minimum
-        # of the sum (any vertex on a shortest path attains it).
-        d_uv = int((dist_u + dist_v).min())
+def interval_from_distances(dist_u: np.ndarray, dist_v: np.ndarray, d_uv: int) -> List[int]:
+    """Interval computed from the distance vectors of ``u`` and ``v``
+    (``-1`` where unreachable) and ``d_uv``, the distance ``d(u, v)``."""
     mask = (dist_u >= 0) & (dist_v >= 0) & (dist_u + dist_v == d_uv)
     return np.flatnonzero(mask).tolist()
 

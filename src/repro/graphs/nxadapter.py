@@ -1,8 +1,9 @@
 """networkx interoperability.
 
 Only the adapters live here; no algorithm in the reproduction depends on
-networkx.  Tests use the adapters to cross-validate our BFS/diameter/
-median machinery against networkx, and the examples use them for drawing.
+networkx, and no package module imports this one.  Tests use the
+adapters to cross-validate our BFS/diameter/median machinery against
+networkx.
 """
 
 from __future__ import annotations

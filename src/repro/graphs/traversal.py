@@ -1,27 +1,25 @@
 """Breadth-first traversal kernels and distance-derived graph parameters.
 
-Three BFS engines:
+Two BFS engines, both marking unreachable vertices ``-1``:
 
-- :func:`bfs_distances` -- classic deque BFS on the adjacency list;
-  readable reference implementation.
-- :func:`bfs_distances_csr` -- frontier-sweep BFS on the CSR arrays using
-  NumPy gathers; the whole frontier expansion is a couple of vectorised
-  operations per level, which is markedly faster for the dense levels of
-  hypercube-like graphs (this is the "vectorise the inner loop" guidance
-  of the HPC notes applied to BFS).
-- :func:`bfs_distances_many` -- the frontier sweep for many sources at
-  once, one bit per source (what the network layer's distance tables
-  use).
+- :func:`bfs_distances` -- classic deque BFS from one source; the
+  readable reference implementation.  Connectivity, components and
+  intervals use it, and the tests check every other distance path
+  against it.
+- :func:`bfs_distances_many` -- frontier BFS from many sources at once,
+  one bit per source.
 
-All return ``-1`` for unreachable vertices and are cross-validated by the
-test-suite.  All-pairs helpers and eccentricity/diameter/radius sit on
-top.
+Every all-pairs quantity reads one path on top of the second:
+:func:`distance_blocks` yields all distance rows in consecutive blocks
+of sources, and :func:`all_pairs_distances`, :func:`eccentricities`
+(so :func:`diameter` and :func:`radius`) and the isometry engine of
+:mod:`repro.isometry` are scans over those blocks.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import List
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -29,8 +27,8 @@ from repro.graphs.core import Graph
 
 __all__ = [
     "bfs_distances",
-    "bfs_distances_csr",
     "bfs_distances_many",
+    "distance_blocks",
     "all_pairs_distances",
     "eccentricities",
     "diameter",
@@ -40,6 +38,20 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
+
+# sources per distance block: on the isometry scan, whose early exit stops
+# at the first bad block, 256 beat 64, 1,024 and unbounded blocks
+_BLOCK = 256
+# a block's int64 rows (the isometry scan's Hamming rows) stay below this
+_BLOCK_BYTES = 1 << 25
+
+
+def _distance_dtype(num_nodes: int) -> type:
+    """The narrowest signed integer type holding any hop distance (at
+    most ``num_nodes - 1``) and the ``-1`` unreachable marker."""
+    if num_nodes <= 1 << 7:
+        return np.int8
+    return np.int16 if num_nodes <= 1 << 15 else np.int32
 
 
 def bfs_distances(graph: Graph, source: int) -> np.ndarray:
@@ -61,41 +73,6 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     return dist
 
 
-def bfs_distances_csr(graph: Graph, source: int) -> np.ndarray:
-    """Vectorised frontier BFS over the CSR representation."""
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise IndexError(f"source {source} out of range for {n} vertices")
-    indptr, indices = graph.csr()
-    dist = np.full(n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        # gather all neighbours of the frontier in one shot
-        starts = indptr[frontier]
-        ends = indptr[frontier + 1]
-        counts = ends - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # build the gather index without a Python loop:
-        # offsets into `indices` = start_i + (0 .. count_i-1), concatenated
-        rep_starts = np.repeat(starts, counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
-        )
-        nbrs = indices[rep_starts + within]
-        fresh = nbrs[dist[nbrs] == UNREACHABLE]
-        if fresh.size == 0:
-            break
-        fresh = np.unique(fresh)
-        dist[fresh] = level
-        frontier = fresh
-    return dist
-
-
 def bfs_distances_many(
     graph: Graph, sources, dtype=np.int64
 ) -> np.ndarray:
@@ -107,9 +84,13 @@ def bfs_distances_many(
     CSR gather and a segmented ``bitwise_or.reduceat``, so a level costs
     ``O(edges * sources / 8)`` bytes of array work instead of one Python
     BFS per source.  Sources run in blocks that bound the gather's size.
+    A source outside ``[0, n)`` raises :class:`IndexError`.
     """
     n = graph.num_vertices
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    stray = sources[(sources < 0) | (sources >= n)]
+    if stray.size:
+        raise IndexError(f"source {stray[0]} out of range for {n} vertices")
     out = np.full((sources.size, n), UNREACHABLE, dtype=dtype)
     indptr, indices = graph.csr()
     has = indptr[1:] > indptr[:-1]
@@ -136,33 +117,44 @@ def bfs_distances_many(
     return out
 
 
-def all_pairs_distances(graph: Graph, engine: str = "auto") -> np.ndarray:
-    """``n x n`` distance matrix by repeated BFS.
+def distance_blocks(graph: Graph) -> Iterator[Tuple[int, np.ndarray]]:
+    """Every vertex's distance row, in consecutive blocks of sources.
 
-    ``engine`` is ``"deque"``, ``"csr"`` or ``"auto"`` (CSR for graphs
-    with at least a few hundred vertices, where the vectorised sweep
-    wins).
+    Yields ``(start, rows)`` with ``rows[i]`` the distances from vertex
+    ``start + i`` (``-1`` where unreachable), one
+    :func:`bfs_distances_many` call per block, in the narrowest dtype that
+    holds them.  A block has 256 sources, fewer when ``n`` is so large
+    that its int64 rows would pass 32 MB, so a scan over all pairs keeps
+    ``O(block * n)`` memory.
     """
     n = graph.num_vertices
-    if engine not in ("deque", "csr", "auto"):
-        raise ValueError(f"unknown engine {engine!r}")
-    use_csr = engine == "csr" or (engine == "auto" and n >= 256)
+    dtype = _distance_dtype(n)
+    step = max(1, min(_BLOCK, _BLOCK_BYTES // (8 * max(n, 1))))
+    for start in range(0, n, step):
+        yield start, bfs_distances_many(graph, range(start, min(start + step, n)), dtype)
+
+
+def all_pairs_distances(graph: Graph) -> np.ndarray:
+    """``n x n`` distance matrix (``-1`` where unreachable), filled from
+    :func:`distance_blocks`.
+
+    The matrix is int64, not the blocks' narrow dtype: callers add rows
+    together (interval, median and Theta tests), which would overflow it.
+    """
+    n = graph.num_vertices
     out = np.empty((n, n), dtype=np.int64)
-    run = bfs_distances_csr if use_csr else bfs_distances
-    for s in range(n):
-        out[s] = run(graph, s)
+    for start, rows in distance_blocks(graph):
+        out[start:start + len(rows)] = rows
     return out
 
 
 def eccentricities(graph: Graph) -> np.ndarray:
     """Eccentricity of every vertex; raises on disconnected graphs."""
-    n = graph.num_vertices
-    ecc = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        dist = bfs_distances_csr(graph, s) if n >= 256 else bfs_distances(graph, s)
-        if (dist == UNREACHABLE).any():
+    ecc = np.empty(graph.num_vertices, dtype=np.int64)
+    for start, rows in distance_blocks(graph):
+        if (rows == UNREACHABLE).any():
             raise ValueError("eccentricities are undefined on a disconnected graph")
-        ecc[s] = dist.max()
+        ecc[start:start + len(rows)] = rows.max(axis=1)
     return ecc
 
 

@@ -2,7 +2,7 @@
 
 Interconnection-network papers report average inter-node distance; graph
 theory reports the Wiener index :math:`W(G) = \\sum_{\\{u,v\\}} d(u, v)`.
-Both come from the same all-pairs BFS.  Known closed forms used as test
+Both come from the same all-pairs distance matrix.  Known closed forms used as test
 anchors: :math:`W(Q_d) = d\\, 4^{d-1}` (each of the ``d`` coordinates
 contributes :math:`2^{d-1} \\cdot 2^{d-1}` split pairs).
 
@@ -60,8 +60,8 @@ def average_distance(cube_or_spec) -> float:
 
 
 def distance_distribution(cube_or_spec) -> Dict[int, int]:
-    """``{distance: number of unordered pairs}`` including distance 0 pairs? No:
-    distances >= 1 over unordered pairs."""
+    """``{distance: number of unordered pairs}`` over pairs of distinct
+    vertices, so every key is at least 1."""
     cube = _as_cube(cube_or_spec)
     dist = all_pairs_distances(cube.graph())
     if (dist < 0).any():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.cubes.generalized import generalized_fibonacci_cube
-from repro.graphs.traversal import diameter, is_connected, radius
+from repro.graphs.traversal import eccentricities, is_connected
 
 __all__ = ["StructureReport", "structure_report"]
 
@@ -57,8 +57,8 @@ def structure_report(cube) -> StructureReport:
     connected = is_connected(g)
     degs: List[int] = g.degrees()
     if connected and g.num_vertices > 0:
-        dia = diameter(g)
-        rad = radius(g)
+        ecc = eccentricities(g)
+        dia, rad = int(ecc.max()), int(ecc.min())
     else:
         dia = -1
         rad = -1

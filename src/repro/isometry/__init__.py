@@ -1,10 +1,10 @@
 """Isometric-embedding machinery.
 
-- :mod:`repro.isometry.bruteforce` -- reference BFS check that
-  :math:`Q_d(f) \\hookrightarrow Q_d` (subgraph distances = Hamming);
-- :mod:`repro.isometry.vectorized` -- NumPy dynamic program over vertex
-  pairs ordered by Hamming distance (the fast engine, also the one that
-  produces p-critical certificates);
+- :mod:`repro.isometry.bruteforce` -- the isometry engine: blocks of
+  distance rows inside :math:`Q_d(f)` against Hamming rows, answering
+  whether :math:`Q_d(f) \\hookrightarrow Q_d` (:func:`is_isometric`), the
+  first defect and the full report with a p-critical witness
+  (:func:`isometry_report`);
 - :mod:`repro.isometry.critical` -- p-critical words (Lemma 2.4): search
   and the paper's constructive certificates for Props 3.2, 4.1, 4.2 and
   Theorem 3.3;
@@ -15,11 +15,11 @@
 """
 
 from repro.isometry.bruteforce import (
-    is_isometric_bfs,
+    is_isometric,
     isometric_defect,
+    isometry_report,
     subgraph_distances,
 )
-from repro.isometry.vectorized import is_isometric_dp, isometry_report
 from repro.isometry.critical import (
     CriticalPair,
     find_critical_pair,
@@ -35,11 +35,10 @@ from repro.isometry.theta import (
 )
 
 __all__ = [
-    "is_isometric_bfs",
+    "is_isometric",
     "isometric_defect",
-    "subgraph_distances",
-    "is_isometric_dp",
     "isometry_report",
+    "subgraph_distances",
     "CriticalPair",
     "find_critical_pair",
     "paper_critical_pair",

@@ -18,6 +18,7 @@ import numpy as np
 from repro.cubes.generalized import GeneralizedFibonacciCube, generalized_fibonacci_cube
 from repro.graphs.core import Graph
 from repro.graphs.traversal import (
+    _distance_dtype,
     all_pairs_distances,
     bfs_distances_many,
     connected_components,
@@ -32,14 +33,6 @@ __all__ = ["Topology", "faulted_topology", "topology_of"]
 # guards every topology's memo: parse_topology hands one shared Topology
 # per spec to all of a process's sweep-service worker threads
 _MEMO_LOCK = threading.RLock()
-
-
-def _distance_dtype(num_nodes: int) -> type:
-    """The narrowest signed integer type holding any hop distance (at
-    most ``num_nodes - 1``) and the ``-1`` unreachable marker."""
-    if num_nodes <= 1 << 7:
-        return np.int8
-    return np.int16 if num_nodes <= 1 << 15 else np.int32
 
 
 @dataclass

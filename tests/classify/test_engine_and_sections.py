@@ -1,7 +1,7 @@
 """Engine tests + theorem-vs-ground-truth for Sections 3 and 4.
 
 Every decided verdict of the theorem engine is validated against the
-actual graphs (BFS/DP isometry check) over an exhaustive grid -- the
+actual graphs (the isometry engine) over an exhaustive grid -- the
 strongest form of reproduction for a theory paper: the theorems must
 predict the machine.
 """
@@ -10,7 +10,7 @@ import pytest
 
 from repro.classify.engine import classify, classify_with_bruteforce, decide
 from repro.classify.verdict import Status
-from repro.isometry.bruteforce import is_isometric_bfs
+from repro.isometry import is_isometric
 from repro.words.core import all_words
 
 
@@ -71,57 +71,57 @@ class TestTheoremsPredictTheMachine:
                 v = classify(f, d)
                 if v.status is Status.UNKNOWN:
                     continue
-                truth = is_isometric_bfs((f, d))
+                truth = is_isometric((f, d))
                 assert (v.status is Status.ISOMETRIC) == truth, (f, d, v)
 
     def test_proposition_3_1_family(self):
         for s in (1, 2, 3, 4):
             for d in range(1, 10):
-                assert is_isometric_bfs(("1" * s, d)), (s, d)
+                assert is_isometric(("1" * s, d)), (s, d)
 
     def test_theorem_3_3_i_family(self):
         for r in (1, 2, 3, 4):
             f = "1" * r + "0"
             for d in range(1, 10):
-                assert is_isometric_bfs((f, d)), (f, d)
+                assert is_isometric((f, d)), (f, d)
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_theorem_3_3_ii_exact_threshold(self, s):
         f = "11" + "0" * s
         for d in range(1, s + 8):
             expected = d <= s + 4
-            assert is_isometric_bfs((f, d)) == expected, (f, d)
+            assert is_isometric((f, d)) == expected, (f, d)
 
     def test_theorem_3_3_iii_exact_threshold(self):
         f = "111000"  # r = s = 3, threshold 9
         for d in range(7, 12):
-            assert is_isometric_bfs((f, d)) == (d <= 9), d
+            assert is_isometric((f, d)) == (d <= 9), d
 
     def test_theorem_4_3_family(self):
         for s in (2, 3):
             f = "1" * s + "0" + "1" * s + "0"
             for d in range(1, 11):
-                assert is_isometric_bfs((f, d)), (f, d)
+                assert is_isometric((f, d)), (f, d)
 
     def test_theorem_4_4_family(self):
         for s in (1, 2, 3):
             f = "10" * s
             for d in range(1, 11):
-                assert is_isometric_bfs((f, d)), (f, d)
+                assert is_isometric((f, d)), (f, d)
 
     def test_proposition_4_1_exact(self):
         # f = 10101 (s=2): isometric up to 7, never after (4s = 8)
         for d in range(1, 11):
-            assert is_isometric_bfs(("10101", d)) == (d <= 7), d
+            assert is_isometric(("10101", d)) == (d <= 7), d
 
     def test_proposition_4_2_exact(self):
         # f = 10110 (r=s=1): isometric up to 6, not from 7 = 2r+2s+3
         for d in range(1, 11):
-            assert is_isometric_bfs(("10110", d)) == (d <= 6), d
+            assert is_isometric(("10110", d)) == (d <= 6), d
 
     def test_proposition_5_1_family(self):
         for d in range(1, 12):
-            assert is_isometric_bfs(("11010", d)), d
+            assert is_isometric(("11010", d)), d
 
 
 class TestGapHonesty:

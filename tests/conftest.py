@@ -16,6 +16,8 @@ from typing import List, Set
 import pytest
 
 from repro.graphs.core import Graph
+from repro.graphs.traversal import bfs_distances
+from repro.isometry import is_isometric, isometric_defect, isometry_report
 
 # -- tier-1 wall-clock budget -------------------------------------------------
 #
@@ -84,6 +86,36 @@ def naive_count_squares(f: str, d: int) -> int:
                 if w_i in words and w_j in words and w_ij in words:
                     count += 1
     return count
+
+
+def naive_isometry(cube):
+    """Every isometry answer straight from the definitions, shaped like
+    :func:`isometry_answers`: deque BFS rows against ``int.bit_count``
+    Hamming rows, pairs scanned in row-major order."""
+    g = cube.graph()
+    codes = [int(c) for c in cube.codes]
+    bad = []  # (i, j, cube distance, Hamming distance) in row-major order
+    for i, ci in enumerate(codes):
+        inner = bfs_distances(g, i).tolist()
+        for j, cj in enumerate(codes):
+            outer = (ci ^ cj).bit_count()
+            if inner[j] != outer:
+                bad.append((i, j, inner[j], outer))
+    if not bad:
+        return True, None, (True, None, None, 0)
+    i, j, inner, outer = bad[0]
+    defect = (cube.word_of(i), cube.word_of(j), inner, outer)
+    level = min(b[3] for b in bad)
+    i, j = next((b[0], b[1]) for b in bad if b[3] == level)
+    return False, defect, (False, level, (cube.word_of(i), cube.word_of(j)), len(bad))
+
+
+def isometry_answers(cube):
+    """The isometry engine's answers: ``(is_isometric, isometric_defect,
+    (isometric, first_bad_level, witness, num_bad_pairs))``."""
+    rep = isometry_report(cube)
+    fields = (rep.isometric, rep.first_bad_level, rep.witness, rep.num_bad_pairs)
+    return is_isometric(cube), isometric_defect(cube), fields
 
 
 def path_graph(n: int) -> Graph:

@@ -6,10 +6,9 @@ from repro.cubes.generalized import generalized_fibonacci_cube
 from repro.cubes.multifactor import MultiFactorCube, multi_factor_cube
 from repro.graphs.traversal import is_connected
 from repro.invariants.structure import structure_report
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import is_isometric_dp
+from repro.isometry import is_isometric
 
-from tests.conftest import naive_all_words
+from tests.conftest import isometry_answers, naive_all_words, naive_isometry
 
 
 class TestConstruction:
@@ -77,9 +76,9 @@ class TestGraph:
 class TestEngineInterop:
     """The single-factor machinery runs unchanged on multi-factor cubes."""
 
-    def test_isometry_engines_accept_multifactor(self):
+    def test_isometry_engine_accepts_multifactor(self):
         mc = multi_factor_cube(("111", "000"), 6)
-        assert is_isometric_bfs(mc) == is_isometric_dp(mc)
+        assert isometry_answers(mc) == naive_isometry(mc)
 
     def test_structure_report(self):
         mc = multi_factor_cube(("11", "000"), 6)
@@ -93,21 +92,20 @@ class TestEngineInterop:
         mc = multi_factor_cube(("11", "00"), 5)
         assert mc.num_vertices == 2
         assert not is_connected(mc.graph())
-        assert not is_isometric_bfs(mc)
+        assert not is_isometric(mc)
 
     def test_joint_cube_that_stays_isometric(self):
         # {111, 000} stays isometric up to d = 3 ...
         mc = multi_factor_cube(("111", "000"), 3)
-        assert is_isometric_bfs(mc)
+        assert is_isometric(mc)
 
     def test_joint_isometry_is_not_inherited(self):
         """... but fails from d = 4 even though each factor alone is
         admissible for every d (Prop 3.1 + Lemma 2.2) -- single-factor
         embeddability does not compose under intersection."""
         mc = multi_factor_cube(("111", "000"), 4)
-        assert not is_isometric_bfs(mc)
-        assert not is_isometric_dp(mc)
+        assert not is_isometric(mc)
 
     def test_rejects_non_cube_objects(self):
         with pytest.raises(TypeError):
-            is_isometric_bfs(42)
+            is_isometric(42)

@@ -4,7 +4,12 @@ import pytest
 
 from repro.cubes.hypercube import hypercube
 from repro.graphs.core import Graph
-from repro.graphs.intervals import distance_interval, is_on_shortest_path
+from repro.graphs.intervals import (
+    distance_interval,
+    interval_from_distances,
+    is_on_shortest_path,
+)
+from repro.graphs.traversal import bfs_distances
 from repro.graphs.median import (
     is_median_graph,
     majority_word,
@@ -45,6 +50,16 @@ class TestIntervals:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             distance_interval(g, 0, 2)
+
+    def test_vertex_unreachable_from_both_endpoints(self):
+        # the path 0-1-2 plus the isolated vertex 3, whose -1 + -1 must not
+        # pass for a distance sum
+        g = Graph.from_edges(4, [(0, 1), (1, 2)])
+        assert distance_interval(g, 0, 2) == [0, 1, 2]
+        dist_0, dist_2 = bfs_distances(g, 0), bfs_distances(g, 2)
+        assert interval_from_distances(dist_0, dist_2, 2) == [0, 1, 2]
+        with pytest.raises(TypeError):
+            interval_from_distances(dist_0, dist_2)  # d(u, v) is required
 
     def test_is_on_shortest_path(self):
         g = path_graph(5)

@@ -9,10 +9,10 @@ from repro.graphs.nxadapter import to_networkx
 from repro.graphs.traversal import (
     all_pairs_distances,
     bfs_distances,
-    bfs_distances_csr,
     bfs_distances_many,
     connected_components,
     diameter,
+    distance_blocks,
     eccentricities,
     is_connected,
     radius,
@@ -27,7 +27,13 @@ GRAPHS = {
     "k5": complete_graph(5),
     "grid34": grid_graph(3, 4),
     "star8": star_graph(8),
+    # more than one block of 256 sources, with an isolated vertex last
+    "grid17x17+1": Graph.from_edges(290, grid_graph(17, 17).edges()),
 }
+
+
+def deque_rows(g):
+    return np.array([bfs_distances(g, s) for s in range(g.num_vertices)], dtype=np.int64)
 
 
 class TestBfsEngines:
@@ -41,30 +47,22 @@ class TestBfsEngines:
             for v in range(g.num_vertices):
                 assert got[v] == want.get(v, -1)
 
-    @pytest.mark.parametrize("name", sorted(GRAPHS))
-    def test_csr_matches_deque(self, name):
-        g = GRAPHS[name]
-        for s in range(g.num_vertices):
-            assert np.array_equal(bfs_distances(g, s), bfs_distances_csr(g, s))
-
     def test_disconnected_marks_unreachable(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         dist = bfs_distances(g, 0)
         assert dist.tolist() == [0, 1, -1, -1]
-        assert np.array_equal(dist, bfs_distances_csr(g, 0))
+        assert np.array_equal(dist, bfs_distances_many(g, [0])[0])
 
     def test_source_out_of_range(self):
         g = path_graph(3)
         with pytest.raises(IndexError):
             bfs_distances(g, 3)
+        for sources in ([-1], [3], [0, 3, 1]):
+            with pytest.raises(IndexError):
+                bfs_distances_many(g, sources)
+        # a negative index must not wrap around to the last vertex
         with pytest.raises(IndexError):
-            bfs_distances_csr(g, -1)
-
-    def test_csr_on_isolated_vertex(self):
-        g = Graph(3)
-        g.add_edge(0, 1)
-        dist = bfs_distances_csr(g, 2)
-        assert dist.tolist() == [-1, -1, 0]
+            bfs_distances_many(Graph.from_edges(4, [(0, 1), (1, 2)]), [-1])
 
     @pytest.mark.parametrize("name", sorted(GRAPHS))
     def test_many_matches_deque(self, name):
@@ -86,21 +84,33 @@ class TestBfsEngines:
         assert bfs_distances_many(g, []).shape == (0, 7)
 
 
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_blocks_are_the_deque_rows_in_order(self, name):
+        g = GRAPHS[name]
+        n = g.num_vertices
+        blocks = list(distance_blocks(g))
+        assert [start for start, _ in blocks] == list(range(0, n, 256))
+        dtype = np.int8 if n <= 128 else np.int16
+        assert all(rows.dtype == dtype for _, rows in blocks)
+        assert np.array_equal(np.concatenate([rows for _, rows in blocks]), deque_rows(g))
+
+    def test_empty_graph_has_no_blocks(self):
+        assert list(distance_blocks(Graph(0))) == []
+
+
 class TestAllPairs:
-    @pytest.mark.parametrize("engine", ["deque", "csr", "auto"])
-    def test_engines_agree(self, engine):
-        g = grid_graph(3, 3)
-        base = all_pairs_distances(g, engine="deque")
-        assert np.array_equal(all_pairs_distances(g, engine=engine), base)
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_equals_stacked_deque_rows(self, name):
+        g = GRAPHS[name]
+        dist = all_pairs_distances(g)
+        assert dist.dtype == np.int64
+        assert np.array_equal(dist, deque_rows(g))
 
     def test_symmetric(self):
         g = cycle_graph(6)
         d = all_pairs_distances(g)
         assert np.array_equal(d, d.T)
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            all_pairs_distances(path_graph(2), engine="gpu")
 
 
 class TestParameters:
@@ -120,10 +130,17 @@ class TestParameters:
         assert ecc[0] == 1
         assert all(e == 2 for e in ecc[1:])
 
+    def test_eccentricities_match_deque_rows(self):
+        g = grid_graph(17, 17)  # two blocks of sources
+        assert np.array_equal(eccentricities(g), deque_rows(g).max(axis=1))
+        assert (diameter(g), radius(g)) == (32, 16)
+
     def test_disconnected_eccentricity_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             eccentricities(g)
+        with pytest.raises(ValueError):
+            eccentricities(GRAPHS["grid17x17+1"])  # unreachable only in the second block
 
     def test_empty_diameter_raises(self):
         with pytest.raises(ValueError):
@@ -133,7 +150,8 @@ class TestParameters:
 
     def test_diameter_matches_networkx(self):
         for name, g in GRAPHS.items():
-            assert diameter(g) == nx.diameter(to_networkx(g, use_labels=False)), name
+            if is_connected(g):
+                assert diameter(g) == nx.diameter(to_networkx(g, use_labels=False)), name
 
 
 class TestConnectivity:

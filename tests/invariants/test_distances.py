@@ -87,12 +87,12 @@ class TestCutDecomposition:
         assert wiener_by_cuts((f, d)) < wiener_index((f, d))
 
     def test_witness_agrees_with_engines(self):
-        from repro.isometry.bruteforce import is_isometric_bfs
+        from repro.isometry import is_isometric
         from repro.words.core import all_words
 
         for f in all_words(3):
             for d in range(2, 7):
-                iso = is_isometric_bfs((f, d))
+                iso = is_isometric((f, d))
                 cube = generalized_fibonacci_cube(f, d)
                 if cube.num_vertices < 2:
                     continue

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isometry.bruteforce import is_isometric_bfs
+from repro.isometry import is_isometric
 from repro.isometry.critical import (
     CriticalPair,
     find_critical_pair,
@@ -42,7 +42,7 @@ class TestSearch:
         # Lemma 2.4 gives one direction; for these small cubes the search
         # also certifies the converse experimentally.
         for f, d in [("101", 4), ("1101", 5), ("1100", 7), ("10110", 7)]:
-            assert not is_isometric_bfs((f, d))
+            assert not is_isometric((f, d))
             pair = find_critical_pair((f, d))
             assert pair is not None, (f, d)
             assert pair.source == "search"

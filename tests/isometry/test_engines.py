@@ -1,21 +1,20 @@
-"""The two isometry engines: BFS reference vs vectorised DP.
+"""The isometry engine on known verdicts, defects and reports.
 
-Both must agree everywhere, and both must agree with Table 1.
+The verdicts come straight from Table 1; ``test_oracle.py`` checks the
+engine against an independent oracle on every small factor.
 """
 
 import pytest
 
 from repro.cubes.generalized import generalized_fibonacci_cube
-from repro.isometry.bruteforce import (
-    is_isometric_bfs,
+from repro.cubes.multifactor import multi_factor_cube
+from repro.isometry import (
+    is_isometric,
     isometric_defect,
-    popcount64,
+    isometry_report,
     subgraph_distances,
 )
-from repro.isometry.vectorized import is_isometric_dp, isometry_report
-from repro.words.core import all_words, hamming
-
-import numpy as np
+from repro.words.core import hamming
 
 
 # cases with known verdicts straight from Table 1
@@ -43,22 +42,13 @@ KNOWN = [
 
 class TestKnownVerdicts:
     @pytest.mark.parametrize("f,d,expected", KNOWN)
-    def test_bfs_engine(self, f, d, expected):
-        assert is_isometric_bfs((f, d)) == expected
+    def test_engine(self, f, d, expected):
+        assert is_isometric((f, d)) == expected
 
     @pytest.mark.parametrize("f,d,expected", KNOWN)
-    def test_dp_engine(self, f, d, expected):
-        assert is_isometric_dp((f, d)) == expected
-
-
-class TestEnginesAgreeExhaustively:
-    @pytest.mark.parametrize("length", [1, 2, 3, 4])
-    def test_all_factors_small_d(self, length):
-        for f in all_words(length):
-            if "1" not in f and "0" not in f:
-                continue
-            for d in range(1, 8):
-                assert is_isometric_bfs((f, d)) == is_isometric_dp((f, d)), (f, d)
+    def test_defect_and_report_agree(self, f, d, expected):
+        assert (isometric_defect((f, d)) is None) == expected
+        assert isometry_report((f, d)).isometric == expected
 
 
 class TestDefects:
@@ -87,14 +77,21 @@ class TestDefects:
         assert rep.witness is None
         assert rep.num_bad_pairs == 0
 
-    def test_dp_memory_guard(self):
-        with pytest.raises(MemoryError):
-            isometry_report(("10101010", 16), max_vertices=10)
-
     def test_single_vertex_cube_is_isometric(self):
         # f = "1", all-zero word only
-        assert is_isometric_bfs(("1", 5))
-        assert is_isometric_dp(("1", 5))
+        assert is_isometric(("1", 5))
+        assert isometric_defect(("1", 5)) is None
+        assert isometry_report(("1", 5)).isometric
+
+    def test_all_eight_code_bytes_count(self):
+        """Hamming distances take every byte of the 64-bit codes: the
+        two words of Q_62({11, 00}) differ in all 62 bits and are not
+        connected."""
+        cube = multi_factor_cube(("11", "00"), 62)
+        assert isometric_defect(cube) == ("01" * 31, "10" * 31, -1, 62)
+        rep = isometry_report(cube)
+        assert (rep.first_bad_level, rep.num_bad_pairs) == (62, 2)
+        assert is_isometric(("10", 62))  # a path of 63 words, Hamming = path distance
 
 
 class TestSubgraphDistances:
@@ -109,14 +106,7 @@ class TestSubgraphDistances:
         dist = subgraph_distances(("11", 4), 0)
         assert dist[0] == 0
 
-
-class TestPopcount:
-    def test_matches_bin_count(self):
-        vals = np.array([0, 1, 2, 3, 255, 2**40 - 1, 2**62 - 3], dtype=np.int64)
-        got = popcount64(vals)
-        want = [bin(int(v)).count("1") for v in vals]
-        assert got.tolist() == want
-
-    def test_shape_preserved(self):
-        vals = np.arange(16, dtype=np.int64).reshape(4, 4)
-        assert popcount64(vals).shape == (4, 4)
+    @pytest.mark.parametrize("source", [-1, 8])
+    def test_source_out_of_range(self, source):
+        with pytest.raises(IndexError):
+            subgraph_distances(("11", 4), source)  # Q_4(11) has 8 vertices

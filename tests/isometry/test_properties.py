@@ -10,14 +10,15 @@ from hypothesis import strategies as st
 
 from repro.classify.engine import classify
 from repro.classify.verdict import Status
-from repro.cubes.generalized import GeneralizedFibonacciCube
+from repro.cubes.generalized import GeneralizedFibonacciCube, generalized_fibonacci_cube
 from repro.cubes.symmetries import factor_orbit
 from repro.invariants.distances import wiener_by_cuts, wiener_index
-from repro.isometry.bruteforce import is_isometric_bfs
-from repro.isometry.vectorized import is_isometric_dp
+from repro.isometry import is_isometric
 from repro.words.core import complement, hamming, reverse
 from repro.words.counting import count_edges_automaton, count_vertices_automaton
 from repro.words.correlation import count_avoiding_gf
+
+from tests.conftest import isometry_answers, naive_isometry
 
 factors = st.text(alphabet="01", min_size=1, max_size=5)
 dims = st.integers(min_value=1, max_value=7)
@@ -25,9 +26,10 @@ dims = st.integers(min_value=1, max_value=7)
 
 @given(factors, dims)
 @settings(max_examples=80, deadline=None)
-def test_engines_always_agree(f, d):
-    """The BFS reference and the vectorised DP never disagree."""
-    assert is_isometric_bfs((f, d)) == is_isometric_dp((f, d))
+def test_engine_matches_the_oracle(f, d):
+    """The isometry engine gives the oracle's verdict, defect and report."""
+    cube = generalized_fibonacci_cube(f, d)
+    assert isometry_answers(cube) == naive_isometry(cube)
 
 
 @given(factors, dims)
@@ -46,11 +48,11 @@ def test_orbit_invariance(f, d):
     """Lemmas 2.2/2.3: everything transfers along the symmetry orbit."""
     base_v = count_vertices_automaton(f, d)
     base_e = count_edges_automaton(f, d)
-    base_iso = is_isometric_bfs((f, d))
+    base_iso = is_isometric((f, d))
     for g in factor_orbit(f):
         assert count_vertices_automaton(g, d) == base_v
         assert count_edges_automaton(g, d) == base_e
-        assert is_isometric_bfs((g, d)) == base_iso
+        assert is_isometric((g, d)) == base_iso
 
 
 @given(factors, dims)
@@ -60,7 +62,7 @@ def test_theorem_engine_sound(f, d):
     v = classify(f, d)
     if v.status is Status.UNKNOWN:
         return
-    assert (v.status is Status.ISOMETRIC) == is_isometric_bfs((f, d))
+    assert (v.status is Status.ISOMETRIC) == is_isometric((f, d))
 
 
 @given(factors, dims)
@@ -68,7 +70,7 @@ def test_theorem_engine_sound(f, d):
 def test_lemma_2_1_region(f, d):
     """d <= |f| always embeds (Lemma 2.1), randomized."""
     if d <= len(f):
-        assert is_isometric_bfs((f, d))
+        assert is_isometric((f, d))
 
 
 @given(factors, dims)
@@ -82,7 +84,7 @@ def test_wiener_cut_witness(f, d):
     if cube.num_vertices < 2 or not is_connected(cube.graph()):
         return
     equal = wiener_by_cuts(cube) == wiener_index(cube)
-    assert equal == is_isometric_bfs(cube)
+    assert equal == is_isometric(cube)
 
 
 @given(factors, dims, st.data())

@@ -14,6 +14,13 @@ class TestParser:
         args = build_parser().parse_args(["classify", "1100", "7"])
         assert args.factor == "1100" and args.d == 7
 
+    def test_backend_choices_are_the_backends(self):
+        # written out in the CLI so the parser does not import repro.network
+        from repro.cli import _BACKEND_CHOICES
+        from repro.network.backends import AUTO, BACKENDS
+
+        assert _BACKEND_CHOICES == [AUTO, *BACKENDS]
+
 
 class TestCommands:
     def test_classify_decided(self, capsys):

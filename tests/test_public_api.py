@@ -51,12 +51,15 @@ class TestSurface:
 
     def test_quickstart_flow(self):
         """The README quickstart, executed."""
-        from repro import classify, generalized_fibonacci_cube, isometry_report
+        from repro import classify, generalized_fibonacci_cube, is_isometric, isometry_report
 
         cube = generalized_fibonacci_cube("1100", 6)
         assert cube.num_vertices == 52
-        report = isometry_report(cube)
-        assert report.isometric
+        assert classify("1100", 7).status is repro.Status.NOT_ISOMETRIC
+        assert is_isometric(cube)
+        assert isometry_report(cube).isometric
+        report = isometry_report(("101", 4))
+        assert (report.first_bad_level, report.witness) == (2, ("1001", "1111"))
         verdict = classify("1100", 6)
         assert verdict.status is repro.Status.ISOMETRIC
 
@@ -75,3 +78,23 @@ def test_imports_first_in_a_fresh_interpreter(module):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cold_start_without_networkx():
+    """networkx is a test-only dependency: with it blocked, ``import repro``
+    and a pure-math CLI command run, and neither imports the network
+    package."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "import repro, repro.cli\n"
+        "assert repro.cli.main(['counts', '11', '5']) == 0\n"
+        "assert 'repro.network' not in sys.modules, 'repro.network was imported'\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "|V(Q_5(11))| = 13" in done.stdout
