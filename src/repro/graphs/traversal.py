@@ -62,11 +62,10 @@ def bfs_distances(graph: Graph, source: int) -> np.ndarray:
     dist = np.full(n, UNREACHABLE, dtype=np.int64)
     dist[source] = 0
     queue = deque([source])
-    adj = [graph.neighbors(u) for u in range(n)]
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for v in adj[u]:
+        for v in graph.neighbors(u):
             if dist[v] == UNREACHABLE:
                 dist[v] = du + 1
                 queue.append(v)

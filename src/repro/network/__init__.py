@@ -9,8 +9,10 @@ generalized Fibonacci cube:
 - :mod:`repro.network.topology` -- topology wrapper with cost metrics
   (order, degree, diameter, average distance, links);
 - :mod:`repro.network.routing` -- routers: exact BFS, the canonical
-  bit-fix route (optimal on :math:`Q_d(1^s)` by Proposition 3.1), and a
-  greedy distributed rule with local fallback;
+  bit-fix route (optimal on :math:`Q_d(1^s)` by Proposition 3.1), its
+  fault-aware adaptive extension, strict e-cube and greedy Hamming
+  descent (no fallback); route analysis (``route_stats``, the deadlock
+  CDG, collective link loads) reads their ``RouteTable`` rows;
 - :mod:`repro.network.broadcast` -- single-port broadcast scheduling
   (binomial on the hypercube, BFS-tree based generally);
 - :mod:`repro.network.collectives` -- collective operations (broadcast,

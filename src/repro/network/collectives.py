@@ -70,17 +70,18 @@ from dataclasses import dataclass
 from math import ceil, log2
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.network.broadcast import binomial_broadcast_schedule, verify_schedule
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.hamilton import find_hamiltonian_path
-from repro.network.routing import BfsRouter
+from repro.network.routing import BfsRouter, route_blocks
 from repro.network.simulator import (
     BatchItem,
     ReferenceSimulator,
     SimResult,
     VectorizedSimulator,
-    _build_table,
     _validate_max_cycles,
 )
 from repro.network.topology import Topology
@@ -329,19 +330,15 @@ def schedule_link_loads(
     nothing.
     """
     router = router if router is not None else BfsRouter()
-    counts: Dict[Tuple[int, int], int] = {}
-    for rnd in schedule:
-        for pair in rnd:
-            counts[pair] = counts.get(pair, 0) + 1
-    table = _build_table(topo, router, list(counts))
     loads: Dict[Tuple[int, int], int] = {}
-    for pair, mult in counts.items():
-        row = table.pair_row[pair]
-        if row < 0:
-            continue
-        path = table.route_nodes(row).tolist()
-        for a, b in zip(path, path[1:]):
-            loads[(a, b)] = loads.get((a, b), 0) + mult
+    for _, table, rows in route_blocks(topo, router, [p for rnd in schedule for p in rnd]):
+        codes, offsets = table.hops()
+        mult = np.bincount(rows[rows >= 0], minlength=table.num_routes)
+        links, at = np.unique(codes, return_inverse=True)
+        units = np.bincount(at, weights=np.repeat(mult, np.diff(offsets)))
+        for code, load in zip(links.tolist(), units.astype(np.int64).tolist()):
+            link = divmod(code, topo.num_nodes)
+            loads[link] = loads.get(link, 0) + load
     return loads
 
 

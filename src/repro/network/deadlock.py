@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from repro.network.routing import route_blocks
 from repro.network.topology import Topology
 
 __all__ = ["channel_dependency_graph", "is_deadlock_free", "find_dependency_cycle"]
@@ -33,19 +36,19 @@ def channel_dependency_graph(
     """Adjacency of the CDG induced by routing every pair (or ``pairs``).
 
     Channels are directed edges ``(u, v)``.  Pairs whose route fails are
-    skipped (the router's delivery rate is a separate concern).
+    skipped (the router's delivery rate is a separate concern).  Arcs are
+    the distinct (hop, next hop) pairs within rows of ``route_blocks``
+    tables, each ``(u, v) -> (v, w)`` kept as the walk ``uv * n + w``.
     """
-    n = topo.graph.num_vertices
-    if pairs is None:
-        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    n = topo.num_nodes
     deps: Dict[Channel, Set[Channel]] = {}
-    for s, t in pairs:
-        path = router.route(topo, s, t)
-        if path is None or len(path) < 3:
-            continue
-        channels = list(zip(path, path[1:]))
-        for c1, c2 in zip(channels, channels[1:]):
-            deps.setdefault(c1, set()).add(c2)
+    for _, table, _ in route_blocks(topo, router, pairs):
+        hop, offsets = table.hops()
+        row = np.repeat(np.arange(table.num_routes), np.diff(offsets))
+        chained = row[1:] == row[:-1]
+        walks = np.unique(hop[:-1][chained] * n + hop[1:][chained] % n)
+        for uv, w in zip((walks // n).tolist(), (walks % n).tolist()):
+            deps.setdefault(divmod(uv, n), set()).add((uv % n, w))
     return deps
 
 

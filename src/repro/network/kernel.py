@@ -134,25 +134,15 @@ def _link_arrays(num_nodes, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(link_seq, link_offsets, link_codes)``.
 
     Link ids are ranks of the ``u * n + v`` codes of the directed edges
-    actually used, so the per-cycle ``bincount`` stays dense;
-    ``link_codes`` is the sorted code array those ranks index (used to
-    resolve fault plans onto link ids).
+    actually used (``RouteTable.hops``), so the per-cycle ``bincount``
+    stays dense; ``link_codes`` is the sorted code array those ranks
+    index (used to resolve fault plans onto link ids).
     """
-    data, offsets = table.route_data, table.route_offsets
-    if data.size == 0:
-        return (np.empty(0, dtype=np.int64),
-                np.zeros(len(offsets), dtype=np.int64),
-                np.empty(0, dtype=np.int64))
-    last = np.zeros(data.size, dtype=bool)
-    last[offsets[1:] - 1] = True
-    valid = ~last[:-1]
-    codes = data[:-1][valid] * num_nodes + data[1:][valid]
-    uniq = np.unique(codes)
-    link_seq = np.searchsorted(uniq, codes)
-    lengths = offsets[1:] - offsets[:-1]
-    link_offsets = np.zeros(len(offsets), dtype=np.int64)
-    np.cumsum(lengths - 1, out=link_offsets[1:])
-    return link_seq, link_offsets, uniq
+    if table.num_nodes != num_nodes:
+        raise ValueError(f"route table records {table.num_nodes} nodes, not {num_nodes}")
+    codes, link_offsets = table.hops()
+    link_codes = np.unique(codes)
+    return np.searchsorted(link_codes, codes), link_offsets, link_codes
 
 
 def _ext_channels(
@@ -171,8 +161,6 @@ def _ext_channels(
     link's dimension is the first column where its end nodes' rows of
     the topology's cached ``n x d`` word matrix differ.
     """
-    if link_seq.size == 0:
-        return np.empty(0, dtype=np.int64)
     if num_vcs == 1:
         return link_seq
     n = topo.num_nodes

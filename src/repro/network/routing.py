@@ -1,6 +1,6 @@
 """Routing algorithms on cube topologies.
 
-Three routers with one interface (``route(topology, src, dst) -> path``
+Five routers with one interface (``route(topology, src, dst) -> path``
 as a list of node indices):
 
 - :class:`BfsRouter` -- exact shortest path in the topology (the
@@ -17,10 +17,12 @@ as a list of node indices):
 - :class:`AdaptiveRouter` -- the fault-aware extension of the canonical
   rule: prefer a canonical move over a *live* link, and when faults (or
   non-isometry) block every closer step, misroute to any live neighbour
-  under a bounded misroute budget -- still table-free and local.
+  under a bounded misroute budget -- still table-free and local;
+- :class:`DimensionOrderRouter` -- strict e-cube, the canonical order without
+  skipping: deadlock-free anywhere, failing where a flip leaves the vertex set.
 
-:func:`route_stats` sweeps node pairs and reports reachability, stretch
-(path length / graph distance) and hop histograms.
+:func:`route_stats` checks and scores routes read, as the simulator reads them,
+from :class:`RouteTable` blocks: reachability, stretch and optimality.
 """
 
 from __future__ import annotations
@@ -397,6 +399,14 @@ class RouteTable:
         """Node count of every route (hops + 1), one entry per row."""
         return self.route_offsets[1:] - self.route_offsets[:-1]
 
+    def hops(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every row's hops as directed-link codes ``u * num_nodes + v`` in
+        CSR form ``(codes, offsets)``: row ``r``'s hops are
+        ``codes[offsets[r] : offsets[r + 1]]``, one fewer than its nodes."""
+        data, offsets = self.route_data, self.route_offsets
+        codes = np.delete(data[:-1] * self.num_nodes + data[1:], offsets[1:-1] - 1)
+        return codes, offsets - np.arange(offsets.size)
+
     def endpoints(self) -> Tuple[np.ndarray, np.ndarray]:
         """First and last node of every row: its pair's ``(src, dst)``."""
         return (self.route_data[self.route_offsets[:-1]],
@@ -427,6 +437,37 @@ class _PairRows(Mapping):
         if at == t.pair_codes.size or t.pair_codes[at] != code:
             raise KeyError(pair)
         return int(t.pair_rows[at])
+
+
+_BLOCK_PAIRS = 65536  # the most pairs route analysis holds in one table
+
+
+def route_table(topo: Topology, router, pairs) -> RouteTable:
+    """``pairs`` resolved into one :class:`RouteTable`: by the router's
+    batched ``build_table`` when it has one, else :meth:`RouteTable.build`."""
+    if hasattr(router, "build_table"):
+        return router.build_table(topo, pairs)
+    return RouteTable.build(topo, router, pairs)
+
+
+def route_blocks(
+    topo: Topology, router, pairs: Optional[Sequence[Tuple[int, int]]] = None
+) -> Iterator[Tuple[np.ndarray, RouteTable, np.ndarray]]:
+    """``pairs`` (default: every ordered pair ``s != t``, source-major) in
+    blocks of at most 65,536: each block as a ``(k, 2)`` array, its
+    :func:`route_table` and each pair's row there (``-1``: route failed)."""
+    n = topo.num_nodes
+    if pairs is not None:
+        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    total = n * (n - 1) if pairs is None else len(pairs)
+    for lo in range(0, total, _BLOCK_PAIRS):
+        if pairs is None:  # pair k is (s, j) for j < s, else (s, j + 1)
+            src, j = np.divmod(np.arange(lo, min(lo + _BLOCK_PAIRS, total)), n - 1)
+            block = np.stack((src, j + (j >= src)), axis=1)
+        else:
+            block = pairs[lo : lo + _BLOCK_PAIRS]
+        table = route_table(topo, router, block)
+        yield block, table, table.rows_of(block[:, 0], block[:, 1])
 
 
 @dataclass(frozen=True)
@@ -460,34 +501,23 @@ def route_stats(
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
 ) -> RouteStats:
     """Run ``router`` over ``pairs`` (default: all ordered pairs) and verify
-    each returned path is a real path before scoring it."""
-    g = topo.graph
-    n = g.num_vertices
-    if pairs is None:
-        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    delivered = optimal = total_hops = total_shortest = 0
-    ends = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    shortest_of = topo.hop_distances(ends[:, 0], ends[:, 1]).tolist()
-    for (s, t), shortest in zip(pairs, shortest_of):
-        path = router.route(topo, s, t)
-        if path is None:
-            continue
-        if path[0] != s or path[-1] != t:
-            raise AssertionError(f"router {router.name} returned a broken path")
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                raise AssertionError(f"router {router.name} used a non-edge")
-        hops = len(path) - 1
-        delivered += 1
-        total_hops += hops
-        total_shortest += shortest
-        if hops == shortest:
-            optimal += 1
-    return RouteStats(
-        router=getattr(router, "name", type(router).__name__),
-        pairs=len(pairs),
-        delivered=delivered,
-        optimal=optimal,
-        total_hops=total_hops,
-        total_shortest=total_shortest,
-    )
+    each returned path is a real path before scoring it; paths are read
+    from :func:`route_blocks`' tables, and the first bad pair names the
+    failure."""
+    indptr, indices = topo.graph.csr()
+    n = topo.num_nodes
+    links = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
+    totals = np.zeros(5, dtype=np.int64)  # the RouteStats counts, in field order
+    for block, table, rows in route_blocks(topo, router, pairs):
+        ends, rows = block[rows >= 0], rows[rows >= 0]
+        broken = (np.stack(table.endpoints(), axis=1)[rows] != ends).any(axis=1)
+        codes, offsets = table.hops()
+        nonedges = np.cumsum(np.concatenate(([0], ~np.isin(codes, links))))[offsets]
+        bad = broken | (np.diff(nonedges) > 0)[rows]
+        if bad.any():
+            what = "returned a broken path" if broken[bad.argmax()] else "used a non-edge"
+            raise AssertionError(f"router {router.name} {what}")
+        hops = table.lengths()[rows] - 1
+        shortest = topo.hop_distances(ends[:, 0], ends[:, 1])
+        totals += (len(block), rows.size, (hops == shortest).sum(), hops.sum(), shortest.sum())
+    return RouteStats(getattr(router, "name", type(router).__name__), *totals.tolist())

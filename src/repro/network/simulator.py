@@ -98,7 +98,7 @@ from repro.network.flowcontrol import (
     resolve_flits,
 )
 from repro.network.kernel import KernelRun, _link_arrays, run_fused
-from repro.network.routing import BfsRouter, RouteTable
+from repro.network.routing import BfsRouter, RouteTable, route_table
 from repro.network.topology import Topology
 from repro.network.traffic import uniform_traffic
 from repro.network.workloads import TenantStats, tenant_stats_of
@@ -334,12 +334,6 @@ def _pid_tenants(
     return np.asarray(tenants, dtype=np.int64)[order].tolist()
 
 
-def _build_table(topo: Topology, router, pairs) -> RouteTable:
-    if hasattr(router, "build_table"):
-        return router.build_table(topo, pairs)
-    return RouteTable.build(topo, router, pairs)
-
-
 def _pairs(codes: np.ndarray, n: int) -> np.ndarray:
     """``src * n + dst`` codes back to a ``(k, 2)`` pair array."""
     return np.stack(np.divmod(codes, n), axis=1)
@@ -354,7 +348,7 @@ def _prepare_shared(
     union table holds exactly the paths a per-run build would."""
     n = topo.num_nodes
     union = np.unique(np.concatenate([a[:, 1] * n + a[:, 2] for a in arrs]))
-    table = _build_table(topo, router, _pairs(union, n))
+    table = route_table(topo, router, _pairs(union, n))
     mis = _row_misroutes(topo, table)
     preps = []
     for arr in arrs:
@@ -394,7 +388,7 @@ def _prepare_faulted(
         sel = np.flatnonzero(epoch == e)
         src, dst = arr[sel, 1], arr[sel, 2]
         live = (death[src] > at) & (death[dst] > at)
-        sub = _build_table(
+        sub = route_table(
             view, router, _pairs(np.unique(src[live] * n + dst[live]), n)
         )
         r = np.full(sel.size, -1, dtype=np.int64)
@@ -406,6 +400,7 @@ def _prepare_faulted(
         num_steps += sub.route_data.size
     table = RouteTable(
         route_data=np.concatenate(data), route_offsets=np.concatenate(offsets),
+        num_nodes=n,
     )
     return _Prepared(
         table, arr, perm, rows, _row_misroutes(topo, table),

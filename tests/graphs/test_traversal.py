@@ -172,3 +172,18 @@ class TestConnectivity:
         g = Graph.from_edges(5, [(0, 4), (1, 3)])
         comps = connected_components(g)
         assert sorted(v for comp in comps for v in comp) == list(range(5))
+
+    def test_components_read_each_adjacency_list_once(self):
+        """The deque BFS walks the graph's own lists: components of an
+        edgeless graph read n adjacency lists, not n per component."""
+
+        class Counting(Graph):
+            calls = 0
+
+            def neighbors(self, u):
+                Counting.calls += 1
+                return super().neighbors(u)
+
+        comps = connected_components(Counting(500))
+        assert len(comps) == 500
+        assert Counting.calls == 500

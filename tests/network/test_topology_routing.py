@@ -165,6 +165,28 @@ class TestRouters:
         stats = route_stats(topo, BfsRouter(), pairs=[(0, 1), (1, 0)])
         assert stats.pairs == 2
 
+    def test_route_stats_rejects_a_broken_path(self, gamma6):
+        class Stuck:
+            name = "stuck"
+
+            def route(self, topo, s, t):
+                return [s]
+
+        with pytest.raises(AssertionError, match="returned a broken path"):
+            route_stats(gamma6, Stuck(), pairs=[(0, 0), (0, 1)])
+
+    def test_route_stats_rejects_a_non_edge(self, gamma6):
+        class Jumper:
+            name = "jumper"
+
+            def route(self, topo, s, t):
+                return [s, t]
+
+        near = gamma6.graph.neighbors(0)[0]
+        far = int(np.argmax(bfs_distances(gamma6.graph, 0)))
+        with pytest.raises(AssertionError, match="used a non-edge"):
+            route_stats(gamma6, Jumper(), pairs=[(0, near), (0, far)])
+
     def test_canonical_needs_word_topology(self):
         g = cycle_graph(4)
         g.set_labels([0, 1, 2, 3])
