@@ -203,15 +203,15 @@ def test_bench_n1_native_backend_speedup(benchmark):
 
     from repro.network.backends import native as native_mod
     from repro.network.kernel import KernelRun, _link_arrays, run_fused
-    from repro.network.routing import BfsRouter
-    from repro.network.simulator import _as_flow, _prepare_shared
+    from repro.network.routing import BfsRouter, route_table
+    from repro.network.simulator import _as_flow, _prepare
 
     if native_mod.load_library()[0] is None:
         pytest.skip("no usable C toolchain for the native backend")
 
     topo = topology_of(("11", 10))  # Gamma_10: 144 nodes
     traffic = uniform_traffic(topo, 15000, 150, seed=42)
-    [prep] = _prepare_shared(topo, BfsRouter(), [traffic])
+    [prep] = _prepare(topo, BfsRouter(), [traffic], None, route_table)
     link_seq, link_offsets, link_codes = _link_arrays(
         topo.num_nodes, prep.table
     )

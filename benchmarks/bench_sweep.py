@@ -257,8 +257,8 @@ def test_bench_sweep_backend_identity(benchmark):
 def test_bench_batched_grid_with_faults_matches(benchmark):
     """Batching must survive the awkward axes too: a mixed grid with a
     fault plan and multiple routers produces identical records batched
-    or not (faulted points co-batch -- only their route tables stay
-    per-point)."""
+    or not (faulted points co-batch, and points with the same router
+    and plan share its route table per routing epoch)."""
     grid = dict(
         topologies=["11:6"], patterns=("uniform", "hotspot"),
         routers=("bfs", "adaptive"), loads=(0.2, 0.5),

@@ -18,8 +18,9 @@ cubes degrade gracefully under faults:
     is dead is dropped and counted in ``SimResult.dropped`` -- faults
     strike in flight, not just between runs;
   - packets injected at or after a fault cycle are routed against the
-    *masked* topology (:meth:`Topology.with_faults`), one route-table
-    rebuild per fault epoch.  Fault-aware routers
+    *masked* topology (:meth:`Topology.with_faults`), one route table
+    per fault epoch, shared by every run of a batch that has the same
+    router and plan.  Fault-aware routers
     (:class:`~repro.network.routing.AdaptiveRouter`, BFS) detour around
     the damage; the table-free canonical router sees node deaths (word
     addresses of failed nodes are hidden) but is *oblivious to link

@@ -40,11 +40,12 @@ Two engines implement the *same* deterministic semantics:
   independent replications (:class:`BatchItem`) in one kernel call, and
   **a solo run is a one-item batch**.  Routes are flattened into a CSR
   :class:`~repro.network.routing.RouteTable` (one table per router
-  instance over the union of the unfaulted items' pairs), per-packet
-  state lives in NumPy arrays, and the cycle loop itself is the fused
-  advance kernel of :mod:`repro.network.kernel`: intrusive per-link
-  FIFOs over flat arrays, a handful of array gathers per cycle instead
-  of a Python loop over packets, idle gaps skipped outright.  A
+  instance, fault plan and routing epoch, over the union of the pairs
+  its items inject), per-packet state lives in NumPy arrays, and the
+  cycle loop itself is the fused advance kernel of
+  :mod:`repro.network.kernel`: intrusive per-link FIFOs over flat
+  arrays, a handful of array gathers per cycle instead of a Python
+  loop over packets, idle gaps skipped outright.  A
   backend name selects the kernel's cycle loop
   (:mod:`repro.network.backends`: ``numpy``, the compiled ``native``
   kernel, or ``auto``).  Both engines -- every backend, every batch
@@ -56,7 +57,8 @@ Faults
 Both engines accept a :class:`~repro.network.faults.FaultPlan`.  Fault
 cycles split time into *routing epochs*: packets injected in an epoch
 are routed on the topology masked by every fault already active
-(:meth:`Topology.with_faults`), one route-table rebuild per epoch.  The
+(:meth:`Topology.with_faults`), one route table per (router, plan,
+epoch) for all the runs of a batch that share that router and plan.  The
 plan also resolves to per-directed-link death cycles; during the forward
 step, a link that is dead drops its *entire* queue that cycle (packets
 in flight when a fault strikes are lost, not rerouted -- rerouting is
@@ -85,7 +87,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -176,13 +178,12 @@ class SimResult:
         return sum(self.hops) / len(self.hops) if self.hops else 0.0
 
 
-def _misroutes(
-    topo: Topology, src: np.ndarray, dst: np.ndarray, hops: np.ndarray
-) -> np.ndarray:
-    """Detour steps of routes ``src -> dst`` of ``hops`` hops: hops beyond
-    the *healthy* topology's graph distance, halved (on bipartite cube
-    graphs the excess is always even; elsewhere the odd remainder is
-    floored away), zero for pairs the healthy topology cannot connect.
+def _row_misroutes(topo: Topology, table: RouteTable) -> np.ndarray:
+    """Detour steps of every row of ``table``: hops beyond the *healthy*
+    topology's graph distance between the row's endpoints, halved (on
+    bipartite cube graphs the excess is always even; elsewhere the odd
+    remainder is floored away), zero for pairs the healthy topology
+    cannot connect.
 
     Measuring against the undamaged topology -- not the Hamming distance
     -- means shortest-path routing reports zero on every cube, including
@@ -191,14 +192,9 @@ def _misroutes(
     the fault damage) added.  Distances come from the topology's cached
     hop-distance rows.
     """
-    d = topo.hop_distances(src, dst).astype(np.int64)
-    return np.where(d < 0, 0, np.maximum(0, (hops - d) // 2))
-
-
-def _row_misroutes(topo: Topology, table: RouteTable) -> np.ndarray:
-    """:func:`_misroutes` of every row of ``table``."""
     src, dst = table.endpoints()
-    return _misroutes(topo, src, dst, table.lengths() - 1)
+    d = topo.hop_distances(src, dst).astype(np.int64)
+    return np.where(d < 0, 0, np.maximum(0, (table.lengths() - 1 - d) // 2))
 
 
 class _Prepared:
@@ -334,78 +330,76 @@ def _pid_tenants(
     return np.asarray(tenants, dtype=np.int64)[order].tolist()
 
 
-def _pairs(codes: np.ndarray, n: int) -> np.ndarray:
-    """``src * n + dst`` codes back to a ``(k, 2)`` pair array."""
-    return np.stack(np.divmod(codes, n), axis=1)
-
-
-def _prepare_shared(
-    topo: Topology, router, arrs: Sequence[np.ndarray]
+def _prepare(
+    topo: Topology,
+    router,
+    arrs: Sequence[np.ndarray],
+    faults: Optional[FaultPlan],
+    build: Callable[[Topology, object, np.ndarray], RouteTable],
 ) -> List[_Prepared]:
-    """Map unfaulted runs' validated traffic (see :func:`_validate_item`)
-    onto one route table, built over the union of their pairs, and one
-    per-row misroute array.  Routes are deterministic per pair, so the
-    union table holds exactly the paths a per-run build would."""
-    n = topo.num_nodes
-    union = np.unique(np.concatenate([a[:, 1] * n + a[:, 2] for a in arrs]))
-    table = route_table(topo, router, _pairs(union, n))
-    mis = _row_misroutes(topo, table)
-    preps = []
-    for arr in arrs:
-        perm = np.argsort(arr[:, 0], kind="stable")
-        arr = arr[perm]
-        rows = table.rows_of(arr[:, 1], arr[:, 2])
-        preps.append(_Prepared(table, arr, perm, rows, mis, {}))
-    return preps
+    """Map each run's validated traffic in ``arrs`` (see
+    :func:`_validate_item`), for a group of runs that share ``router``
+    and the fault plan ``faults`` (``None``: unfaulted), onto one route
+    table.
 
-
-def _prepare_faulted(
-    topo: Topology, router, arr: np.ndarray, faults: FaultPlan
-) -> _Prepared:
-    """Epoch-split preparation: every fault cycle starts a routing epoch.
-
-    Packets injected in an epoch are routed on the topology masked by
-    every fault already active (pairs with a dead endpoint drop at
-    injection), then the per-epoch tables merge into one flat table --
-    rows are unique per (epoch, pair), so the same pair can legitimately
-    route differently before and after a failure.  Misroutes are
+    Every fault cycle starts a routing epoch: a contiguous slice of each
+    run's cycle-sorted packets (an unfaulted run is one slice).  Each
+    epoch holding a packet gets one table, ``build(view, router,
+    pairs)`` over the group's live pairs, on ``view``, the topology
+    masked by every fault already active; a pair with a dead endpoint
+    drops at injection.  Routes are deterministic per (view, pair), so a
+    shared table holds exactly the paths a per-run build would.  Epoch
+    tables merge into one flat table whose rows are unique per (epoch,
+    pair): a pair may route differently after a failure.  Misroutes are
     measured against the *healthy* topology's distances.
     """
-    faults.validate(topo)
-    perm = np.argsort(arr[:, 0], kind="stable")
-    arr = arr[perm]
     n = topo.num_nodes
-    death = faults.node_death_array(n)
-    boundaries = np.asarray(faults.cycles(), dtype=np.int64)
-    epoch = np.searchsorted(boundaries, arr[:, 0], side="right")
-    rows = np.full(arr.shape[0], -1, dtype=np.int64)
-    data: List[np.ndarray] = [np.empty(0, dtype=np.int64)]
-    offsets: List[np.ndarray] = [np.zeros(1, dtype=np.int64)]
-    num_rows = num_steps = 0
-    for e in np.unique(epoch).tolist():
-        at = int(boundaries[e - 1]) if e > 0 else -1
-        view = topo.with_faults(faults, at_cycle=at) if e > 0 else topo
-        sel = np.flatnonzero(epoch == e)
-        src, dst = arr[sel, 1], arr[sel, 2]
-        live = (death[src] > at) & (death[dst] > at)
-        sub = route_table(
-            view, router, _pairs(np.unique(src[live] * n + dst[live]), n)
+    bounds = np.empty(0, dtype=np.int64)
+    link_dead: Dict[Tuple[int, int], int] = {}
+    if faults is not None and faults.num_events:
+        bounds = np.asarray(faults.validate(topo).cycles(), dtype=np.int64)
+        death = faults.node_death_array(n)
+        link_dead = faults.link_death_map(topo)
+    perms = [np.argsort(a[:, 0], kind="stable") for a in arrs]
+    arrs = [a[p] for a, p in zip(arrs, perms)]
+    # run k's packets of epoch e are arrs[k][cuts[k][e] : cuts[k][e + 1]]
+    cuts = [[0, *a[:, 0].searchsorted(bounds).tolist(), len(a)] for a in arrs]
+    rows = [np.full(len(a), -1, dtype=np.int64) for a in arrs]
+    tables: List[RouteTable] = []
+    num_rows = 0
+    for e in range(len(bounds) + 1):
+        spans = [(r[c[e]:c[e + 1]], a[c[e]:c[e + 1]]) for a, c, r in zip(arrs, cuts, rows)]
+        if not any(len(pkts) for _, pkts in spans):
+            continue
+        at = int(bounds[e - 1]) if e else -1
+        # before the first fault cycle every packet is live, unmasked
+        lives = [
+            (death[pkts[:, 1]] > at) & (death[pkts[:, 2]] > at) if e else slice(None)
+            for _, pkts in spans
+        ]
+        codes = np.unique(np.concatenate([
+            pkts[live, 1] * n + pkts[live, 2] for (_, pkts), live in zip(spans, lives)
+        ]))
+        view = topo.with_faults(faults, at_cycle=at) if e else topo
+        table = build(view, router, np.stack(np.divmod(codes, n), axis=1))
+        for (out, pkts), live in zip(spans, lives):
+            r = table.rows_of(pkts[live, 1], pkts[live, 2])
+            out[live] = np.where(r >= 0, r + num_rows, -1) if num_rows else r
+        num_rows += table.num_routes
+        tables.append(table)
+    if len(tables) == 1:
+        [table] = tables
+    else:  # several epoch tables (or none: an empty table) merge into one
+        lengths = np.concatenate([np.zeros(1, np.int64)] + [t.lengths() for t in tables])
+        table = RouteTable(
+            route_data=np.concatenate([np.empty(0, np.int64)] + [t.route_data for t in tables]),
+            route_offsets=np.cumsum(lengths), num_nodes=n,
         )
-        r = np.full(sel.size, -1, dtype=np.int64)
-        r[live] = sub.rows_of(src[live], dst[live])
-        rows[sel] = np.where(r >= 0, r + num_rows, -1)
-        data.append(sub.route_data)
-        offsets.append(sub.route_offsets[1:] + num_steps)
-        num_rows += sub.num_routes
-        num_steps += sub.route_data.size
-    table = RouteTable(
-        route_data=np.concatenate(data), route_offsets=np.concatenate(offsets),
-        num_nodes=n,
-    )
-    return _Prepared(
-        table, arr, perm, rows, _row_misroutes(topo, table),
-        faults.link_death_map(topo),
-    )
+    mis = _row_misroutes(topo, table)
+    return [
+        _Prepared(table, a, p, r, mis, link_dead)
+        for a, p, r in zip(arrs, perms, rows)
+    ]
 
 
 class ReferenceSimulator:
@@ -451,10 +445,12 @@ class ReferenceSimulator:
         Packets whose router returns ``None`` count as injected but are
         dropped immediately (visible through ``delivery_rate``).
 
-        Routes are resolved one packet at a time through ``router.route``
-        (the original engine's behaviour).  A ``faults`` plan switches to
-        per-epoch fault-masked routing with in-flight drops; see the
-        module docstring.
+        Routes come from ``router.route``, called once per (routing
+        epoch, pair) through :meth:`RouteTable.build` and never through a
+        router's batched ``build_table``, so this engine stays an oracle
+        independent of the vectorized one's tables, faulted runs
+        included.  A ``faults`` plan adds per-epoch fault-masked routing
+        with in-flight drops; see the module docstring.
 
         ``switching`` selects the flow-control discipline -- a mode name
         or a full :class:`FlowControl` -- and ``flits`` the per-packet
@@ -467,51 +463,24 @@ class ReferenceSimulator:
         max_cycles = _validate_max_cycles(max_cycles)
         flow = _as_flow(switching)
         arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
-        if faults is None or not faults.num_events:
-            inject: List[int] = []
-            routes: List[List[int]] = []
-            nf: List[int] = []
-            pid_tenants: List[int] = []
-            legs: List[Tuple[int, int, int]] = []  # (src, dst, hops)
-            dropped = 0
-            order = np.argsort(arr[:, 0], kind="stable")
-            for j, (cycle, src, dst) in zip(order.tolist(), arr[order].tolist()):
-                path = self.router.route(self.topo, src, dst)
-                if path is None:
-                    dropped += 1
-                else:
-                    inject.append(cycle)
-                    routes.append(path)
-                    legs.append((src, dst, len(path) - 1))
-                    nf.append(int(flit_arr[j]))
-                    if tenants is not None:
-                        pid_tenants.append(int(tenants[j]))
-            leg = np.asarray(legs, dtype=np.int64).reshape(-1, 3)
-            mis_of = _misroutes(self.topo, leg[:, 0], leg[:, 1], leg[:, 2]).tolist()
-            link_dead: Dict[Tuple[int, int], int] = {}
-        else:
-            prep = _prepare_faulted(self.topo, self.router, arr, faults)
-            routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
-            inject = prep.inject.tolist()
-            dropped = prep.num_dropped
-            mis_of = prep.misroutes[prep.row].tolist()
-            nf = flit_arr[prep.order].tolist()
-            pid_tenants = _pid_tenants(tenants, prep.order) or []
-            link_dead = prep.link_dead
+        [prep] = _prepare(self.topo, self.router, [arr], faults, RouteTable.build)
+        routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
+        inject = prep.inject.tolist()
+        nf = flit_arr[prep.order].tolist()
         if flow.pipelined:
             outcome = reference_flow_run(
-                self.topo, flow, routes, inject, nf, link_dead, max_cycles
+                self.topo, flow, routes, inject, nf, prep.link_dead, max_cycles
             )
         else:
-            outcome = self._sf_run(routes, inject, link_dead, max_cycles)
+            outcome = self._sf_run(routes, inject, prep.link_dead, max_cycles)
         return _flow_result(
             outcome,
-            np.asarray(inject, dtype=np.int64),
+            prep.inject,
             np.asarray([len(r) - 1 for r in routes], dtype=np.int64),
-            np.asarray(mis_of, dtype=np.int64),
-            dropped,
+            prep.misroutes[prep.row],
+            prep.num_dropped,
             all_tenants=tenants,
-            pid_tenants=pid_tenants if tenants is not None else None,
+            pid_tenants=_pid_tenants(tenants, prep.order),
         )
 
     @staticmethod
@@ -586,9 +555,10 @@ class BatchItem:
     """One replication of a batch: traffic plus its run configuration.
 
     ``router=None`` uses the owning simulator's default.  Replications
-    without faults that share one router *instance* also share a single
-    route-table build, so a sweep packer should construct one router
-    object per router kind and reuse it across its items.
+    that share one router *instance* and equal fault plans (compared by
+    value; ``None`` and the empty plan are one) also share their route
+    tables, one per routing epoch, so a sweep packer should construct
+    one router object per router kind and reuse it across its items.
     ``switching``, ``flits`` and ``tenants`` mirror
     :meth:`VectorizedSimulator.run`'s parameters; any mix of modes is
     batched natively, and items carrying per-packet tenant ids get
@@ -669,9 +639,8 @@ class VectorizedSimulator:
         cycles, multi-flit traffic under store-and-forward, bad flit
         specs, packets too big for a vct buffer) raises eagerly for the
         whole batch -- every item is checked before any item simulates.
-        Faulted items prepare alone (epoch-split tables cannot be
-        shared); unfaulted items sharing a router instance share one
-        union route table.
+        Items sharing a router instance and a fault plan (by value)
+        share one union route table per routing epoch.
         """
         max_cycles = _validate_max_cycles(max_cycles)
         items = list(items)
@@ -681,16 +650,16 @@ class VectorizedSimulator:
             for item, flow in zip(items, flows)
         ]
         preps: List[Optional[_Prepared]] = [None] * len(items)
-        groups: Dict[int, Tuple[object, List[int]]] = {}
-        for i, (item, (arr, _)) in enumerate(zip(items, checked)):
+        # one group per (router instance, fault plan by value)
+        groups: Dict[tuple, Tuple[object, List[int]]] = {}
+        for i, item in enumerate(items):
             router = item.router if item.router is not None else self.router
-            if item.faults is not None and item.faults.num_events:
-                preps[i] = _prepare_faulted(self.topo, router, arr, item.faults)
-            else:
-                groups.setdefault(id(router), (router, []))[1].append(i)
-        for router, members in groups.values():
-            shared = _prepare_shared(
-                self.topo, router, [checked[i][0] for i in members]
+            plan = item.faults if item.faults and item.faults.num_events else None
+            groups.setdefault((id(router), plan), (router, []))[1].append(i)
+        for (_, plan), (router, members) in groups.items():
+            shared = _prepare(
+                self.topo, router, [checked[i][0] for i in members], plan,
+                route_table,
             )
             for i, prep in zip(members, shared):
                 preps[i] = prep

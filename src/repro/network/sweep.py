@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, fields, replace
@@ -287,8 +288,6 @@ def _resolve_router(name: str) -> Callable[[], object]:
 
 
 def _point_plan(spec: PointSpec, topo: Topology) -> Optional[FaultPlan]:
-    if spec.load <= 0:
-        raise ValueError(f"load must be positive, got {spec.load}")
     if not spec.faults:
         return None
     return FaultPlan.parse(spec.faults, num_nodes=topo.num_nodes).validate(topo)
@@ -452,6 +451,10 @@ def run_point(
     return run_batch_points([spec], backend=backend, traces=traces)[0]
 
 
+_INTS = (int, np.integer)  # a bool is an int too: the checks exclude it by name
+_REALS = (float, np.floating) + _INTS
+
+
 def normalize_spec(spec: PointSpec) -> PointSpec:
     """Collapse a spec onto its canonical form: the one whose axes all
     matter.
@@ -466,7 +469,21 @@ def normalize_spec(spec: PointSpec) -> PointSpec:
     with the same canonical form produce bit-identical records, so this
     is both how :func:`expand_grid` dedupes the grid and how the service
     cache's ``point_key`` decides two points are the same simulation.
+
+    It is also the one check of the numeric axes (a :class:`ValueError`):
+    ``load`` a finite real > 0, stored as a ``float`` (``1`` and ``1.0``
+    are one point), ``seed`` an integer and ``inject_window`` an integer
+    >= 1, none of them a bool.
     """
+    load, seed, window = spec.load, spec.seed, spec.inject_window
+    if isinstance(load, bool) or not isinstance(load, _REALS) or not 0 < load < math.inf:
+        raise ValueError(f"load must be a finite number > 0, got {load!r}")
+    if isinstance(seed, bool) or not isinstance(seed, _INTS):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if isinstance(window, bool) or not isinstance(window, _INTS) or window < 1:
+        raise ValueError(f"inject_window must be an integer >= 1, got {window!r}")
+    if (type(load), type(seed), type(window)) != (float, int, int):
+        spec = replace(spec, load=float(load), seed=int(seed), inject_window=int(window))
     if spec.collective and spec.workload:
         raise ValueError(
             "a grid point cannot be both a collective and a workload "
@@ -578,9 +595,10 @@ def expand_grid(
 
     This is the single grid semantics shared by :func:`run_sweep` and
     the sweep service: every axis value is validated eagerly (unknown
-    names, impossible fault plans, bad flit specs and a non-integer
-    ``max_cycles`` raise :class:`ValueError` before any point runs),
-    each grid cell is normalised via :func:`normalize_spec`
+    names, impossible fault plans, bad flit specs, a non-integer
+    ``max_cycles`` and the loads, seeds and injection window that
+    :func:`normalize_spec` rejects raise :class:`ValueError` before any
+    point runs), each grid cell is normalised via :func:`normalize_spec`
     and duplicates collapse while preserving first-seen grid order.
     ``workloads`` adds multi-tenant points (``""`` = the single-tenant
     grid): inline tenant specs are parsed eagerly, ``trace:<key>``

@@ -302,8 +302,15 @@ def run_workload_case(seed: int) -> "str | None":
 
 
 def sample_batch_case(seed: int) -> dict:
-    """A deterministic batch of K mixed replications on one topology."""
+    """A deterministic batch of K mixed replications on one topology.
+
+    Some replications then take an earlier one's fault plan (and, half
+    of those, its router too), so equal plans on one router instance
+    share their epoch route tables inside the batch.  Those draws come
+    from a stream of their own: every other draw of a seed is the one it
+    was before plans were shared."""
     rng = random.Random(seed)
+    share = random.Random(seed ^ 0x5A4ED)
     topology = rng.choice(TOPO_SPECS)
     topo = parse_topology(topology)
     reps = []
@@ -334,6 +341,13 @@ def sample_batch_case(seed: int) -> dict:
             "traffic_seed": rng.randrange(10**6),
             "flit_seed": rng.randrange(10**6),
         })
+    for i, rep in enumerate(reps):
+        faulted = [earlier for earlier in reps[:i] if earlier["faults"]]
+        if faulted and share.random() < 0.5:
+            earlier = share.choice(faulted)
+            rep["faults"] = earlier["faults"]
+            if share.random() < 0.5:
+                rep["router"] = earlier["router"]
     return {
         "topology": topology,
         "max_cycles": rng.choice((100000, 100000, 100000, 41)),
@@ -346,8 +360,9 @@ def _batch_items(topo, reps: list) -> list:
     routers: dict = {}
     items = []
     for rep in reps:
-        # shared router instances, so the batch also exercises its
-        # union-route-table sharing path
+        # shared router instances and (see sample_batch_case) shared
+        # fault plans, so the batch also exercises its route-table
+        # sharing per (router, plan, epoch)
         router = routers.setdefault(rep["router"], ROUTERS[rep["router"]]())
         plan = (
             FaultPlan.parse(rep["faults"], num_nodes=topo.num_nodes)

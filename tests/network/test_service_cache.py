@@ -341,6 +341,21 @@ class TestRunSweepCache:
             )
         assert cache.stores == 1
 
+    def test_integer_load_rerun_hits_the_cache(self, tmp_path):
+        """A JSON grid's ``"loads": [1]`` records ``load`` as ``1.0``, so
+        the strict decoder reads the entry back and the CSV matches the
+        ``1.0`` grid's."""
+        from repro.network.sweep import write_csv
+
+        cache = ResultCache(tmp_path / "cache")
+        grid = dict(topologies=["Q:3"], inject_window=8)
+        run_sweep(loads=[1], cache=cache, **grid)
+        warm = run_sweep(loads=[1], cache=cache, **grid)
+        assert (cache.hits, cache.stores) == (1, 1)
+        write_csv(warm, str(tmp_path / "int.csv"))
+        write_csv(run_sweep(loads=[1.0], **grid), str(tmp_path / "float.csv"))
+        assert (tmp_path / "int.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+
     def test_no_cache_bypass_touches_no_disk(self, tmp_path):
         run_sweep(cache=None, **SMALL_GRID)
         assert list(tmp_path.iterdir()) == []

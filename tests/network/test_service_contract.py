@@ -230,6 +230,29 @@ def test_submit_batch_must_be_a_json_integer(served, batch):
     assert client.jobs() == []
 
 
+@pytest.mark.parametrize("axis", [
+    dict(loads=[0]), dict(loads=[True]), dict(loads=[float("inf")]),
+    dict(seeds=[1.5]), dict(inject_window=0),
+])
+def test_bad_numeric_axis_is_refused_before_acceptance(served, axis):
+    """A load, seed or injection window that ``normalize_spec`` rejects
+    gets one error event: no ``accepted`` first, no job registered."""
+    import socket
+
+    server, client = served
+    request = {"op": "submit", "grid": dict(topologies=["Q:3"], **axis)}
+    with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+        sock.sendall(json.dumps(request).encode() + b"\n")
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    [line] = data.decode().splitlines()
+    msg = json.loads(line)
+    assert msg["event"] == "error"
+    assert any(word in msg["message"] for word in ("load", "seed", "inject_window"))
+    assert client.jobs() == []
+
+
 def test_mixed_axes_grid_round_trips_the_wire(served):
     """Fault, flow-control and collective columns all survive the wire:
     records and derived curve keys equal the in-process harness, and a

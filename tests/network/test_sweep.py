@@ -64,6 +64,41 @@ class TestRunPoint:
             run_point(PointSpec(topology="Q:3", load=0.0))
 
 
+class TestNumericAxes:
+    """``normalize_spec`` checks the numeric axes once, for
+    ``expand_grid``'s cells and ``run_batch_points``' specs alike."""
+
+    @pytest.mark.parametrize("axis", [
+        dict(loads=[0]), dict(loads=[0.0]), dict(loads=[-0.2]),
+        dict(loads=[float("nan")]), dict(loads=[float("inf")]),
+        dict(loads=[float("-inf")]), dict(loads=[True]), dict(loads=["0.2"]),
+        dict(seeds=[1.0]), dict(seeds=[True]), dict(seeds=["1"]),
+        dict(inject_window=0), dict(inject_window=-8), dict(inject_window=8.0),
+        dict(inject_window=True),
+    ])
+    def test_expand_grid_rejects_a_bad_value(self, axis):
+        with pytest.raises(ValueError, match="load|seed|inject_window"):
+            expand_grid(["Q:3"], **axis)
+
+    def test_a_bad_value_in_a_collective_cell_is_rejected_too(self):
+        with pytest.raises(ValueError, match="load"):
+            expand_grid(["Q:3"], collectives=["broadcast"], loads=[0])
+
+    def test_run_point_rejects_a_bad_spec(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_point(PointSpec(topology="Q:3", seed=0.5))
+
+    def test_values_are_stored_as_python_numbers(self):
+        [spec] = expand_grid(
+            ["Q:3"], loads=[1], seeds=[np.int64(2)], inject_window=np.int32(8)
+        )
+        assert (spec.load, spec.seed, spec.inject_window) == (1.0, 2, 8)
+        assert (type(spec.load), type(spec.seed), type(spec.inject_window)) == (
+            float, int, int,
+        )
+        assert spec == expand_grid(["Q:3"], loads=[1.0], seeds=[2], inject_window=8)[0]
+
+
 class TestRawSpecs:
     """A raw spec runs, and is recorded, as its :func:`normalize_spec`
     form -- the form its cache key names -- so a cache warmed by either

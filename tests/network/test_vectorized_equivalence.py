@@ -358,13 +358,14 @@ def test_adaptive_misroutes_match_the_per_pair_definition():
     definition -- hops beyond the healthy topology's BFS distance,
     halved -- for every row of an AdaptiveRouter table under faults."""
     from repro.graphs.traversal import bfs_distances
-    from repro.network.simulator import _prepare_faulted, _validate_item
+    from repro.network.routing import route_table
+    from repro.network.simulator import _prepare, _validate_item
 
     topo = TOPOLOGIES["fibonacci"]
     plan = _fault_plans(topo)["static"]
     traffic = make_traffic("uniform", topo, 400, 12, seed=5, faults=plan)
     arr, _ = _validate_item(traffic, FlowControl(), 1, None)
-    prep = _prepare_faulted(topo, AdaptiveRouter(), arr, plan)
+    [prep] = _prepare(topo, AdaptiveRouter(), [arr], plan, route_table)
     for r in range(prep.table.num_routes):
         path = prep.table.route_nodes(r).tolist()
         dist = int(bfs_distances(topo.graph, path[-1])[path[0]])
