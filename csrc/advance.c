@@ -47,7 +47,12 @@
  *      during the serve scan (a target link receives at most the
  *      in-degree of its tail node per cycle, so sorted insertion into
  *      these tiny lists beats any global per-cycle sort) and flushing
- *      the lists after the scan;
+ *      the lists after the scan.  The scan visits only the busy links:
+ *      a worklist that a link joins when its queue goes from empty to
+ *      non-empty (at injection or in the flush) and leaves when the
+ *      serve empties it or its fault drops the queue.  The order of
+ *      the scan changes no result: arrivals wait in the pending lists
+ *      until it ends, and the per-run maxima and sums commute;
  *   6. when nothing moved, the clock jumps straight to the next
  *      injection; it stops when there is none or the cap is reached
  *      (the engine owns its clock: runs never interact, so no other
@@ -97,15 +102,16 @@
  *       active run with live packets -- and a stop when there is none or
  *       the cap is reached.  The engine owns its clock.
  *
- * The flow loop is work-proportional: per cycle it visits the held
- * channels (a worklist: a channel joins when a head flit claims it and
- * is dropped at the next scan after its release, fault or recycling),
- * the first channels with waiting packets (a worklist of FIFO heads)
- * and the K runs -- never every channel of every run.
+ * Both loops are work-proportional.  Per cycle the sf loop visits the
+ * busy links (its worklist) and the K runs; the flow loop visits the
+ * held channels (a worklist: a channel joins when a head flit claims it
+ * and is dropped at the next scan after its release, fault or
+ * recycling), the first channels with waiting packets (a worklist of
+ * FIFO heads) and the K runs -- neither visits every channel of every
+ * run.
  *
- * Scalars that the NumPy sf class keeps as Python ints (next_pid,
- * in_flight) travel in the two-slot `state` array.  No allocation
- * happens here: all scratch is caller-owned (see each entry point).
+ * No allocation happens here: all scratch is caller-owned, one array
+ * per call that the entry point checks for length and initialises.
  *
  * Keep this file dependency-free (stdint only): it is compiled on
  * demand by src/repro/network/backends/native.py with the system cc,
@@ -117,13 +123,10 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-#define STATE_NEXT_PID 0
-#define STATE_IN_FLIGHT 1
-
 /* Bump when the exported ABI below changes shape: the Python binder
  * refuses a library whose ABI it does not recognise instead of
  * calling into it with the wrong argument layout. */
-#define REPRO_ADVANCE_ABI 5
+#define REPRO_ADVANCE_ABI 6
 
 i64 repro_abi_version(void) { return REPRO_ADVANCE_ABI; }
 
@@ -131,13 +134,16 @@ i64 repro_abi_version(void) { return REPRO_ADVANCE_ABI; }
  * list (qhead/qtail/qlen per link, a succ pointer per packet) -- the
  * same queue discipline as kernel._fifo_append; callers guarantee
  * ascending pid order within a cycle, which is all the lexsort there
- * ever established. */
+ * ever established.  A link whose queue was empty joins the busy
+ * worklist. */
 static void fifo_append(
-    i64 p, i64 ln, i64 *succ, i64 *qhead, i64 *qtail, i64 *qlen)
+    i64 p, i64 ln, i64 *succ, i64 *qhead, i64 *qtail, i64 *qlen,
+    i64 *busy, i64 *nbusy)
 {
     succ[p] = -1;
     if (qhead[ln] == -1) {
         qhead[ln] = p;
+        busy[(*nbusy)++] = ln;
     } else {
         succ[qtail[ln]] = p;
     }
@@ -145,129 +151,16 @@ static void fifo_append(
     qlen[ln] += 1;
 }
 
-/* One store-and-forward cycle over the whole prepared batch; returns
- * 1 when anything moved (injection, fault drop or queue advance). */
-static i64 sf_step(
-    i64 cycle,
-    i64 num, i64 K, i64 num_ext, i64 has_dead,
-    const i64 *inject, const i64 *nhops, const i64 *gfirst,
-    const i64 *run_of, const i64 *ext_seq, const i64 *ext_base,
-    const i64 *run_of_ext, const i64 *dead_at_ext,
-    i64 *delivered_at, i64 *pos, i64 *succ,
-    i64 *qhead, i64 *qtail, i64 *qlen,
-    i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *dropped_r,
-    i64 *touched, i64 *pend, i64 *state)
-{
-    i64 moved = 0;
-    i64 next_pid = state[STATE_NEXT_PID];
-    i64 in_flight = state[STATE_IN_FLIGHT];
-
-    /* 1. inject every packet whose cycle has come (pids ascending) */
-    if (next_pid < num && inject[next_pid] <= cycle) {
-        while (next_pid < num && inject[next_pid] <= cycle) {
-            const i64 p = next_pid++;
-            last_busy_r[run_of[p]] = cycle;
-            if (nhops[p] == 0) {
-                delivered_at[p] = inject[p];
-            } else {
-                fifo_append(p, ext_seq[gfirst[p]] + ext_base[run_of[p]],
-                            succ, qhead, qtail, qlen);
-                in_flight_r[run_of[p]] += 1;
-                in_flight += 1;
-            }
-        }
-        moved = 1;
-    }
-
-    if (in_flight > 0) {
-        /* 2. a run with packets in flight is busy this cycle even if a
-         *    fault empties it below */
-        for (i64 k = 0; k < K; k++) {
-            if (in_flight_r[k] > 0) {
-                last_busy_r[k] = cycle;
-            }
-        }
-        i64 ntouch = 0;
-        for (i64 e = 0; e < num_ext; e++) {
-            const i64 len = qlen[e];
-            if (len == 0) {
-                continue;
-            }
-            const i64 rk = run_of_ext[e];
-            /* 3. queue depth per run, measured before any fault drop */
-            if (len > maxq_r[rk]) {
-                maxq_r[rk] = len;
-            }
-            /* 4. a dead link loses its whole queue this cycle */
-            if (has_dead && dead_at_ext[e] <= cycle) {
-                dropped_r[rk] += len;
-                in_flight_r[rk] -= len;
-                in_flight -= len;
-                qhead[e] = -1;
-                qtail[e] = -1;
-                qlen[e] = 0;
-                continue;
-            }
-            /* 5. serve the head-of-queue packet */
-            const i64 p = qhead[e];
-            qhead[e] = succ[p];
-            qlen[e] = len - 1;
-            pos[p] += 1;
-            if (pos[p] == nhops[p]) {
-                delivered_at[p] = cycle + 1;
-                in_flight_r[run_of[p]] -= 1;
-                in_flight -= 1;
-            } else {
-                /* park the mover on its target link's pending list,
-                 * kept pid-sorted by insertion (succ doubles as the
-                 * next pointer: p left its queue, nothing reads
-                 * succ[p] until the flush below rewrites it) */
-                const i64 t =
-                    ext_seq[gfirst[p] + pos[p]] + ext_base[run_of[p]];
-                i64 prev = -1;
-                i64 cur = pend[t];
-                if (cur < 0) {
-                    touched[ntouch++] = t;
-                }
-                while (cur >= 0 && cur < p) {
-                    prev = cur;
-                    cur = succ[cur];
-                }
-                succ[p] = cur;
-                if (prev < 0) {
-                    pend[t] = p;
-                } else {
-                    succ[prev] = p;
-                }
-            }
-        }
-        /* flush: arrivals join behind this cycle's injections, in
-         * (link, pid) order within each target link */
-        for (i64 j = 0; j < ntouch; j++) {
-            const i64 t = touched[j];
-            i64 p = pend[t];
-            pend[t] = -1;
-            while (p >= 0) {
-                const i64 nx = succ[p];
-                fifo_append(p, t, succ, qhead, qtail, qlen);
-                p = nx;
-            }
-        }
-        moved = 1;
-    }
-
-    state[STATE_NEXT_PID] = next_pid;
-    state[STATE_IN_FLIGHT] = in_flight;
-    return moved;
-}
-
-/* The engine's whole run, replicating kernel._clock exactly -- advance
- * one cycle after any movement, jump to the next injection when
- * quiescent (store-and-forward always progresses while anything is
- * queued, so the next injection is the only event worth waking for),
- * stop when the work or the cycle cap runs out.  Returns the final
- * cycle (the outcome code only reads the arrays, but the value is
- * handy for debugging). */
+/* The store-and-forward engine's whole run (rules 1-6 in the header),
+ * replicating _SfEngine.run (its _step under kernel._clock) exactly
+ * from the state its constructor builds (empty queues, nothing
+ * injected): advance one cycle after any movement, jump to the next
+ * injection when quiescent (store-and-forward always progresses while
+ * anything is queued, so the next injection is the only event worth
+ * waking for), stop when the work or the cycle cap runs out.
+ * `scratch` is caller-owned, of `scratch_len` >= 3 * num_ext slots
+ * (no initialisation needed); a shorter one returns -1 before touching
+ * anything.  Otherwise returns the final cycle. */
 i64 repro_sf_run(
     i64 max_cycles,
     i64 num, i64 K, i64 num_ext, i64 has_dead,
@@ -277,22 +170,131 @@ i64 repro_sf_run(
     i64 *delivered_at, i64 *pos, i64 *succ,
     i64 *qhead, i64 *qtail, i64 *qlen,
     i64 *in_flight_r, i64 *last_busy_r, i64 *maxq_r, i64 *dropped_r,
-    i64 *touched, i64 *pend, i64 *state)
+    i64 *scratch, i64 scratch_len)
 {
+    if (scratch_len < 3 * num_ext) {
+        return -1;
+    }
+    i64 *busy = scratch;                  /* links with a queued packet */
+    i64 *pend = scratch + num_ext;        /* per link: this cycle's
+                                             arrivals, pid-sorted, or -1 */
+    i64 *touched = scratch + 2 * num_ext; /* links with a pending list */
+    for (i64 e = 0; e < num_ext; e++) {
+        pend[e] = -1;
+    }
+    i64 nbusy = 0;
+    i64 next_pid = 0;
+    i64 in_flight = 0;
+
     i64 cycle = 0;
     while (cycle < max_cycles) {
-        const i64 moved = sf_step(
-            cycle, num, K, num_ext, has_dead,
-            inject, nhops, gfirst, run_of, ext_seq, ext_base,
-            run_of_ext, dead_at_ext, delivered_at, pos, succ, qhead, qtail, qlen,
-            in_flight_r, last_busy_r, maxq_r, dropped_r, touched, pend,
-            state);
+        i64 moved = 0;
+        /* 1. inject every packet whose cycle has come (pids ascending) */
+        if (next_pid < num && inject[next_pid] <= cycle) {
+            while (next_pid < num && inject[next_pid] <= cycle) {
+                const i64 p = next_pid++;
+                last_busy_r[run_of[p]] = cycle;
+                if (nhops[p] == 0) {
+                    delivered_at[p] = inject[p];
+                } else {
+                    fifo_append(p, ext_seq[gfirst[p]] + ext_base[run_of[p]],
+                                succ, qhead, qtail, qlen, busy, &nbusy);
+                    in_flight_r[run_of[p]] += 1;
+                    in_flight += 1;
+                }
+            }
+            moved = 1;
+        }
+
+        if (in_flight > 0) {
+            /* 2. a run with packets in flight is busy this cycle even if
+             *    a fault empties it below */
+            for (i64 k = 0; k < K; k++) {
+                if (in_flight_r[k] > 0) {
+                    last_busy_r[k] = cycle;
+                }
+            }
+            /* 3-5 over the busy links, compacting the worklist in place:
+             * a link stays while its queue is non-empty */
+            i64 ntouch = 0;
+            i64 kept = 0;
+            for (i64 x = 0; x < nbusy; x++) {
+                const i64 e = busy[x];
+                const i64 len = qlen[e];
+                const i64 rk = run_of_ext[e];
+                /* 3. queue depth per run, measured before any fault drop */
+                if (len > maxq_r[rk]) {
+                    maxq_r[rk] = len;
+                }
+                /* 4. a dead link loses its whole queue this cycle */
+                if (has_dead && dead_at_ext[e] <= cycle) {
+                    dropped_r[rk] += len;
+                    in_flight_r[rk] -= len;
+                    in_flight -= len;
+                    qhead[e] = -1;
+                    qtail[e] = -1;
+                    qlen[e] = 0;
+                    continue;
+                }
+                /* 5. serve the head-of-queue packet */
+                const i64 p = qhead[e];
+                qhead[e] = succ[p];
+                qlen[e] = len - 1;
+                if (len > 1) {
+                    busy[kept++] = e;
+                }
+                pos[p] += 1;
+                if (pos[p] == nhops[p]) {
+                    delivered_at[p] = cycle + 1;
+                    in_flight_r[run_of[p]] -= 1;
+                    in_flight -= 1;
+                } else {
+                    /* park the mover on its target link's pending list,
+                     * kept pid-sorted by insertion (succ doubles as the
+                     * next pointer: p left its queue, nothing reads
+                     * succ[p] until the flush below rewrites it) */
+                    const i64 t =
+                        ext_seq[gfirst[p] + pos[p]] + ext_base[run_of[p]];
+                    i64 prev = -1;
+                    i64 cur = pend[t];
+                    if (cur < 0) {
+                        touched[ntouch++] = t;
+                    }
+                    while (cur >= 0 && cur < p) {
+                        prev = cur;
+                        cur = succ[cur];
+                    }
+                    succ[p] = cur;
+                    if (prev < 0) {
+                        pend[t] = p;
+                    } else {
+                        succ[prev] = p;
+                    }
+                }
+            }
+            nbusy = kept;
+            /* flush: arrivals join behind this cycle's injections, in
+             * (link, pid) order within each target link */
+            for (i64 j = 0; j < ntouch; j++) {
+                const i64 t = touched[j];
+                i64 p = pend[t];
+                pend[t] = -1;
+                while (p >= 0) {
+                    const i64 nx = succ[p];
+                    fifo_append(p, t, succ, qhead, qtail, qlen, busy, &nbusy);
+                    p = nx;
+                }
+            }
+            moved = 1;
+        }
+
+        /* 6. the clock */
         if (moved) {
             cycle += 1;
             continue;
         }
-        if (state[STATE_NEXT_PID] < num) {
-            const i64 ev = inject[state[STATE_NEXT_PID]];
+        if (next_pid < num) {
+            const i64 ev = inject[next_pid];
             cycle = ev < max_cycles ? ev : max_cycles;
             continue;
         }

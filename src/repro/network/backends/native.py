@@ -10,14 +10,19 @@ is ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``, the same root the result
 cache uses), binds it via :mod:`ctypes`, and swaps one C call in for
 each engine's whole clock loop: ``repro_sf_run`` for the
 store-and-forward engine and ``repro_flow_run`` for the flow-control
-engine (wormhole and vct).  Nothing else changes: the batch layout
+engine (wormhole and vct).  Both C loops are work-proportional: per
+cycle they visit worklists of busy links or held channels, never every
+channel of every run.  Nothing else changes: the batch layout
 (one for both engines, built by :class:`repro.network.kernel._Engine`),
 the outcome code and every outcome array are the NumPy code paths, so
 bit-identity is structural, not aspirational.  Both calls marshal that
 one layout under its NumPy names, and every array is checked on its way
 in -- dtype, C-contiguity and the exact length the C side indexes -- so
 a mismatch raises :class:`ValueError` naming the array instead of
-letting C read or write past its end.
+letting C read or write past its end.  Each engine also hands C one
+int64 ``scratch`` array and its length (ABI 6): the C side carves its
+worklists out of it, initialises what needs it, and returns -1 -- which
+``run`` raises as :class:`RuntimeError` -- when it is too short.
 
 The ``.so`` name is a hash of the C source, the compiler and the flags,
 so editing any of them compiles a fresh object instead of trusting a
@@ -64,7 +69,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-ABI_VERSION = 5
+ABI_VERSION = 6
 # -falign-functions=64 pins each entry point to a cache-line boundary:
 # without it, code added anywhere in advance.c can shift repro_sf_run by
 # a few bytes, which measurably slowed its hot loop on one x86-64 host
@@ -77,8 +82,9 @@ _lib_detail: Optional[str] = None
 
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
-# max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, 3 scratch
-_SF_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 21
+# max_cycles, 4 scalars, 8 const arrays, 10 mutable arrays, then the
+# scratch array and its length
+_SF_ARGTYPES = [ctypes.c_int64] * 5 + [_I64P] * 18 + [_I64P, ctypes.c_int64]
 # max_cycles, 5 scalars, 14 const arrays, 12 mutable int64 arrays, the
 # two mutable bool arrays, then the scratch array and its length
 _FLOW_ARGTYPES = (
@@ -256,9 +262,11 @@ def _checked(name: str, arr: np.ndarray, length: int, ctype=_I64P):
 class _NativeEngine:
     """Mixed in ahead of a NumPy mode engine: construction and
     ``_outcomes`` stay the NumPy class's, and ``run`` becomes one C call
-    working in place on the arrays that constructor built.  Every array
-    crosses the ctypes boundary through :func:`_checked`, under its NumPy
-    attribute name.  ``lib`` defaults to :func:`load_library`'s."""
+    working in place on the arrays that constructor built, plus the
+    ``scratch`` array of :meth:`_scratch_len` slots the C side carves
+    up.  Every array crosses the ctypes boundary through
+    :func:`_checked`, under its attribute name.  ``lib`` defaults to
+    :func:`load_library`'s."""
 
     def __init__(
         self,
@@ -272,6 +280,22 @@ class _NativeEngine:
                 raise RuntimeError(f"native backend unavailable: {reason}")
         super().__init__(topo, runs)
         self._lib = lib
+        self.scratch = np.empty(self._scratch_len(), dtype=np.int64)
+
+    def _scratch_len(self) -> int:
+        """The int64 slots of scratch this engine's entry point needs."""
+        raise NotImplementedError
+
+    def _call(self, entry: str, *args) -> None:
+        """One call of the C entry point ``entry`` with ``args`` and then
+        the checked scratch array and its length; the C side returns -1,
+        raised here, when the scratch is too short."""
+        n = self._scratch_len()
+        end = getattr(self._lib, entry)(
+            *args, _checked("scratch", self.scratch, n), n
+        )
+        if end < 0:
+            raise RuntimeError(f"{entry}: scratch array too short")
 
     def _pointers(self, length: int, *names: str) -> list:
         """Checked pointers to the engine arrays ``names``, each of
@@ -300,9 +324,15 @@ class _NativeSfEngine(_NativeEngine, _SfEngine):
     """The NumPy sf engine with its clock loop swapped for one
     ``repro_sf_run`` call."""
 
+    def _scratch_len(self) -> int:
+        # the busy-link worklist, the pending-list heads and the touched
+        # target links, one link's slot each
+        return 3 * int(self.ext_base[-1])
+
     def run(self, max_cycles: int) -> List[FlowOutcome]:
         P, K, C = self.num, self.K, int(self.ext_base[-1])
-        self._lib.repro_sf_run(
+        self._call(
+            "repro_sf_run",
             max_cycles, P, K, C, int(self.dead_at_ext is not None),
             *self._layout(),
             *self._pointers(C, "run_of_ext"),
@@ -311,13 +341,6 @@ class _NativeSfEngine(_NativeEngine, _SfEngine):
             *self._pointers(C, "qhead", "qtail", "qlen"),
             *self._pointers(K, "in_flight_r", "last_busy_r", "maxq_r",
                             "dropped_r"),
-            # scratch: the touched-target list, the pending-list heads
-            # (all -1; the kernel leaves them that way) and the two
-            # scalars the NumPy class keeps as Python ints: next_pid and
-            # in_flight, both 0 at the start
-            _checked("touched", np.empty(max(P, 1), dtype=np.int64), max(P, 1)),
-            _checked("pend", np.full(max(C, 1), -1, dtype=np.int64), max(C, 1)),
-            _checked("state", np.zeros(2, dtype=np.int64), 2),
         )
         return self._outcomes(max_cycles)
 
@@ -326,14 +349,17 @@ class _NativeFlowEngine(_NativeEngine, _FlowEngine):
     """The NumPy flow-control engine with its clock loop swapped for one
     ``repro_flow_run`` call."""
 
+    def _scratch_len(self) -> int:
+        return 9 * int(self.ext_base[-1]) + 4 * self.num_links + self.num + self.K
+
     def run(self, max_cycles: int) -> List[FlowOutcome]:
         P, K, C, L = self.num, self.K, int(self.ext_base[-1]), self.num_links
         # each run's sorted fault cycles, flattened with offsets
         death = np.concatenate(self.death_cycles)
         death_off = np.zeros(K + 1, dtype=np.int64)
         np.cumsum([dc.size for dc in self.death_cycles], out=death_off[1:])
-        scratch = np.empty(9 * C + 4 * L + P + K, dtype=np.int64)
-        end = self._lib.repro_flow_run(
+        self._call(
+            "repro_flow_run",
             max_cycles, P, K, C, L, int(self.dead_at_ext is not None),
             *self._layout(),
             *self._pointers(C, "phys_of_ext", "cap_ext", "run_of_ext"),
@@ -347,9 +373,6 @@ class _NativeFlowEngine(_NativeEngine, _FlowEngine):
                             "maxq_r", "last_busy_r"),
             _checked("deadlocked_r", self.deadlocked_r, K, _U8P),
             _checked("active", self.active, K, _U8P),
-            _checked("scratch", scratch, scratch.size), scratch.size,
         )
-        if end < 0:
-            raise RuntimeError("repro_flow_run: scratch array too short")
         return self._outcomes(max_cycles)
 

@@ -53,6 +53,7 @@ import hashlib
 import heapq
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.network.faults import FaultPlan
@@ -192,10 +193,14 @@ def parse_workload(spec: str) -> Workload:
     return Workload(tenants=tuple(tenants), rate=rate)
 
 
+@lru_cache(maxsize=256)
 def canonical_workload(spec: str) -> str:
     """The canonical spelling of an inline workload spec: parsed and
     re-serialised so equivalent spellings (whitespace, float formatting,
-    an explicit default ``rate=1``) collapse to one cache key."""
+    an explicit default ``rate=1``) collapse to one cache key.  Cached
+    by the spec string: the spelling depends on nothing else (the
+    pattern registry is fixed at import), and a bad spec raises on
+    every call because ``lru_cache`` never stores an exception."""
     wl = parse_workload(spec)
     parts = [
         f"{t.name}:{t.pattern}:{t.load!r}:{t.priority}" for t in wl.tenants

@@ -38,7 +38,7 @@ from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl
 from repro.network.routing import BfsRouter, DimensionOrderRouter
 from repro.network.service.cache import ResultCache
-from repro.network.simulator import VectorizedSimulator
+from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
 from repro.network.sweep import parse_topology, run_sweep
 from repro.network.traffic import flit_sizes, make_traffic, uniform_traffic
 
@@ -243,6 +243,91 @@ class TestNativeBitIdentity:
         b = BatchedSimulator(topo, backend="native").run_batch(items)
         assert a == b
 
+    # the busy-link worklist of repro_sf_run: the cases where a link
+    # joins or leaves it, checked against the reference engine too
+
+    @staticmethod
+    def _three_engines(topo, items, max_cycles=100000):
+        """One batch on the reference, NumPy and native engines; all
+        three must agree."""
+        ref = ReferenceSimulator(topo).run_batch(items, max_cycles)
+        a = BatchedSimulator(topo, backend="numpy").run_batch(items, max_cycles)
+        b = BatchedSimulator(topo, backend="native").run_batch(items, max_cycles)
+        assert ref == a == b
+        return b
+
+    @staticmethod
+    def _line(topo):
+        """A three-hop BFS route s -> x -> y -> t whose suffixes are the
+        BFS routes of x and y, so packets injected at s, x and y share
+        its links."""
+        router = BfsRouter()
+        s, x, y, t = router.route(topo, 0, 7)
+        assert router.route(topo, x, t) == [x, y, t]
+        assert router.route(topo, y, t) == [y, t]
+        return s, x, y, t
+
+    def test_dead_link_refills_from_an_earlier_epoch(self):
+        """Link y-t dies at cycle 2 and drops the one packet left of its
+        three-deep queue; a packet injected at s in cycle 1 was routed
+        over it before the fault, reaches it in cycle 2's flush, and is
+        dropped from the refilled queue in cycle 3."""
+        topo = parse_topology("Q:4")
+        s, x, y, t = self._line(topo)
+        plan = FaultPlan.parse(f"l{y}-{t}@2")
+        traffic = [(0, y, t)] * 3 + [(1, s, t)]
+        [out] = self._three_engines(topo, [BatchItem(traffic, faults=plan)])
+        assert out.dropped == 2 and out.latencies == (1, 2)
+        assert out.cycles == 4
+
+    def test_link_served_empty_refills_in_the_same_flush(self):
+        """x-y holds one packet in cycle 0: serving it empties the link,
+        and the packet from s arrives on it in the same cycle's flush,
+        so neither packet ever waits."""
+        topo = parse_topology("Q:4")
+        s, x, y, t = self._line(topo)
+        [out] = self._three_engines(topo, [BatchItem([(0, s, t), (0, x, t)])])
+        assert out.latencies == (3, 2) and out.max_queue == 1
+
+    def test_arrival_queues_behind_a_same_cycle_injection(self):
+        """Two packets inject onto x-y in cycle 0 while the packet from s
+        (the lowest pid) arrives there in the flush: it queues behind
+        the second injection, not ahead of it."""
+        topo = parse_topology("Q:4")
+        s, x, y, t = self._line(topo)
+        [out] = self._three_engines(
+            topo, [BatchItem([(0, s, t), (0, x, t), (0, x, t)])]
+        )
+        assert out.latencies == (4, 2, 3)
+
+    @staticmethod
+    def _staggered(topo):
+        """A short uniform run, a hotspot burst of 2,250 packets that
+        drains for 1,200 cycles, and a run injecting at cycle 3,000."""
+        burst = [(0, src, 0) for src in range(1, topo.num_nodes)
+                 for _ in range(150)]
+        return [
+            BatchItem(traffic=uniform_traffic(topo, 40, 5, seed=1)),
+            BatchItem(traffic=burst),
+            BatchItem(traffic=[(3000, 5, 10), (3000, 10, 5), (3001, 5, 10)]),
+        ]
+
+    def test_runs_ending_thousands_of_cycles_apart(self):
+        """Runs sharing one batch each end at their own cycle."""
+        topo = parse_topology("Q:4")
+        out = self._three_engines(topo, self._staggered(topo))
+        assert [r.cycles for r in out] == [8, 1200, 3005]
+        assert all(r.stalled == 0 for r in out)
+
+    def test_cap_stops_runs_with_packets_in_flight(self):
+        """A cap at cycle 300 cuts the burst with packets still queued
+        and the late run before it injects anything."""
+        topo = parse_topology("Q:4")
+        out = self._three_engines(topo, self._staggered(topo), max_cycles=300)
+        assert [r.cycles for r in out] == [8, 300, 300]
+        assert [r.stalled for r in out] == [0, 1200, 3]
+        assert out[1].max_queue > 0
+
     def test_fault_kills_through_held_empty_buffer(self):
         """A 4-flit packet over depth-1 buffers leaves its first channel
         held but empty after cycle 1 (the head moved on, the source could
@@ -326,36 +411,67 @@ class TestCheckedBoundary:
     mismatch raises, naming the array, and the kernel is never called
     (a short ``qlen`` would let the sf kernel write past its end)."""
 
-    @pytest.mark.parametrize("switching, name, corrupt", [
-        ("sf", "qlen", lambda a: a[:2]),
-        ("sf", "inject", lambda a: a.astype(np.int32)),
-        ("sf", "delivered_at", lambda a: np.repeat(a, 2)[::2]),
-        ("wormhole", "holder", lambda a: a[:-1]),
-        ("wormhole", "active", lambda a: a.astype(np.int64)),
-        ("wormhole", "srcf", lambda a: a.astype(np.int32)),
-    ], ids=["sf-short", "sf-int32", "sf-strided", "flow-short", "flow-int64-flag",
-            "flow-int32"])
-    def test_bad_array_raises_before_the_call(
-        self, monkeypatch, switching, name, corrupt
-    ):
+    @staticmethod
+    def _engine(monkeypatch, switching, lib):
         topo = parse_topology("Q:5")
         items = [BatchItem(
             traffic=uniform_traffic(topo, 500, 20, seed=1),
             switching=switching, flits=1 if switching == "sf" else 2,
         )]
         runs = _kernel_runs(monkeypatch, topo, items)
+        engine_cls = (native_mod._NativeSfEngine if switching == "sf"
+                      else native_mod._NativeFlowEngine)
+        return engine_cls(topo, runs, lib)
+
+    @pytest.mark.parametrize("switching, name, corrupt", [
+        ("sf", "qlen", lambda a: a[:2]),
+        ("sf", "inject", lambda a: a.astype(np.int32)),
+        ("sf", "delivered_at", lambda a: np.repeat(a, 2)[::2]),
+        ("sf", "scratch", lambda a: a[:-1]),
+        ("wormhole", "holder", lambda a: a[:-1]),
+        ("wormhole", "active", lambda a: a.astype(np.int64)),
+        ("wormhole", "srcf", lambda a: a.astype(np.int32)),
+        ("wormhole", "scratch", lambda a: a[:-1]),
+    ], ids=["sf-short", "sf-int32", "sf-strided", "sf-short-scratch",
+            "flow-short", "flow-int64-flag", "flow-int32", "flow-short-scratch"])
+    def test_bad_array_raises_before_the_call(
+        self, monkeypatch, switching, name, corrupt
+    ):
         calls = []
         lib = SimpleNamespace(
             repro_sf_run=lambda *args: calls.append(args),
             repro_flow_run=lambda *args: calls.append(args),
         )
-        engine_cls = (native_mod._NativeSfEngine if switching == "sf"
-                      else native_mod._NativeFlowEngine)
-        engine = engine_cls(topo, runs, lib)
+        engine = self._engine(monkeypatch, switching, lib)
         setattr(engine, name, corrupt(getattr(engine, name)))
         with pytest.raises(ValueError, match=f"'{name}'"):
             engine.run(100000)
         assert calls == []
+
+    @pytest.mark.parametrize("switching", ["sf", "wormhole"])
+    def test_kernel_refusing_its_scratch_raises(self, monkeypatch, switching):
+        """The C side returns -1 when its scratch is too short; the
+        binder raises instead of reading outcomes C never wrote."""
+        lib = SimpleNamespace(
+            repro_sf_run=lambda *args: -1, repro_flow_run=lambda *args: -1
+        )
+        engine = self._engine(monkeypatch, switching, lib)
+        with pytest.raises(RuntimeError, match="scratch array too short"):
+            engine.run(100000)
+
+    @needs_native
+    @pytest.mark.parametrize("switching", ["sf", "wormhole"])
+    def test_c_checks_its_scratch_length(self, monkeypatch, switching):
+        """Past the binder's check, the compiled kernel checks the
+        length itself: one slot short returns -1 before touching any
+        array."""
+        engine = self._engine(monkeypatch, switching, None)
+        short = engine._scratch_len() - 1
+        engine.scratch = engine.scratch[:short]
+        monkeypatch.setattr(engine, "_scratch_len", lambda: short)
+        with pytest.raises(RuntimeError, match="scratch array too short"):
+            engine.run(100000)
+        assert (engine.delivered_at == -1).all()
 
 
 @needs_native
@@ -458,12 +574,18 @@ class TestForcedFallback:
         # the ABI 4 kernel's shape: the sf run mode only
         "i64 repro_abi_version(void) { return 4; }\n"
         "i64 repro_sf_run(void) { return 0; }\n",
+        # the ABI 5 kernel's shape: both run modes, sf scratch in three
+        # arrays
+        "i64 repro_abi_version(void) { return 5; }\n"
+        "i64 repro_sf_run(void) { return 0; }\n"
+        "i64 repro_flow_run(void) { return 0; }\n",
         # the current ABI number, but no run entry point
         f"i64 repro_abi_version(void) {{ return {native_mod.ABI_VERSION}; }}\n",
         # the current ABI number, but no flow engine
         f"i64 repro_abi_version(void) {{ return {native_mod.ABI_VERSION}; }}\n"
         "i64 repro_sf_run(void) { return 0; }\n",
-    ], ids=["foreign-abi", "abi-4", "missing-symbol", "missing-flow-engine"])
+    ], ids=["foreign-abi", "abi-4", "abi-5", "missing-symbol",
+            "missing-flow-engine"])
     def test_rejected_cached_object_rebuilds(self, scratch_cache, tmp_path, exports):
         """A loadable cache entry the binder must refuse -- an old ABI,
         or a missing symbol (either entry point) -- is rebuilt, and the

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.network import sweep
@@ -172,6 +174,28 @@ class TestNearestRankP95:
         for n in range(1, 60):
             lat = list(range(n))
             assert nearest_rank_p95(lat) <= max(lat)
+
+    @staticmethod
+    def _by_sorting(lat):
+        """The definition, spelled out: the ``ceil(0.95 n)``-th smallest
+        value of the sorted sample, 0.0 for an empty one."""
+        if not lat:
+            return 0.0
+        return float(sorted(lat)[(95 * len(lat) + 99) // 100 - 1])
+
+    def test_matches_the_sorted_definition_for_every_small_n(self):
+        """Every sample size from 1 to 60, shuffled and with repeats,
+        picks the same value as sorting would."""
+        rng = np.random.default_rng(95)
+        for n in range(1, 61):
+            for hi in (3, 1000):
+                lat = rng.integers(0, hi, size=n).tolist()
+                assert nearest_rank_p95(lat) == self._by_sorting(lat), lat
+                assert nearest_rank_p95(tuple(lat)) == self._by_sorting(lat)
+
+    @given(st.lists(st.integers(min_value=0, max_value=10**6), max_size=300))
+    def test_matches_the_sorted_definition(self, lat):
+        assert nearest_rank_p95(lat) == self._by_sorting(lat)
 
 
 class TestZeroDeliveredPoints:

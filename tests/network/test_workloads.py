@@ -100,6 +100,30 @@ class TestWorkloadGrammar:
         c = canonical_workload(TWO_TENANTS)
         assert canonical_workload(c) == c
 
+    def test_cold_cached_sweep_parses_each_workload_string_once(self, tmp_path):
+        """A cold sweep with a result cache normalises every point several
+        times (grid expansion, the batch runner, the cache's get and
+        put), but each distinct workload string is parsed once: here the
+        raw spelling, its canonical form and an already-canonical spec."""
+        raw = " bg:uniform:0.20 ; fg:hotspot:0.1:2 ; rate=1 "
+        canonical_workload.cache_clear()
+        cache = ResultCache(tmp_path / "results")
+        records = run_sweep(
+            ["Q:3"], loads=(0.5, 1.0), seeds=(0, 1), inject_window=8,
+            workloads=(raw, "a:uniform:0.2:0"), cache=cache,
+        )
+        assert len(records) == cache.stores == 8
+        info = canonical_workload.cache_info()
+        assert info.misses == 3
+        assert info.hits > info.misses
+
+    def test_bad_spec_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unknown traffic pattern"):
+                canonical_workload("a:warp:0.2")
+            with pytest.raises(ValueError, match="unknown traffic pattern"):
+                expand_grid(["Q:3"], workloads=("a:warp:0.2",))
+
 
 class TestCompileWorkload:
     def test_deterministic(self):
