@@ -202,7 +202,7 @@ def test_bench_n1_native_backend_speedup(benchmark):
     import numpy as np
 
     from repro.network.backends import native as native_mod
-    from repro.network.kernel import KernelRun, _link_arrays, run_fused
+    from repro.network.kernel import KernelRun, run_fused
     from repro.network.routing import BfsRouter, route_table
     from repro.network.simulator import _as_flow, _prepare
 
@@ -212,9 +212,6 @@ def test_bench_n1_native_backend_speedup(benchmark):
     topo = topology_of(("11", 10))  # Gamma_10: 144 nodes
     traffic = uniform_traffic(topo, 15000, 150, seed=42)
     [prep] = _prepare(topo, BfsRouter(), [traffic], None, route_table)
-    link_seq, link_offsets, link_codes = _link_arrays(
-        topo.num_nodes, prep.table
-    )
     nhops = prep.table.lengths()[prep.row] - 1
     flow = _as_flow("sf")
 
@@ -222,9 +219,7 @@ def test_bench_n1_native_backend_speedup(benchmark):
         # a KernelRun is consumed by the engine; rebuild per timing
         return KernelRun(
             flow=flow, inject=prep.inject, nhops=nhops,
-            first_link_at=link_offsets[prep.row],
-            link_seq=link_seq, link_offsets=link_offsets,
-            link_codes=link_codes,
+            table=prep.table, row=prep.row,
             nf=np.ones(len(prep.inject), dtype=np.int64),
             link_dead={},
         )

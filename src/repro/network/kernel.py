@@ -17,11 +17,13 @@ Layout (built once, for both engines, by their base class ``_Engine``):
   links, so both engines -- and the C engines behind them -- address
   one set of arrays (``ext_seq``, ``gfirst``, ``ext_base``,
   ``run_of_ext``, ``dead_at_ext``, the ``*_r`` per-run accounting);
-- every replication owns a **disjoint id space** -- run ``k``'s
-  channels live in ``[ext_base[k], ext_base[k+1])`` -- so shared FIFO /
-  buffer arrays can never leak packets, credits or VC allocations
-  between runs, while runs sharing a route table and VC count share
-  one copy of its channel sequence;
+- links are numbered once per topology
+  (:meth:`~repro.network.topology.Topology.link_ids`), and every
+  replication owns a **disjoint id space** -- run ``k``'s channels
+  ``link * V + vc`` live in ``[ext_base[k], ext_base[k+1])``, a block of
+  ``2 * num_links * V`` -- so shared FIFO / buffer arrays can never leak
+  packets, credits or VC allocations between runs, while runs sharing
+  a route table and VC count share one copy of its channel sequence;
 - packets are renumbered globally by ``(inject_cycle, run, local pid)``,
   a stable sort that preserves each run's internal packet order, so
   every FIFO tie-break, link arbitration ("oldest packet wins the
@@ -63,6 +65,7 @@ import numpy as np
 
 from repro.network.faults import _NEVER
 from repro.network.flowcontrol import FlowControl, FlowOutcome, _validate_vct
+from repro.network.routing import RouteTable
 from repro.network.topology import Topology
 
 __all__ = [
@@ -75,21 +78,21 @@ __all__ = [
 class KernelRun:
     """One prepared replication, in the kernel's native array form.
 
-    ``inject`` is stable-sorted ascending; ``first_link_at[p]`` is
-    packet ``p``'s route-row offset into ``link_seq``; ``nf`` carries
-    per-packet flit counts aligned with the sorted packets (all ones
-    under store-and-forward).  Runs that share a route table should pass
-    the *same* ``link_seq``/``link_offsets``/``link_codes`` objects so
-    the kernel shares the derived channel arrays too.
+    ``inject`` is stable-sorted ascending; packet ``p`` follows row
+    ``row[p]`` of ``table`` (built on the kernel's topology or one of
+    its fault views) in ``nhops[p]`` hops; ``nf`` carries per-packet
+    flit counts aligned with the sorted packets (all ones under
+    store-and-forward).  Runs that share a route table should pass the
+    *same* table object: the kernel decodes a table into link and
+    channel sequences once and shares them.  ``link_dead`` maps directed
+    links ``(u, v)`` to the first cycle they stop forwarding.
     """
 
     flow: FlowControl
     inject: np.ndarray
     nhops: np.ndarray
-    first_link_at: np.ndarray
-    link_seq: np.ndarray
-    link_offsets: np.ndarray
-    link_codes: np.ndarray
+    table: RouteTable
+    row: np.ndarray
     nf: np.ndarray
     link_dead: Dict[Tuple[int, int], int] = field(default_factory=dict)
 
@@ -129,49 +132,37 @@ def _fifo_append(
     qlen[glinks] += gsizes
 
 
-def _link_arrays(num_nodes, table) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row directed-link-id sequences and the link code book:
-    ``(link_seq, link_offsets, link_codes)``.
-
-    Link ids are ranks of the ``u * n + v`` codes of the directed edges
-    actually used (``RouteTable.hops``), so the per-cycle ``bincount``
-    stays dense; ``link_codes`` is the sorted code array those ranks
-    index (used to resolve fault plans onto link ids).
-    """
-    if table.num_nodes != num_nodes:
-        raise ValueError(f"route table records {table.num_nodes} nodes, not {num_nodes}")
-    codes, link_offsets = table.hops()
-    link_codes = np.unique(codes)
-    return np.searchsorted(link_codes, codes), link_offsets, link_codes
-
-
 def _ext_channels(
     topo: Topology,
     link_seq: np.ndarray,
     link_offsets: np.ndarray,
-    link_codes: np.ndarray,
     num_vcs: int,
 ) -> np.ndarray:
-    """Per-route-step extended-channel ids (``link * V + vc``).
+    """Per-route-step extended-channel ids (``link * V + vc``) of the
+    link ids ``link_seq``, rows in CSR form over ``link_offsets``.
 
     The VC of a hop follows the router's dimension order on
     word-addressed topologies (the flipped bit position modulo ``V``)
     and the hop index elsewhere -- exactly
     :func:`repro.network.flowcontrol.vc_of_hop`, in array form: a
-    link's dimension is the first column where its end nodes' rows of
-    the topology's cached ``n x d`` word matrix differ.
+    link's dimension, cached on the topology for every link, is the
+    first column where its end nodes' rows of the ``n x d`` word matrix
+    differ.
     """
     if num_vcs == 1:
         return link_seq
     n = topo.num_nodes
     if topo.word_length is not None:
-        words = topo.memo("word_matrix", lambda: np.frombuffer(
-            "".join(topo.node_word(i) for i in range(n)).encode(),
-            dtype=np.uint8,
-        ).reshape(n, topo.word_length))
-        u, v = np.divmod(link_codes, n)
-        dim_of_link = np.argmax(words[u] != words[v], axis=1)
-        return link_seq * num_vcs + dim_of_link[link_seq] % num_vcs
+
+        def link_dims() -> np.ndarray:
+            words = np.frombuffer(
+                "".join(topo.node_word(i) for i in range(n)).encode(), dtype=np.uint8
+            ).reshape(n, topo.word_length)
+            u, v = np.divmod(topo.link_codes(), n)
+            return np.argmax(words[u] != words[v], axis=1)
+
+        dims = topo.memo("link_dims", link_dims)
+        return link_seq * num_vcs + dims[link_seq] % num_vcs
     seg_lengths = np.diff(link_offsets)
     pos_within = np.arange(link_seq.size, dtype=np.int64) - np.repeat(
         link_offsets[:-1], seg_lengths
@@ -247,9 +238,10 @@ class _Engine:
     one-VC case: :func:`_ext_channels` with ``num_vcs=1`` returns the
     link sequence itself, so an sf channel is simply a link.  The
     constructor builds the layout -- disjoint per-run channel id
-    spaces, shared channel sequences, the global pid order, per-channel
-    fault cycles and the per-run accounting arrays -- then hands the
-    subclass the pid permutation for its mode state (``_init_state``).
+    spaces, each table's link sequence and its channel sequence per VC
+    count, the global pid order, per-channel fault cycles and the
+    per-run accounting arrays -- then hands the subclass the pid
+    permutation for its mode state (``_init_state``).
     :meth:`run` advances the subclass's ``_step`` / ``_next_event`` on
     the engine's own clock (:func:`_clock`) and condenses one outcome
     per run.
@@ -257,47 +249,46 @@ class _Engine:
 
     def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
         n = topo.num_nodes
+        num_directed = topo.link_codes().size  # 2 * topo.num_links
         K = len(runs)
         self.K = K
-        # runs sharing a route table and VC count share one copy of its
-        # channel sequence: see _channel
+        vcs = [r.flow.num_vcs if r.flow.pipelined else 1 for r in runs]
+        # each table is decoded into link ids once, and runs sharing it
+        # and a VC count share one copy of its channel sequence: see _channel
+        links_of: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         seq_parts: List[np.ndarray] = []
         seq_base_of: Dict[Tuple[int, int], int] = {}
         seq_base = 0
         firsts: List[np.ndarray] = []
-        vcs: List[int] = []
-        ext_base = [0]
-        for r in runs:
-            V = r.flow.num_vcs if r.flow.pipelined else 1
-            key = (id(r.link_seq), V)
+        for r, V in zip(runs, vcs):
+            if id(r.table) not in links_of:
+                if r.table.num_nodes != n:
+                    raise ValueError(f"route table records {r.table.num_nodes} nodes, not {n}")
+                codes, offsets = r.table.hops()
+                links_of[id(r.table)] = (topo.link_ids(codes), offsets)
+            link_seq, link_offsets = links_of[id(r.table)]
+            key = (id(r.table), V)
             if key not in seq_base_of:
                 seq_base_of[key] = seq_base
-                seq_parts.append(_ext_channels(
-                    topo, r.link_seq, r.link_offsets, r.link_codes, V
-                ))
-                seq_base += r.link_seq.size
-            firsts.append(r.first_link_at + seq_base_of[key])
-            num_links = int(r.link_seq.max()) + 1 if r.link_seq.size else 1
-            vcs.append(V)
-            ext_base.append(ext_base[-1] + num_links * V)
+                seq_parts.append(_ext_channels(topo, link_seq, link_offsets, V))
+                seq_base += link_seq.size
+            firsts.append(link_offsets[r.row] + seq_base_of[key])
         self.ext_seq = np.concatenate(seq_parts)
-        self.ext_base = np.asarray(ext_base, dtype=np.int64)
+        self.ext_base = np.zeros(K + 1, dtype=np.int64)
+        np.cumsum(np.asarray(vcs, dtype=np.int64) * num_directed, out=self.ext_base[1:])
         self.run_of_ext = np.repeat(
             np.arange(K, dtype=np.int64), np.diff(self.ext_base)
         )
         self.dead_at_ext = None
         if any(r.link_dead for r in runs):
-            # every (link, VC) buffer of a dying link dies with it; a
-            # plan may name links no route uses -- they resolve to no
-            # channel here
-            self.dead_at_ext = np.full(ext_base[-1], _NEVER, dtype=np.int64)
-            for j, r in enumerate(runs):
-                for (u, v), c in r.link_dead.items():
-                    code = u * n + v
-                    li = int(np.searchsorted(r.link_codes, code))
-                    if li < r.link_codes.size and r.link_codes[li] == code:
-                        lo = ext_base[j] + li * vcs[j]
-                        self.dead_at_ext[lo:lo + vcs[j]] = c
+            # every (link, VC) buffer of a dying link dies with it
+            self.dead_at_ext = np.full(int(self.ext_base[-1]), _NEVER, dtype=np.int64)
+            for j, (r, V) in enumerate(zip(runs, vcs)):
+                if r.link_dead:
+                    u, v = np.asarray(list(r.link_dead), dtype=np.int64).T
+                    dead = np.full(num_directed, _NEVER, dtype=np.int64)
+                    dead[topo.link_ids(u * n + v)] = list(r.link_dead.values())
+                    self.dead_at_ext[self.ext_base[j]:self.ext_base[j + 1]] = np.repeat(dead, V)
 
         # global packet order: stable sort by injection cycle over the
         # run-major concatenation = (inject, run, local pid), so each
@@ -490,8 +481,8 @@ class _FlowEngine(_Engine):
         self.cap_ext = np.asarray(
             [r.flow.buffer_depth for r in runs], dtype=np.int64
         )[run]
-        # fault plans may name links no route uses: they still schedule
-        # wake-up events (max_death) but resolve to no channel
+        # every death cycle schedules a wake-up event (max_death), on a
+        # link some route uses or not
         self.death_cycles = [
             np.asarray(sorted(set(r.link_dead.values())), dtype=np.int64)
             for r in runs

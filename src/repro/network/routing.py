@@ -320,11 +320,11 @@ class RouteTable:
     Row ``r`` is the node sequence
     ``route_data[route_offsets[r] : route_offsets[r + 1]]``.
     ``pair_codes`` holds the sorted ``src * num_nodes + dst`` code of
-    every pair the table resolved and ``pair_rows`` its row, ``-1`` when
-    the router failed the pair (the packet is dropped at injection), so
-    packets map to rows with one ``searchsorted`` (:meth:`rows_of`).
-    A table merged from several routing epochs has rows but no pair
-    index.
+    every pair the table was built over (its builder keeps them as
+    given, so ``pair_rows[inverse]`` of the caller's ``np.unique`` is
+    each packet's row) and ``pair_rows`` its row, ``-1`` when the router
+    failed the pair (the packet is dropped at injection).  A table
+    merged from several routing epochs has rows but no pair index.
 
     The table is what the vectorized simulator consumes: routes are
     resolved once per *unique* pair instead of once per packet, and the
@@ -378,22 +378,6 @@ class RouteTable:
     def pair_row(self) -> Mapping[Tuple[int, int], int]:
         """Read-only ``(src, dst) -> row`` view of the pair index."""
         return _PairRows(self)
-
-    def rows_of(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """The row of every pair ``(src[i], dst[i])`` (``-1`` where the
-        router failed it); a pair the table never resolved raises."""
-        codes = src * self.num_nodes + dst
-        at = np.searchsorted(self.pair_codes, codes)
-        found = at < self.pair_codes.size
-        found[found] = self.pair_codes[at[found]] == codes[found]
-        if not found.all():
-            code = int(codes[np.argmin(found)])
-            raise ValueError(
-                "route_table has no entry for traffic pair "
-                f"{divmod(code, self.num_nodes)}; "
-                "build the table over every (src, dst) pair in the traffic"
-            )
-        return self.pair_rows[at]
 
     def lengths(self) -> np.ndarray:
         """Node count of every route (hops + 1), one entry per row."""
@@ -466,8 +450,9 @@ def route_blocks(
             block = np.stack((src, j + (j >= src)), axis=1)
         else:
             block = pairs[lo : lo + _BLOCK_PAIRS]
-        table = route_table(topo, router, block)
-        yield block, table, table.rows_of(block[:, 0], block[:, 1])
+        codes, inverse = np.unique(block[:, 0] * n + block[:, 1], return_inverse=True)
+        table = route_table(topo, router, np.stack(np.divmod(codes, n), axis=1))
+        yield block, table, table.pair_rows[inverse]
 
 
 @dataclass(frozen=True)
@@ -504,15 +489,12 @@ def route_stats(
     each returned path is a real path before scoring it; paths are read
     from :func:`route_blocks`' tables, and the first bad pair names the
     failure."""
-    indptr, indices = topo.graph.csr()
-    n = topo.num_nodes
-    links = np.repeat(np.arange(n), np.diff(indptr)) * n + indices
     totals = np.zeros(5, dtype=np.int64)  # the RouteStats counts, in field order
     for block, table, rows in route_blocks(topo, router, pairs):
         ends, rows = block[rows >= 0], rows[rows >= 0]
         broken = (np.stack(table.endpoints(), axis=1)[rows] != ends).any(axis=1)
         codes, offsets = table.hops()
-        nonedges = np.cumsum(np.concatenate(([0], ~np.isin(codes, links))))[offsets]
+        nonedges = np.cumsum(np.concatenate(([0], ~np.isin(codes, topo.link_codes()))))[offsets]
         bad = broken | (np.diff(nonedges) > 0)[rows]
         if bad.any():
             what = "returned a broken path" if broken[bad.argmax()] else "used a non-edge"

@@ -43,7 +43,8 @@ Two engines implement the *same* deterministic semantics:
   instance, fault plan and routing epoch, over the union of the pairs
   its items inject), per-packet state lives in NumPy arrays, and the
   cycle loop itself is the fused advance kernel of
-  :mod:`repro.network.kernel`: intrusive per-link FIFOs over flat
+  :mod:`repro.network.kernel`: links numbered once per topology
+  (:meth:`Topology.link_ids`), intrusive per-link FIFOs over flat
   arrays, a handful of array gathers per cycle instead of a Python
   loop over packets, idle gaps skipped outright.  A
   backend name selects the kernel's cycle loop
@@ -99,7 +100,7 @@ from repro.network.flowcontrol import (
     reference_flow_run,
     resolve_flits,
 )
-from repro.network.kernel import KernelRun, _link_arrays, run_fused
+from repro.network.kernel import KernelRun, run_fused
 from repro.network.routing import BfsRouter, RouteTable, route_table
 from repro.network.topology import Topology
 from repro.network.traffic import uniform_traffic
@@ -279,15 +280,24 @@ def _validate_item(
     flow: FlowControl,
     flits: Union[int, Sequence[int]],
     tenants: Optional[Sequence[int]],
+    num_nodes: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The one validation of a run's inputs, shared by every engine:
     returns the traffic as a ``(P, 3)`` int64 array and its per-packet
-    flit counts.  Rejects negative injection cycles, bad or misaligned
-    flit counts, misaligned tenant ids, multi-flit packets under
-    store-and-forward and packets too big for a vct buffer."""
+    flit counts.  Rejects traffic that is not ``(cycle, src, dst)`` rows
+    (empty traffic is valid), node ids outside ``[0, num_nodes)``,
+    negative injection cycles, bad or misaligned flit counts, misaligned
+    tenant ids, multi-flit packets under store-and-forward and packets
+    too big for a vct buffer."""
     if not isinstance(traffic, np.ndarray):
         traffic = list(traffic)
-    arr = np.asarray(traffic, dtype=np.int64).reshape(-1, 3)
+    arr = np.asarray(traffic, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"traffic must be (cycle, src, dst) rows, got shape {arr.shape}")
+    if arr.size and not 0 <= arr[:, 1:].min() <= arr[:, 1:].max() < num_nodes:
+        raise ValueError(f"traffic names a node outside 0..{num_nodes - 1}")
     if arr.size and int(arr[:, 0].min()) < 0:
         raise ValueError(
             "injection cycles must be non-negative "
@@ -362,29 +372,25 @@ def _prepare(
         link_dead = faults.link_death_map(topo)
     perms = [np.argsort(a[:, 0], kind="stable") for a in arrs]
     arrs = [a[p] for a, p in zip(arrs, perms)]
-    # run k's packets of epoch e are arrs[k][cuts[k][e] : cuts[k][e + 1]]
-    cuts = [[0, *a[:, 0].searchsorted(bounds).tolist(), len(a)] for a in arrs]
-    rows = [np.full(len(a), -1, dtype=np.int64) for a in arrs]
+    pkts = np.concatenate([np.empty((0, 3), dtype=np.int64), *arrs])
+    # a packet's epoch counts the fault cycles at or before its injection
+    epoch = np.searchsorted(bounds, pkts[:, 0], side="right")
+    rows = np.full(len(pkts), -1, dtype=np.int64)
     tables: List[RouteTable] = []
     num_rows = 0
     for e in range(len(bounds) + 1):
-        spans = [(r[c[e]:c[e + 1]], a[c[e]:c[e + 1]]) for a, c, r in zip(arrs, cuts, rows)]
-        if not any(len(pkts) for _, pkts in spans):
+        idx = np.flatnonzero(epoch == e)
+        if not idx.size:
             continue
         at = int(bounds[e - 1]) if e else -1
-        # before the first fault cycle every packet is live, unmasked
-        lives = [
-            (death[pkts[:, 1]] > at) & (death[pkts[:, 2]] > at) if e else slice(None)
-            for _, pkts in spans
-        ]
-        codes = np.unique(np.concatenate([
-            pkts[live, 1] * n + pkts[live, 2] for (_, pkts), live in zip(spans, lives)
-        ]))
+        if e:  # before the first fault cycle every packet is live
+            idx = idx[(death[pkts[idx, 1]] > at) & (death[pkts[idx, 2]] > at)]
+        # one unique names the epoch's live pairs and gives each packet
+        # its pair's row
+        codes, inverse = np.unique(pkts[idx, 1] * n + pkts[idx, 2], return_inverse=True)
         view = topo.with_faults(faults, at_cycle=at) if e else topo
         table = build(view, router, np.stack(np.divmod(codes, n), axis=1))
-        for (out, pkts), live in zip(spans, lives):
-            r = table.rows_of(pkts[live, 1], pkts[live, 2])
-            out[live] = np.where(r >= 0, r + num_rows, -1) if num_rows else r
+        rows[idx] = np.where(table.pair_rows >= 0, table.pair_rows + num_rows, -1)[inverse]
         num_rows += table.num_routes
         tables.append(table)
     if len(tables) == 1:
@@ -396,9 +402,10 @@ def _prepare(
             route_offsets=np.cumsum(lengths), num_nodes=n,
         )
     mis = _row_misroutes(topo, table)
+    run_rows = np.split(rows, np.cumsum([len(a) for a in arrs])[:-1])
     return [
         _Prepared(table, a, p, r, mis, link_dead)
-        for a, p, r in zip(arrs, perms, rows)
+        for a, p, r in zip(arrs, perms, run_rows)
     ]
 
 
@@ -449,8 +456,9 @@ class ReferenceSimulator:
         epoch, pair) through :meth:`RouteTable.build` and never through a
         router's batched ``build_table``, so this engine stays an oracle
         independent of the vectorized one's tables, faulted runs
-        included.  A ``faults`` plan adds per-epoch fault-masked routing
-        with in-flight drops; see the module docstring.
+        included (a hop that is not a link raises).  A ``faults`` plan
+        adds per-epoch fault-masked routing with in-flight drops; see
+        the module docstring.
 
         ``switching`` selects the flow-control discipline -- a mode name
         or a full :class:`FlowControl` -- and ``flits`` the per-packet
@@ -462,8 +470,9 @@ class ReferenceSimulator:
         """
         max_cycles = _validate_max_cycles(max_cycles)
         flow = _as_flow(switching)
-        arr, flit_arr = _validate_item(traffic, flow, flits, tenants)
+        arr, flit_arr = _validate_item(traffic, flow, flits, tenants, self.topo.num_nodes)
         [prep] = _prepare(self.topo, self.router, [arr], faults, RouteTable.build)
+        self.topo.link_ids(prep.table.hops()[0])  # raises on a non-link hop, as the kernel does
         routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
         inject = prep.inject.tolist()
         nf = flit_arr[prep.order].tolist()
@@ -578,8 +587,8 @@ class VectorizedSimulator:
 
     :meth:`run_batch` is the one simulation path: it prepares K
     replications on this topology -- routes flattened into CSR route
-    tables and converted to directed-link-id sequences once per table --
-    and hands them to the fused advance kernel
+    tables, each packet named by its table row -- and hands them to the
+    fused advance kernel
     (:func:`repro.network.kernel.run_fused`), which advances them with
     one mode engine per switching discipline, each on its own clock;
     :meth:`run` is a one-item batch.  The
@@ -635,10 +644,12 @@ class VectorizedSimulator:
         :class:`ReferenceSimulator`, with the same ``max_cycles`` -- the
         batch-equivalence suite enforces it across every switching mode.
 
-        Validation (a non-integer ``max_cycles``, negative injection
-        cycles, multi-flit traffic under store-and-forward, bad flit
-        specs, packets too big for a vct buffer) raises eagerly for the
-        whole batch -- every item is checked before any item simulates.
+        Validation (a non-integer ``max_cycles``, traffic that is not
+        ``(cycle, src, dst)`` rows over this topology's nodes, negative
+        injection cycles, multi-flit traffic under store-and-forward,
+        bad flit specs, packets too big for a vct buffer) raises eagerly
+        for the whole batch -- every item is checked before any item
+        simulates; a route hop that is not a link raises in the kernel.
         Items sharing a router instance and a fault plan (by value)
         share one union route table per routing epoch.
         """
@@ -646,7 +657,7 @@ class VectorizedSimulator:
         items = list(items)
         flows = [_as_flow(item.switching) for item in items]
         checked = [
-            _validate_item(item.traffic, flow, item.flits, item.tenants)
+            _validate_item(item.traffic, flow, item.flits, item.tenants, self.topo.num_nodes)
             for item, flow in zip(items, flows)
         ]
         preps: List[Optional[_Prepared]] = [None] * len(items)
@@ -663,42 +674,29 @@ class VectorizedSimulator:
             )
             for i, prep in zip(members, shared):
                 preps[i] = prep
-        # items sharing a route table share its link arrays; the kernel
-        # assigns every run a disjoint global id range
-        cache: Dict[int, tuple] = {}
+        # items sharing a route table pass the same table object, so the
+        # kernel decodes it once
         runs: List[KernelRun] = []
-        nhops_list: List[np.ndarray] = []
         for prep, flow, (_, flit_arr) in zip(preps, flows, checked):
-            if id(prep.table) not in cache:
-                cache[id(prep.table)] = (
-                    _link_arrays(self.topo.num_nodes, prep.table),
-                    prep.table.lengths(),
-                )
-            (link_seq, link_offsets, link_codes), lengths = cache[id(prep.table)]
-            nhops = lengths[prep.row] - 1
-            nhops_list.append(nhops)
+            offsets = prep.table.route_offsets
             runs.append(KernelRun(
                 flow=flow,
                 inject=prep.inject,
-                nhops=nhops,
-                first_link_at=link_offsets[prep.row],
-                link_seq=link_seq,
-                link_offsets=link_offsets,
-                link_codes=link_codes,
+                nhops=offsets[prep.row + 1] - offsets[prep.row] - 1,
+                table=prep.table,
+                row=prep.row,
                 nf=flit_arr[prep.order],
                 link_dead=prep.link_dead,
             ))
         outcomes = run_fused(self.topo, runs, max_cycles, backend=self.backend)
         return [
             _flow_result(
-                out, prep.inject, nhops, prep.misroutes[prep.row],
+                out, prep.inject, run.nhops, prep.misroutes[prep.row],
                 prep.num_dropped,
                 all_tenants=item.tenants,
                 pid_tenants=_pid_tenants(item.tenants, prep.order),
             )
-            for out, prep, nhops, item in zip(
-                outcomes, preps, nhops_list, items
-            )
+            for out, prep, run, item in zip(outcomes, preps, runs, items)
         ]
 
 

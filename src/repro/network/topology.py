@@ -143,6 +143,33 @@ class Topology:
         table, row = self.distance_rows(dst)
         return table[row, np.asarray(src, dtype=np.int64)]
 
+    def link_codes(self) -> np.ndarray:
+        """Every directed link ``(u, v)`` -- both directions of each edge --
+        as the code ``u * num_nodes + v``, sorted (cached; read-only)."""
+
+        def build() -> np.ndarray:
+            indptr, indices = self.graph.csr()
+            n = self.num_nodes
+            return np.sort(np.repeat(np.arange(n), np.diff(indptr)) * n + indices)
+
+        return self.memo("link_codes", build)
+
+    def link_ids(self, codes) -> np.ndarray:
+        """The id of every directed-link code in ``codes``: its rank in
+        :meth:`link_codes`, so ids fill ``[0, 2 * num_links)`` and name
+        the same link in every route table over this topology or one of
+        its fault views.  A code that is not a link raises
+        :class:`ValueError`."""
+        book = self.link_codes()
+        codes = np.asarray(codes, dtype=np.int64)
+        ids = np.searchsorted(book, codes)
+        # a code past the last link lands on the -1, which no code equals
+        stray = codes[np.append(book, -1)[ids] != codes]
+        if stray.size:
+            u, v = divmod(int(stray[0]), self.num_nodes)
+            raise ValueError(f"({u}, {v}) is not a link of {self.name}")
+        return ids
+
     def node_word(self, index: int) -> str:
         """The binary-word address of a node (labels must be words)."""
         label = self.graph.label_of(index)

@@ -154,8 +154,9 @@ class TestBatchLayout:
     ):
         """Runs on one route table hold one copy of its channel sequence
         per VC count: three sf runs share one link sequence (the one-VC
-        channels), and three wormhole runs -- two with 2 VCs, one with
-        3 -- share two channel sequences."""
+        channels: the table's hops as topology link ids), and three
+        wormhole runs -- two with 2 VCs, one with 3 -- share two channel
+        sequences."""
         topo = parse_topology("11:5")
         router = BfsRouter()
         items = [
@@ -172,15 +173,15 @@ class TestBatchLayout:
         ]
         runs = _kernel_runs(monkeypatch, topo, items)
         first = runs[0]
-        assert all(r.link_seq is first.link_seq for r in runs)
+        assert all(r.table is first.table for r in runs)
 
+        codes, link_offsets = first.table.hops()
+        link_seq = topo.link_ids(codes)
         sf = kernel._SfEngine(topo, runs[:3])
-        assert np.array_equal(sf.ext_seq, first.link_seq)
+        assert np.array_equal(sf.ext_seq, link_seq)
         flow = kernel._FlowEngine(topo, runs[3:])
         per_vcs = [
-            kernel._ext_channels(
-                topo, first.link_seq, first.link_offsets, first.link_codes, vcs
-            )
+            kernel._ext_channels(topo, link_seq, link_offsets, vcs)
             for vcs in (2, 3)
         ]
         assert np.array_equal(flow.ext_seq, np.concatenate(per_vcs))

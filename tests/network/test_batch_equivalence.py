@@ -152,13 +152,19 @@ MIXED_CAPS = (1, 7, 29, 100000)
 
 def _mixed_items(topo):
     """sf, wormhole and vct items over one traffic, an empty item of
-    each mode, and an item whose packets are all unroutable
-    (GreedyRouter on Q_4(101) has no route for these four pairs)."""
+    each mode, an item whose packets are all unroutable (GreedyRouter on
+    Q_4(101) has no route for these four pairs), sf and wormhole items
+    whose fault plan kills only links no route of theirs uses (their
+    packets stay on the 0-1-3-2 ring), and sf and wormhole items made
+    only of zero-hop self-pairs."""
     traffic = make_traffic("uniform", topo, 60, 6, seed=7)
     sizes = flit_sizes(len(traffic), "1-4", seed=8)
     wormhole = FlowControl("wormhole", buffer_depth=2, num_vcs=2)
     vct = FlowControl("vct", buffer_depth=6, num_vcs=2)
     unroutable = [(0, 7, 11), (1, 8, 11), (2, 10, 8), (3, 11, 8)]
+    ring = [(c, s, d) for c in range(6) for s, d in ((0, 3), (3, 0), (1, 2), (2, 1))]
+    elsewhere = FaultPlan(link_faults=((0, 10, 11), (3, 9, 10)))
+    self_pairs = [(0, 4, 4), (2, 5, 5), (2, 5, 5), (7, 0, 0)]
     return [
         BatchItem(traffic, router=BfsRouter()),
         BatchItem(traffic, router=BfsRouter(), switching=wormhole, flits=sizes),
@@ -167,6 +173,10 @@ def _mixed_items(topo):
         BatchItem([], switching=wormhole),
         BatchItem([], switching=vct),
         BatchItem(unroutable, router=GreedyRouter(), switching=wormhole, flits=2),
+        BatchItem(ring, faults=elsewhere),
+        BatchItem(ring, faults=elsewhere, switching=wormhole, flits=2),
+        BatchItem(self_pairs),
+        BatchItem(self_pairs, switching=wormhole, flits=3),
     ]
 
 
@@ -174,14 +184,17 @@ def _mixed_items(topo):
 @pytest.mark.parametrize("cap", MIXED_CAPS)
 def test_mixed_switching_modes_in_one_batch(cap, backend):
     """sf, wormhole and vct items co-batch natively -- each mode engine
-    on its own clock -- and every item, empty and all-unroutable ones
-    included, matches ReferenceSimulator bit for bit under every cap."""
+    on its own clock -- and every item, empty, all-unroutable, zero-hop
+    and unused-link-fault ones included, matches ReferenceSimulator bit
+    for bit under every cap."""
     topo = topology_of(("101", 4))
     items = _mixed_items(topo)
     got = BatchedSimulator(topo, backend=backend).run_batch(items, max_cycles=cap)
     assert got == ReferenceSimulator(topo).run_batch(items, max_cycles=cap)
-    assert got[-1].injected == got[-1].dropped == 4
+    assert got[6].injected == got[6].dropped == 4
     assert all(r.injected == 0 and r.cycles == 1 for r in got[3:6])
+    assert all(r.dropped == 0 for r in got[7:])
+    assert all(set(r.hops) <= {0} for r in got[9:])
 
 
 def test_mixed_caps_cut_the_flow_runs_while_the_sf_run_finishes():

@@ -16,7 +16,7 @@ from repro.graphs.core import Graph
 from repro.network.deadlock import is_deadlock_free
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl, link_dimension, vc_of_hop
-from repro.network.kernel import _ext_channels, _link_arrays
+from repro.network.kernel import _ext_channels
 from repro.network.routing import BfsRouter, DimensionOrderRouter
 from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
 from repro.network.sweep import parse_topology
@@ -90,21 +90,20 @@ class TestVcAssignment:
     @pytest.mark.parametrize("spec", ["Q:6", "11:6", "101:6", "1010:5"])
     def test_kernel_channels_match_vc_of_hop(self, spec, num_vcs):
         """The kernel's array-built channel of every hop of every route
-        (link dimensions read off the cached word matrix) is the link's
-        id times V plus vc_of_hop."""
+        (link dimensions cached per topology) is the link's id times V
+        plus vc_of_hop."""
         topo = parse_topology(spec)
         n = topo.num_nodes
         pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
         table = BfsRouter().build_table(topo, pairs)
-        link_seq, link_offsets, link_codes = _link_arrays(n, table)
-        ext = _ext_channels(topo, link_seq, link_offsets, link_codes, num_vcs)
+        codes, link_offsets = table.hops()
+        ext = _ext_channels(topo, topo.link_ids(codes), link_offsets, num_vcs)
         data, offsets = table.route_data.tolist(), table.route_offsets
         for r in range(len(offsets) - 1):
             route = data[offsets[r]:offsets[r + 1]]
             for h, (u, v) in enumerate(zip(route, route[1:])):
                 j = link_offsets[r] + h
-                assert link_codes[link_seq[j]] == u * n + v
-                assert ext[j] == link_seq[j] * num_vcs + vc_of_hop(
+                assert ext[j] == topo.link_ids(u * n + v) * num_vcs + vc_of_hop(
                     topo, u, v, h, num_vcs
                 )
 

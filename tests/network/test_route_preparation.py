@@ -9,10 +9,11 @@ one), the reference engine through ``RouteTable.build``, one
 reference is an oracle that never reads the tables it checks.
 """
 
+import numpy as np
 import pytest
 
 from repro.network.faults import FaultPlan
-from repro.network.routing import AdaptiveRouter, BfsRouter
+from repro.network.routing import AdaptiveRouter, BfsRouter, RouteTable
 from repro.network.simulator import BatchItem, ReferenceSimulator, VectorizedSimulator
 from repro.network.topology import topology_of
 from repro.network.traffic import make_traffic
@@ -113,3 +114,23 @@ def test_reference_routes_each_pair_once_per_epoch(faulted):
         if death[src] > at and death[dst] > at:
             want.add((name, src, dst))
     assert set(router.calls) == want
+
+
+@pytest.mark.parametrize("build", [
+    BfsRouter().build_table,
+    lambda topo, pairs: RouteTable.build(topo, BfsRouter(), pairs),
+], ids=["build_table", "RouteTable.build"])
+def test_builders_keep_the_given_pairs_as_pair_codes(build):
+    """``_prepare`` names an epoch's pairs with one ``np.unique`` and
+    reads each packet's row as ``pair_rows[inverse]``: both builders
+    must keep the sorted distinct pairs they are given, in order, as
+    ``pair_codes`` -- unroutable pairs and the empty set included."""
+    n = TOPO.num_nodes
+    view = TOPO.with_faults(FaultPlan.static(nodes=[3]))
+    codes = np.array([1, 3 * n + 5, 4 * n, 4 * n + 3, 7 * n + 7, n * n - 2])
+    for topo in (TOPO, view):
+        for want in (codes, codes[:0]):
+            table = build(topo, np.stack(np.divmod(want, n), axis=1))
+            assert np.array_equal(table.pair_codes, want)
+            assert table.pair_rows.shape == want.shape
+    assert (build(view, np.stack(np.divmod(codes, n), axis=1)).pair_rows < 0).sum() == 2

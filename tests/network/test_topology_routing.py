@@ -10,7 +10,15 @@ from repro.cubes.fibonacci import fibonacci_cube
 from repro.cubes.hypercube import hypercube
 from repro.graphs.core import Graph
 from repro.graphs.traversal import bfs_distances
-from repro.network.routing import BfsRouter, CanonicalRouter, GreedyRouter, route_stats
+from repro.network.faults import FaultPlan
+from repro.network.routing import (
+    AdaptiveRouter,
+    BfsRouter,
+    CanonicalRouter,
+    GreedyRouter,
+    RouteTable,
+    route_stats,
+)
 from repro.network.topology import Topology, topology_of
 
 from tests.conftest import cycle_graph
@@ -104,6 +112,58 @@ class TestTopology:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads)
         assert bad == []
+
+
+class TestLinkIds:
+    """A directed link's id is its rank among the topology's sorted
+    ``u * n + v`` codes, one numbering for every route table."""
+
+    def test_the_code_book_maps_one_to_one_onto_the_ids(self):
+        topo = topology_of(("101", 6))
+        n = topo.num_nodes
+        edges = list(topo.graph.edges())
+        codes = [u * n + v for u, v in edges] + [v * n + u for u, v in edges]
+        assert sorted(topo.link_ids(codes).tolist()) == list(range(2 * topo.num_links))
+        assert topo.link_codes().tolist() == sorted(codes)
+        assert topo.link_ids(topo.link_codes()).tolist() == list(range(2 * topo.num_links))
+
+    def test_a_link_has_one_id_in_every_table(self):
+        """Two tables over different pair sets, and routes built on a
+        fault view, decode their hops to the same ids: each id names
+        back its hop's code, and a link the tables share has one id."""
+        topo = topology_of(("11", 6))
+        n = topo.num_nodes
+        u, v = next(e for e in topo.graph.edges() if 4 not in e)
+        view = topo.with_faults(FaultPlan.static(nodes=[4], links=[(u, v)]))
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        live = [p for p in pairs if 4 not in p]
+        tables = [
+            BfsRouter().build_table(topo, pairs[::3]),
+            BfsRouter().build_table(topo, pairs[1::3]),
+            BfsRouter().build_table(view, live),
+            RouteTable.build(view, AdaptiveRouter(), live[::5]),
+        ]
+        id_of = {}
+        for table in tables:
+            codes, _ = table.hops()
+            ids = topo.link_ids(codes)
+            assert np.array_equal(topo.link_codes()[ids], codes)
+            for code, i in zip(codes.tolist(), ids.tolist()):
+                assert id_of.setdefault(code, i) == i
+        shared = [set(t.hops()[0].tolist()) for t in tables]
+        assert shared[0] & shared[1] & shared[2] & shared[3]
+        assert u * n + v not in shared[2] | shared[3]
+
+    def test_a_non_link_raises(self):
+        topo = topology_of(hypercube(3), name="Q3")
+        n = topo.num_nodes
+        with pytest.raises(ValueError, match=r"\(0, 7\) is not a link of Q3"):
+            topo.link_ids([0 * n + 1, 0 * n + 7])
+        with pytest.raises(ValueError, match=r"\(2, 2\) is not a link"):
+            topo.link_ids(2 * n + 2)
+        with pytest.raises(ValueError, match="is not a link"):
+            topo.link_ids(n * n)
+        assert topo.link_ids(np.empty(0, dtype=np.int64)).size == 0
 
 
 class TestRouters:

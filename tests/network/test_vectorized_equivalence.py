@@ -223,6 +223,69 @@ def test_non_integer_max_cycles_rejected_by_every_engine(engine, bad):
             sim.run_batch([], max_cycles=bad)
 
 
+MALFORMED_TRAFFIC = {
+    # on Q_3 (8 nodes) the code 1*8+9 equals 2*8+1: a packet 2 -> 1
+    "dst-past-the-end": [(0, 1, 9)],
+    # a negative id indexes from the end: a packet from node 7
+    "negative-src": [(0, -1, 3)],
+    # reshaped to (-1, 3), four columns became four packets
+    "four-columns": np.zeros((3, 4), dtype=np.int64),
+    "two-columns": [(0, 1), (2, 3), (4, 5)],
+    "flat-triple": [0, 1, 2],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_TRAFFIC))
+@pytest.mark.parametrize("engine", [
+    "reference",
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not NATIVE_OK, reason="no usable C toolchain for the native backend"
+    )),
+])
+def test_malformed_traffic_rejected_by_every_engine(engine, bad):
+    """Regression: traffic was reshaped to (-1, 3) and its node ids went
+    unchecked, so every engine simulated some other traffic.  Anything
+    but (cycle, src, dst) rows over the topology's nodes now raises, in
+    every switching mode; empty traffic stays valid."""
+    topo = topology_of(hypercube(3), name="Q3")
+    sim = ENGINES[engine](topo)
+    for switching in ("sf", "wormhole"):
+        with pytest.raises(ValueError, match="traffic"):
+            sim.run(MALFORMED_TRAFFIC[bad], switching=switching)
+    for empty in ([], np.empty((0, 3), dtype=np.int64), np.empty(0)):
+        assert sim.run(empty).injected == 0
+
+
+class _TeleportRouter:
+    """Routes every pair in one hop, whether or not it is a link."""
+
+    name = "teleport"
+
+    def route(self, topo, src, dst):
+        return [src] if src == dst else [src, dst]
+
+
+@pytest.mark.parametrize("engine", [
+    "reference",
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not NATIVE_OK, reason="no usable C toolchain for the native backend"
+    )),
+])
+def test_a_route_over_a_non_link_raises(engine):
+    """Regression: a route hop between non-adjacent nodes used to be
+    simulated as a link that does not exist, by every engine.  Links
+    are numbered by the topology now, so a hop that is not one raises,
+    in every mode."""
+    topo = topology_of(hypercube(3), name="Q3")
+    sim = ENGINES[engine](topo, _TeleportRouter())
+    assert sim.run([(0, 0, 1)]).delivered == 1
+    for switching in ("sf", "wormhole"):
+        with pytest.raises(ValueError, match=r"\(0, 7\) is not a link of Q3"):
+            sim.run([(0, 0, 1), (0, 0, 7)], switching=switching)
+
+
 def test_numpy_integer_max_cycles_is_accepted():
     topo = TOPOLOGIES["fibonacci"]
     traffic = make_traffic("hotspot", topo, 80, 1, seed=3)
@@ -364,7 +427,7 @@ def test_adaptive_misroutes_match_the_per_pair_definition():
     topo = TOPOLOGIES["fibonacci"]
     plan = _fault_plans(topo)["static"]
     traffic = make_traffic("uniform", topo, 400, 12, seed=5, faults=plan)
-    arr, _ = _validate_item(traffic, FlowControl(), 1, None)
+    arr, _ = _validate_item(traffic, FlowControl(), 1, None, topo.num_nodes)
     [prep] = _prepare(topo, AdaptiveRouter(), [arr], plan, route_table)
     for r in range(prep.table.num_routes):
         path = prep.table.route_nodes(r).tolist()
