@@ -8,19 +8,20 @@ The *canonical* ``b,c``-path flips, scanning left to right, first every
 bit where ``b`` has 1 and ``c`` has 0 (1 -> 0 moves) and then every bit
 where ``b`` has 0 and ``c`` has 1 (0 -> 1 moves).  The paper uses canonical
 paths to show :math:`\\Gamma_d \\hookrightarrow Q_d` and throughout the
-embeddability proofs.
+embeddability proofs.  :func:`canonical_bits` is that order over
+integer codes, the one the network routers read.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List
 
 import numpy as np
 
 from repro.graphs.core import Graph
 from repro.words.core import flip, hamming, validate_word
 
-__all__ = ["hypercube", "hamming_int", "canonical_path", "canonical_path_ints"]
+__all__ = ["hypercube", "hamming_int", "canonical_bits", "canonical_path", "canonical_path_ints"]
 
 
 def hamming_int(a: int, b: int) -> int:
@@ -74,26 +75,27 @@ def canonical_path(b: str, c: str) -> List[str]:
     return path
 
 
-def canonical_path_ints(b: int, c: int, d: int) -> List[int]:
-    """Integer-coded version of :func:`canonical_path`.
+def canonical_bits(b: int, c: int) -> Iterator[int]:
+    """The bits the canonical ``b,c``-path flips, in order, as masks: those
+    set in ``b`` and clear in ``c`` (1 -> 0 moves), then those clear in ``b``
+    and set in ``c`` (0 -> 1 moves), each from the leftmost, most
+    significant one -- :func:`canonical_path`'s scan over integer codes."""
+    if b < 0 or c < 0:
+        raise ValueError("codes must be non-negative")
+    for diff in (b & ~c, c & ~b):
+        while diff:
+            bit = 1 << (diff.bit_length() - 1)
+            yield bit
+            diff ^= bit
 
-    Bit ``d-1-i`` of the code corresponds to (0-based) string position
-    ``i``; the scan order therefore goes from the most significant bit
-    down.
-    """
+
+def canonical_path_ints(b: int, c: int, d: int) -> List[int]:
+    """Integer-coded version of :func:`canonical_path`: the codes
+    :func:`canonical_bits` visits from ``b`` to ``c``, both ``d``-bit
+    codes."""
     if b < 0 or c < 0 or b >= (1 << d) or c >= (1 << d):
         raise ValueError("codes out of range")
     path = [b]
-    cur = b
-    for i in range(d - 1, -1, -1):
-        bit = 1 << i
-        if (cur & bit) and not (c & bit):
-            cur ^= bit
-            path.append(cur)
-    for i in range(d - 1, -1, -1):
-        bit = 1 << i
-        if not (cur & bit) and (c & bit):
-            cur ^= bit
-            path.append(cur)
-    assert cur == c
+    for bit in canonical_bits(b, c):
+        path.append(path[-1] ^ bit)
     return path

@@ -129,35 +129,24 @@ def reduce_schedule(topo: Topology, root: int = 0) -> Schedule:
     return [[(v, u) for u, v in rnd] for rnd in reversed(rounds)]
 
 
-def _is_full_hypercube(topo: Topology) -> bool:
-    return (
-        topo.word_length is not None
-        and topo.num_nodes == 1 << topo.word_length
-    )
-
-
 def allgather_schedule(topo: Topology, root: int = 0) -> Schedule:
     """Single-port allgather rounds.
 
-    On the full hypercube: recursive doubling -- round ``k`` pairs every
-    node with its dimension-``k`` neighbour and both directions exchange,
-    ``log2 n`` rounds, meeting the bound exactly.  On any other topology
+    On the full hypercube -- every ``d``-bit code addresses a node --
+    recursive doubling: round ``k`` pairs every node with its
+    dimension-``k`` neighbour and both directions exchange, ``log2 n``
+    rounds, meeting the bound exactly.  On any other topology
     (generalized cubes are not closed under bit flips): a BFS-tree
     gather to ``root`` followed by the broadcast back out --
     ``reduce`` + ``broadcast`` rounds.
     """
-    if _is_full_hypercube(topo):
-        g = topo.graph
-        d = topo.word_length
-        rounds: Schedule = []
-        for k in range(d):
-            rnd: Round = []
-            for v in range(topo.num_nodes):
-                word = topo.node_word(v)
-                partner = word[:k] + ("1" if word[k] == "0" else "0") + word[k + 1:]
-                rnd.append((v, g.index_of(partner)))
-            rounds.append(rnd)
-        return rounds
+    d = topo.word_length
+    codes, node_of = topo.address_book()
+    if d is not None and topo.num_nodes == len(node_of) == 1 << d:
+        return [
+            [(v, node_of[code ^ (1 << (d - 1 - k))]) for v, code in enumerate(codes)]
+            for k in range(d)
+        ]
     return reduce_schedule(topo, root) + broadcast_schedule(topo, root)
 
 

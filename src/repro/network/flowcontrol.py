@@ -127,10 +127,13 @@ class FlowControl:
 
 def link_dimension(topo: Topology, u: int, v: int) -> Optional[int]:
     """The cube dimension of link ``(u, v)``: the first position where the
-    two word addresses differ, or ``None`` off word-addressed topologies."""
+    two word addresses differ, or ``None`` off word-addressed topologies
+    and where a label is not a binary word."""
     if topo.word_length is None:
         return None
     wu, wv = topo.node_word(u), topo.node_word(v)
+    if wu.strip("01") or wv.strip("01"):
+        return None
     for i, (a, b) in enumerate(zip(wu, wv)):
         if a != b:
             return i

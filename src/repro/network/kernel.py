@@ -141,33 +141,34 @@ def _ext_channels(
     """Per-route-step extended-channel ids (``link * V + vc``) of the
     link ids ``link_seq``, rows in CSR form over ``link_offsets``.
 
-    The VC of a hop follows the router's dimension order on
-    word-addressed topologies (the flipped bit position modulo ``V``)
-    and the hop index elsewhere -- exactly
+    The VC of a hop follows the router's dimension order where both ends
+    have word addresses (the flipped bit position modulo ``V``) and the
+    hop index elsewhere -- exactly
     :func:`repro.network.flowcontrol.vc_of_hop`, in array form: a
     link's dimension, cached on the topology for every link, is the
-    first column where its end nodes' rows of the ``n x d`` word matrix
-    differ.
+    leftmost bit where its ends' codes (:meth:`Topology.address_book`)
+    differ, ``-1`` where an end has none.
     """
     if num_vcs == 1:
         return link_seq
-    n = topo.num_nodes
-    if topo.word_length is not None:
 
-        def link_dims() -> np.ndarray:
-            words = np.frombuffer(
-                "".join(topo.node_word(i) for i in range(n)).encode(), dtype=np.uint8
-            ).reshape(n, topo.word_length)
-            u, v = np.divmod(topo.link_codes(), n)
-            return np.argmax(words[u] != words[v], axis=1)
+    def link_dims() -> np.ndarray:
+        codes = np.asarray(topo.address_book()[0], dtype=np.int64)
+        u, v = np.divmod(topo.link_codes(), topo.num_nodes)
+        d = topo.word_length or 0
+        # d minus the bit length of the XOR: searchsorted counts the powers <= it
+        powers = np.int64(1) << np.arange(d, dtype=np.int64)
+        dims = d - np.searchsorted(powers, codes[u] ^ codes[v], side="right")
+        return np.where((codes[u] >= 0) & (codes[v] >= 0), dims, -1)
 
-        dims = topo.memo("link_dims", link_dims)
-        return link_seq * num_vcs + dims[link_seq] % num_vcs
-    seg_lengths = np.diff(link_offsets)
-    pos_within = np.arange(link_seq.size, dtype=np.int64) - np.repeat(
-        link_offsets[:-1], seg_lengths
-    )
-    return link_seq * num_vcs + pos_within % num_vcs
+    per_link = topo.memo("link_dims", link_dims)
+    dims = per_link[link_seq]
+    if per_link.min(initial=0) < 0:  # where an end has no word address, the hop index
+        hop = np.arange(link_seq.size, dtype=np.int64) - np.repeat(
+            link_offsets[:-1], np.diff(link_offsets)
+        )
+        dims = np.where(dims >= 0, dims, hop)
+    return link_seq * num_vcs + dims % num_vcs
 
 
 def run_fused(

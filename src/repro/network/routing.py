@@ -21,6 +21,10 @@ as a list of node indices):
 - :class:`DimensionOrderRouter` -- strict e-cube, the canonical order without
   skipping: deadlock-free anywhere, failing where a flip leaves the vertex set.
 
+The four word routers step over :meth:`Topology.address_book`'s integer
+codes in :func:`~repro.cubes.hypercube.canonical_bits` order; a pair with an
+end that has no word address (a failed node of a fault view) is unroutable.
+
 :func:`route_stats` checks and scores routes read, as the simulator reads them,
 from :class:`RouteTable` blocks: reachability, stretch and optimality.
 """
@@ -29,13 +33,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cubes.hypercube import canonical_bits
 from repro.graphs.traversal import bfs_distances
 from repro.network.topology import Topology
-from repro.words.core import flip, hamming
 
 __all__ = [
     "AdaptiveRouter",
@@ -134,52 +139,44 @@ def _pair_codes(pairs, n: int) -> np.ndarray:
     return np.unique(arr[:, 0] * n + arr[:, 1])
 
 
+def _word_ends(topo: Topology, src: int, dst: int, what: str) -> Optional[tuple]:
+    """The codes of ``src`` and ``dst`` and the topology's address book
+    (:meth:`Topology.address_book`), or ``None`` when an end has no word
+    address -- a failed node of a fault view, so the pair is unroutable."""
+    if topo.word_length is None:
+        raise ValueError(f"{what} routing needs word-addressed nodes")
+    codes, node_of = topo.address_book()
+    return None if codes[src] < 0 or codes[dst] < 0 else (codes[src], codes[dst], codes, node_of)
+
+
 class CanonicalRouter:
     """Canonical bit-fix routing with in-set skipping.
 
-    Repeatedly scans positions left to right and performs the first
-    *admissible* canonical move: flip a 1->0 mismatch if the result stays
-    a vertex, else (after all 1->0 options) a 0->1 mismatch.  If a full
-    scan makes no progress the route fails.  On factors ``1^s``
-    (Proposition 3.1) the first canonical move is always admissible, so
-    the router is optimal there; elsewhere it may detour or fail, which
-    is precisely what the N1 experiment quantifies.
+    At every step, takes the first flip of the canonical order
+    (:func:`~repro.cubes.hypercube.canonical_bits`: 1->0 mismatches left
+    to right, then 0->1) that lands on a node; when none does, the route
+    fails.  On factors ``1^s`` (Proposition 3.1) the first canonical move
+    always lands, so the router is optimal there; elsewhere it may detour
+    or fail, which is precisely what the N1 experiment quantifies.
     """
 
     name = "canonical"
 
     def route(self, topo: Topology, src: int, dst: int) -> Optional[List[int]]:
-        g = topo.graph
-        if topo.word_length is None:
-            raise ValueError("canonical routing needs word-addressed nodes")
-        cur_word = topo.node_word(src)
-        dst_word = topo.node_word(dst)
-        path = [src]
-        guard = 4 * (topo.word_length + 1)
-        while cur_word != dst_word and guard > 0:
-            guard -= 1
-            nxt = self._canonical_step(g, cur_word, dst_word)
-            if nxt is None:
-                return None
-            cur_word = nxt
-            path.append(g.index_of(cur_word))
-        if cur_word != dst_word:
+        ends = _word_ends(topo, src, dst, "canonical")
+        if ends is None:
             return None
+        cur, goal, _, node_of = ends
+        path = [src]
+        while cur != goal:
+            for b in canonical_bits(cur, goal):
+                if cur ^ b in node_of:
+                    break
+            else:
+                return None
+            cur ^= b
+            path.append(node_of[cur])
         return path
-
-    @staticmethod
-    def _canonical_step(g, cur: str, dst: str) -> Optional[str]:
-        for i in range(len(cur)):
-            if cur[i] == "1" and dst[i] == "0":
-                cand = flip(cur, i)
-                if g.has_label(cand):
-                    return cand
-        for i in range(len(cur)):
-            if cur[i] == "0" and dst[i] == "1":
-                cand = flip(cur, i)
-                if g.has_label(cand):
-                    return cand
-        return None
 
 
 class AdaptiveRouter(CanonicalRouter):
@@ -207,51 +204,33 @@ class AdaptiveRouter(CanonicalRouter):
         self.max_misroutes = max_misroutes
 
     def route(self, topo: Topology, src: int, dst: int) -> Optional[List[int]]:
-        g = topo.graph
-        if topo.word_length is None:
-            raise ValueError("adaptive routing needs word-addressed nodes")
-        cur_word = topo.node_word(src)
-        dst_word = topo.node_word(dst)
+        ends = _word_ends(topo, src, dst, "adaptive")
+        if ends is None:
+            return None
+        cur, goal, _, node_of = ends
+        has_edge = topo.graph.has_edge
+        every_bit = (1 << topo.word_length) - 1
         budget = self.max_misroutes
         # each misroute flips one matching bit and must be re-fixed later
-        limit = hamming(cur_word, dst_word) + 2 * self.max_misroutes
-        path = [src]
-        prev = -1
-        while cur_word != dst_word:
+        limit = (cur ^ goal).bit_count() + 2 * budget
+        path, prev = [src], -1
+        while cur != goal:
             if len(path) - 1 >= limit:
                 return None
-            step = self._adaptive_step(g, path[-1], cur_word, dst_word, prev, budget > 0)
-            if step is None:
+            bits = canonical_bits(cur, goal)
+            if budget > 0:  # then misroute: the matching bits, leftmost first
+                bits = chain(bits, canonical_bits(every_bit & ~(cur ^ goal), 0))
+            for b in bits:
+                nxt = node_of.get(cur ^ b)
+                if nxt is not None and nxt != prev and has_edge(path[-1], nxt):
+                    break
+            else:
                 return None
-            nxt, nxt_word, misrouted = step
-            if misrouted:
+            if not b & (cur ^ goal):  # a matching bit: a misroute
                 budget -= 1
-            prev = path[-1]
-            cur_word = nxt_word
+            prev, cur = path[-1], cur ^ b
             path.append(nxt)
         return path
-
-    @staticmethod
-    def _adaptive_step(
-        g, cur: int, cur_word: str, dst_word: str, prev: int, may_misroute: bool
-    ) -> Optional[Tuple[int, str, bool]]:
-        for bits in (("1", "0"), ("0", "1")):
-            for i in range(len(cur_word)):
-                if cur_word[i] == bits[0] and dst_word[i] == bits[1]:
-                    cand = flip(cur_word, i)
-                    if g.has_label(cand):
-                        j = g.index_of(cand)
-                        if j != prev and g.has_edge(cur, j):
-                            return (j, cand, False)
-        if may_misroute:
-            for i in range(len(cur_word)):
-                if cur_word[i] == dst_word[i]:
-                    cand = flip(cur_word, i)
-                    if g.has_label(cand):
-                        j = g.index_of(cand)
-                        if j != prev and g.has_edge(cur, j):
-                            return (j, cand, True)
-        return None
 
 
 class DimensionOrderRouter:
@@ -269,20 +248,16 @@ class DimensionOrderRouter:
     name = "ecube"
 
     def route(self, topo: Topology, src: int, dst: int) -> Optional[List[int]]:
-        g = topo.graph
-        if topo.word_length is None:
-            raise ValueError("dimension-order routing needs word-addressed nodes")
-        cur = topo.node_word(src)
-        dst_word = topo.node_word(dst)
+        ends = _word_ends(topo, src, dst, "dimension-order")
+        if ends is None:
+            return None
+        cur, goal, _, node_of = ends
         path = [src]
-        # phase 1: 1 -> 0 flips left to right, phase 2: 0 -> 1 flips
-        for phase_bits in (("1", "0"), ("0", "1")):
-            for i in range(len(cur)):
-                if cur[i] == phase_bits[0] and dst_word[i] == phase_bits[1]:
-                    cur = flip(cur, i)
-                    if not g.has_label(cur):
-                        return None
-                    path.append(g.index_of(cur))
+        for b in canonical_bits(cur, goal):
+            cur ^= b
+            if cur not in node_of:
+                return None
+            path.append(node_of[cur])
         return path
 
 
@@ -292,23 +267,22 @@ class GreedyRouter:
     name = "greedy"
 
     def route(self, topo: Topology, src: int, dst: int) -> Optional[List[int]]:
+        ends = _word_ends(topo, src, dst, "greedy")
+        if ends is None:
+            return None
+        _, goal, codes, _ = ends
         g = topo.graph
-        if topo.word_length is None:
-            raise ValueError("greedy routing needs word-addressed nodes")
-        dst_word = topo.node_word(dst)
         cur = src
         path = [cur]
         while cur != dst:
-            cur_word = topo.node_word(cur)
-            h_cur = hamming(cur_word, dst_word)
-            nxt = None
-            for v in g.neighbors(cur):
-                if hamming(topo.node_word(v), dst_word) < h_cur:
-                    nxt = v
-                    break
-            if nxt is None:
+            far = (codes[cur] ^ goal).bit_count()
+            cur = next(
+                (v for v in g.neighbors(cur)
+                 if codes[v] >= 0 and (codes[v] ^ goal).bit_count() < far),
+                None,
+            )
+            if cur is None:
                 return None
-            cur = nxt
             path.append(cur)
         return path
 
@@ -439,10 +413,18 @@ def route_blocks(
 ) -> Iterator[Tuple[np.ndarray, RouteTable, np.ndarray]]:
     """``pairs`` (default: every ordered pair ``s != t``, source-major) in
     blocks of at most 65,536: each block as a ``(k, 2)`` array, its
-    :func:`route_table` and each pair's row there (``-1``: route failed)."""
+    :func:`route_table` and each pair's row there (``-1``: route failed).
+    Rejects pairs that are not ``(src, dst)`` integer rows or that name a
+    node outside ``[0, n)``."""
     n = topo.num_nodes
     if pairs is not None:
-        pairs = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind != "i":
+            raise ValueError(
+                f"pairs must be (src, dst) integer rows, got {pairs.dtype} {pairs.shape}"
+            )
+        if pairs.size and not 0 <= pairs.min() <= pairs.max() < n:
+            raise ValueError(f"pairs name a node outside 0..{n - 1}")
     total = n * (n - 1) if pairs is None else len(pairs)
     for lo in range(0, total, _BLOCK_PAIRS):
         if pairs is None:  # pair k is (s, j) for j < s, else (s, j + 1)

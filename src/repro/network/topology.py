@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class Topology:
     vertices so indices stay stable.
 
     Arrays derived from the graph (hop-distance rows, structured traffic
-    maps) are built on first use and cached on the instance; see
-    :meth:`memo` and :meth:`distance_rows`.
+    maps, the word routers' :meth:`address_book`) are built on first use
+    and cached on the instance; see :meth:`memo` and :meth:`distance_rows`.
     """
 
     name: str
@@ -169,6 +169,27 @@ class Topology:
             u, v = divmod(int(stray[0]), self.num_nodes)
             raise ValueError(f"({u}, {v}) is not a link of {self.name}")
         return ids
+
+    def address_book(self) -> Tuple[List[int], Dict[int, int]]:
+        """Every node's word address as an integer code, most significant
+        bit leftmost, and the node of every code (cached; read-only).
+
+        A node whose label is not a binary word of ``word_length`` letters
+        -- a failed node of a fault view, whose word is hidden -- gets
+        ``-1`` and no entry in the map; the empty word is ``0``.
+        """
+
+        def build() -> Tuple[List[int], Dict[int, int]]:
+            d = self.word_length
+            codes = [
+                int(lab or "0", 2)
+                if isinstance(lab, str) and len(lab) == d and not lab.strip("01")
+                else -1
+                for lab in self.graph.labels or [None] * self.num_nodes
+            ]
+            return codes, {c: v for v, c in enumerate(codes) if c >= 0}
+
+        return self.memo("address_book", build)
 
     def node_word(self, index: int) -> str:
         """The binary-word address of a node (labels must be words)."""

@@ -83,6 +83,20 @@ class TestSchedules:
             pairs = set(rnd)
             assert all((v, u) in pairs for u, v in rnd)
 
+    def test_allgather_round_k_flips_position_k(self):
+        topo = TOPOLOGIES["hypercube"]
+        for k, rnd in enumerate(allgather_schedule(topo)):
+            for u, v in rnd:
+                wu, wv = topo.node_word(u), topo.node_word(v)
+                assert [i for i, (a, b) in enumerate(zip(wu, wv)) if a != b] == [k]
+
+    def test_allgather_needs_every_node_word_addressed(self):
+        """Two nodes labelled by letters are no Q_1: the tree fallback."""
+        g = Graph.from_edges(2, [(0, 1)])
+        g.set_labels(["a", "b"])
+        topo = topology_of(g, name="pair")
+        assert allgather_schedule(topo) == reduce_schedule(topo) + broadcast_schedule(topo)
+
     def test_allgather_falls_back_to_tree_on_generalized_cube(self):
         topo = TOPOLOGIES["fibonacci"]
         assert allgather_schedule(topo, root=2) == (

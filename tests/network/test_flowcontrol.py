@@ -92,20 +92,32 @@ class TestVcAssignment:
         """The kernel's array-built channel of every hop of every route
         (link dimensions cached per topology) is the link's id times V
         plus vc_of_hop."""
-        topo = parse_topology(spec)
-        n = topo.num_nodes
-        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-        table = BfsRouter().build_table(topo, pairs)
-        codes, link_offsets = table.hops()
-        ext = _ext_channels(topo, topo.link_ids(codes), link_offsets, num_vcs)
-        data, offsets = table.route_data.tolist(), table.route_offsets
-        for r in range(len(offsets) - 1):
-            route = data[offsets[r]:offsets[r + 1]]
-            for h, (u, v) in enumerate(zip(route, route[1:])):
-                j = link_offsets[r] + h
-                assert ext[j] == topo.link_ids(u * n + v) * num_vcs + vc_of_hop(
-                    topo, u, v, h, num_vcs
-                )
+        assert_channels_match_vc_of_hop(parse_topology(spec), num_vcs)
+
+    @pytest.mark.parametrize("labels", [[f"n{i}" for i in range(6)], list("012345")])
+    def test_kernel_channels_match_vc_of_hop_off_binary_words(self, labels):
+        """Labels of one length that are not all binary words: a link with
+        an end that is not a binary word takes the hop index, in the
+        kernel as in vc_of_hop."""
+        g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        g.set_labels(labels)
+        assert_channels_match_vc_of_hop(topology_of(g, name="ring"), 2)
+
+
+def assert_channels_match_vc_of_hop(topo, num_vcs):
+    n = topo.num_nodes
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    table = BfsRouter().build_table(topo, pairs)
+    codes, link_offsets = table.hops()
+    ext = _ext_channels(topo, topo.link_ids(codes), link_offsets, num_vcs)
+    data, offsets = table.route_data.tolist(), table.route_offsets
+    for r in range(len(offsets) - 1):
+        route = data[offsets[r]:offsets[r + 1]]
+        for h, (u, v) in enumerate(zip(route, route[1:])):
+            j = link_offsets[r] + h
+            assert ext[j] == topo.link_ids(u * n + v) * num_vcs + vc_of_hop(
+                topo, u, v, h, num_vcs
+            )
 
 
 class TestStoreAndForwardContract:

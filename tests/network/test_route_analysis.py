@@ -8,7 +8,8 @@ pair goes through ``router.route`` on its own.  For every router of
 Q_5 and on Q_4 with the link 0000-1000 dead, both sides must agree over
 all pairs, over a pair list with duplicates and self-pairs and over no
 pairs -- raising the same error where the oracle raises -- and must give
-equal link loads for every collective.
+equal link loads for every collective.  A fault view with a failed node
+is a routable input too, and caller pairs are checked.
 """
 
 import itertools
@@ -20,8 +21,17 @@ import pytest
 
 from repro.cubes.hypercube import hypercube
 from repro.network import routing
-from repro.network.collectives import COLLECTIVES, collective_schedule, schedule_link_loads
-from repro.network.deadlock import channel_dependency_graph
+from repro.network.collectives import (
+    COLLECTIVES,
+    alltoall_schedule,
+    collective_schedule,
+    schedule_link_loads,
+)
+from repro.network.deadlock import (
+    channel_dependency_graph,
+    find_dependency_cycle,
+    is_deadlock_free,
+)
 from repro.network.faults import FaultPlan
 from repro.network.routing import RouteStats, route_stats
 from repro.network.sweep import ROUTERS
@@ -182,3 +192,85 @@ def test_dead_link_is_a_non_edge(router_name):
     topo, router = TOPOLOGIES["Q_4/l0000-1000"], ROUTERS[router_name]()
     with pytest.raises(AssertionError, match="used a non-edge"):
         route_stats(topo, router)
+
+
+WORD_ROUTERS = sorted(set(ROUTERS) - {"bfs"})
+GAMMA5 = topology_of(("11", 5))
+FAILED = 3
+# node 3 fails alone, then with the first link away from it
+NODE_VIEW = GAMMA5.with_faults(FaultPlan.static(nodes=[FAILED]))
+FAULT_VIEW = GAMMA5.with_faults(
+    FaultPlan.static(
+        nodes=[FAILED], links=[next(e for e in GAMMA5.graph.edges() if FAILED not in e)]
+    )
+)
+
+
+class TestFaultViewsAreRoutable:
+    """A failed node's word is hidden on a fault view, so a pair with a
+    failed endpoint is unroutable for every word router, as it is under
+    BFS, and every analysis runs on the view."""
+
+    @pytest.mark.parametrize("router_name", WORD_ROUTERS)
+    def test_a_failed_endpoint_is_unroutable(self, router_name):
+        router = ROUTERS[router_name]()
+        for v in range(FAULT_VIEW.num_nodes):
+            assert router.route(FAULT_VIEW, FAILED, v) is None
+            assert router.route(FAULT_VIEW, v, FAILED) is None
+
+    @pytest.mark.parametrize("router_name", WORD_ROUTERS)
+    def test_route_stats_counts_them_undelivered(self, router_name):
+        """Canonical and e-cube do not see dead links (see
+        test_dead_link_is_a_non_edge): they are scored on the node fault
+        alone."""
+        router = ROUTERS[router_name]()
+        view = FAULT_VIEW if router_name in ("adaptive", "greedy") else NODE_VIEW
+        n = view.num_nodes
+        live = [(s, t) for s in range(n) for t in range(n) if s != t and FAILED not in (s, t)]
+        stats, live_stats = route_stats(view, router), route_stats(view, router, live)
+        assert stats.pairs == n * (n - 1) and live_stats.pairs == (n - 1) * (n - 2)
+        assert stats.delivered == live_stats.delivered > 0
+        assert stats == oracle_route_stats(view, router)
+
+    @pytest.mark.parametrize("router_name", WORD_ROUTERS)
+    def test_the_analyses_run_on_the_view(self, router_name):
+        router = ROUTERS[router_name]()
+        deps = channel_dependency_graph(FAULT_VIEW, router)
+        assert deps == oracle_cdg(FAULT_VIEW, router)
+        assert all(FAILED not in channel for channel in deps)
+        assert is_deadlock_free(FAULT_VIEW, router) == (find_dependency_cycle(deps) is None)
+        schedule = alltoall_schedule(FAULT_VIEW)
+        loads = schedule_link_loads(FAULT_VIEW, schedule, router)
+        assert loads == oracle_link_loads(FAULT_VIEW, schedule, router)
+        assert loads and all(FAILED not in link for link in loads)
+
+
+class TestCallerPairs:
+    """The analyses check the pairs a caller gives them, as the engines
+    check traffic: a row that is not an integer ``(src, dst)`` pair, or a
+    node outside ``[0, n)``, is a ``ValueError`` -- not another pair's
+    code, and not the router's fault."""
+
+    TOPO = topology_of(("11", 4))  # 8 nodes
+    BAD = [
+        ([(0, 8)], "outside 0..7"),
+        ([(8, 0)], "outside 0..7"),
+        ([(0, 1), (-1, 2)], "outside 0..7"),
+        ([(0, 1, 2)], "integer rows"),
+        ([(0.0, 1.0)], "integer rows"),
+    ]
+
+    @pytest.mark.parametrize("pairs, match", BAD)
+    def test_route_stats(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            route_stats(self.TOPO, routing.BfsRouter(), pairs)
+
+    @pytest.mark.parametrize("pairs, match", BAD)
+    def test_channel_dependency_graph(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            channel_dependency_graph(self.TOPO, routing.BfsRouter(), pairs)
+
+    @pytest.mark.parametrize("pairs, match", BAD)
+    def test_schedule_link_loads(self, pairs, match):
+        with pytest.raises(ValueError, match=match):
+            schedule_link_loads(self.TOPO, [pairs])
