@@ -219,7 +219,7 @@ def test_bench_n1_native_backend_speedup(benchmark):
         # a KernelRun is consumed by the engine; rebuild per timing
         return KernelRun(
             flow=flow, inject=prep.inject, nhops=nhops,
-            table=prep.table, row=prep.row,
+            links=prep.links, link_offsets=prep.link_offsets, row=prep.row,
             nf=np.ones(len(prep.inject), dtype=np.int64),
             link_dead={},
         )

@@ -224,6 +224,8 @@ def ring_schedule(
     if n == 1:
         return []
     path = list(_ring_order(g, node_budget))
+    if len(path) < n:  # a disconnected graph (a fault view with a failed node)
+        raise ValueError("ring order from node 0 does not reach every node")
     closed = g.has_edge(path[-1], path[0])
     if closed and root:
         at = path.index(root % n)

@@ -17,13 +17,15 @@ Layout (built once, for both engines, by their base class ``_Engine``):
   links, so both engines -- and the C engines behind them -- address
   one set of arrays (``ext_seq``, ``gfirst``, ``ext_base``,
   ``run_of_ext``, ``dead_at_ext``, the ``*_r`` per-run accounting);
-- links are numbered once per topology
-  (:meth:`~repro.network.topology.Topology.link_ids`), and every
-  replication owns a **disjoint id space** -- run ``k``'s channels
-  ``link * V + vc`` live in ``[ext_base[k], ext_base[k+1])``, a block of
-  ``2 * num_links * V`` -- so shared FIFO / buffer arrays can never leak
-  packets, credits or VC allocations between runs, while runs sharing
-  a route table and VC count share one copy of its channel sequence;
+- routes arrive as **link ids** (a directed link's CSR slot in
+  :meth:`~repro.network.topology.Topology.neighbours`), decoded once
+  per route table by ``simulator._prepare``; :func:`run_fused` checks
+  they lie in ``[0, 2 * num_links)``.  Every replication owns a
+  **disjoint id space** -- run ``k``'s channels ``link * V + vc`` live
+  in ``[ext_base[k], ext_base[k+1])``, a block of ``2 * num_links * V``
+  -- so shared FIFO / buffer arrays can never leak packets, credits or
+  VC allocations between runs, while runs sharing a link-id array and
+  VC count share one copy of its channel sequence;
 - packets are renumbered globally by ``(inject_cycle, run, local pid)``,
   a stable sort that preserves each run's internal packet order, so
   every FIFO tie-break, link arbitration ("oldest packet wins the
@@ -65,7 +67,6 @@ import numpy as np
 
 from repro.network.faults import _NEVER
 from repro.network.flowcontrol import FlowControl, FlowOutcome, _validate_vct
-from repro.network.routing import RouteTable
 from repro.network.topology import Topology
 
 __all__ = [
@@ -78,20 +79,22 @@ __all__ = [
 class KernelRun:
     """One prepared replication, in the kernel's native array form.
 
-    ``inject`` is stable-sorted ascending; packet ``p`` follows row
-    ``row[p]`` of ``table`` (built on the kernel's topology or one of
-    its fault views) in ``nhops[p]`` hops; ``nf`` carries per-packet
-    flit counts aligned with the sorted packets (all ones under
-    store-and-forward).  Runs that share a route table should pass the
-    *same* table object: the kernel decodes a table into link and
-    channel sequences once and shares them.  ``link_dead`` maps directed
-    links ``(u, v)`` to the first cycle they stop forwarding.
+    ``inject`` is stable-sorted ascending; packet ``p`` follows route
+    ``row[p]`` in ``nhops[p]`` hops, route ``r`` being the kernel
+    topology's link ids ``links[link_offsets[r] : link_offsets[r + 1]]``
+    (:meth:`~repro.network.topology.Topology.link_ids`).  ``nf``
+    carries per-packet flit counts aligned with the sorted packets (all
+    ones under store-and-forward).  Runs that share routes should pass
+    the *same* ``links`` array: the kernel shares its channel sequences.
+    ``link_dead`` maps directed links ``(u, v)`` to the first cycle they
+    stop forwarding.
     """
 
     flow: FlowControl
     inject: np.ndarray
     nhops: np.ndarray
-    table: RouteTable
+    links: np.ndarray
+    link_offsets: np.ndarray
     row: np.ndarray
     nf: np.ndarray
     link_dead: Dict[Tuple[int, int], int] = field(default_factory=dict)
@@ -188,11 +191,16 @@ def run_fused(
     the flow engine -- and the outcomes scatter back into run order.
     Runs never interact and idle cycles are no-ops for a run by
     construction, so each outcome is bit-identical to the run advancing
-    alone -- on every backend.
+    alone -- on every backend.  A link id outside ``[0, 2 * num_links)``
+    raises :class:`ValueError` before any engine runs.
     """
     from repro.network.backends import engines
 
     sf_engine, flow_engine = engines(backend)
+    num_ids = 2 * topo.num_links
+    for links in {id(r.links): r.links for r in runs}.values():
+        if links.size and not 0 <= links.min() <= links.max() < num_ids:
+            raise ValueError(f"a route names a link id outside 0..{num_ids - 1}")
     for run in runs:
         if run.flow.pipelined:
             _validate_vct(run.flow, run.nf)
@@ -239,8 +247,8 @@ class _Engine:
     one-VC case: :func:`_ext_channels` with ``num_vcs=1`` returns the
     link sequence itself, so an sf channel is simply a link.  The
     constructor builds the layout -- disjoint per-run channel id
-    spaces, each table's link sequence and its channel sequence per VC
-    count, the global pid order, per-channel fault cycles and the
+    spaces, one channel sequence per (link-id array, VC count), the
+    global pid order, per-channel fault cycles and the
     per-run accounting arrays -- then hands the subclass the pid
     permutation for its mode state (``_init_state``).
     :meth:`run` advances the subclass's ``_step`` / ``_next_event`` on
@@ -250,30 +258,23 @@ class _Engine:
 
     def __init__(self, topo: Topology, runs: Sequence[KernelRun]):
         n = topo.num_nodes
-        num_directed = topo.link_codes().size  # 2 * topo.num_links
+        num_directed = 2 * topo.num_links
         K = len(runs)
         self.K = K
         vcs = [r.flow.num_vcs if r.flow.pipelined else 1 for r in runs]
-        # each table is decoded into link ids once, and runs sharing it
-        # and a VC count share one copy of its channel sequence: see _channel
-        links_of: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # runs sharing a link-id array and a VC count share one copy of
+        # its channel sequence: see _channel
         seq_parts: List[np.ndarray] = []
         seq_base_of: Dict[Tuple[int, int], int] = {}
         seq_base = 0
         firsts: List[np.ndarray] = []
         for r, V in zip(runs, vcs):
-            if id(r.table) not in links_of:
-                if r.table.num_nodes != n:
-                    raise ValueError(f"route table records {r.table.num_nodes} nodes, not {n}")
-                codes, offsets = r.table.hops()
-                links_of[id(r.table)] = (topo.link_ids(codes), offsets)
-            link_seq, link_offsets = links_of[id(r.table)]
-            key = (id(r.table), V)
+            key = (id(r.links), V)
             if key not in seq_base_of:
                 seq_base_of[key] = seq_base
-                seq_parts.append(_ext_channels(topo, link_seq, link_offsets, V))
-                seq_base += link_seq.size
-            firsts.append(link_offsets[r.row] + seq_base_of[key])
+                seq_parts.append(_ext_channels(topo, r.links, r.link_offsets, V))
+                seq_base += r.links.size
+            firsts.append(r.link_offsets[r.row] + seq_base_of[key])
         self.ext_seq = np.concatenate(seq_parts)
         self.ext_base = np.zeros(K + 1, dtype=np.int64)
         np.cumsum(np.asarray(vcs, dtype=np.int64) * num_directed, out=self.ext_base[1:])

@@ -100,7 +100,7 @@ class BfsRouter:
         np.cumsum(left + 1, out=offsets[1:])
         data = np.empty(int(offsets[-1]), dtype=np.int64)
         data[offsets[:-1]] = cur
-        nbrs = topo.memo("neighbour_matrix", lambda: _neighbour_matrix(topo.graph))
+        nbrs = topo.neighbours()
         active = np.flatnonzero(left > 0)
         step = 0
         while active.size:
@@ -118,17 +118,6 @@ class BfsRouter:
             route_data=data, route_offsets=offsets, pair_codes=codes,
             pair_rows=rows, num_nodes=n,
         )
-
-
-def _neighbour_matrix(g) -> np.ndarray:
-    """Adjacency lists as an ``(n, max_degree)`` matrix in adjacency
-    order, padded with ``-1``."""
-    indptr, indices = g.csr()
-    deg = indptr[1:] - indptr[:-1]
-    out = np.full((g.num_vertices, int(deg.max(initial=0))), -1, dtype=np.int64)
-    owner = np.repeat(np.arange(g.num_vertices), deg)
-    out[owner, np.arange(indices.size) - indptr[owner]] = indices
-    return out
 
 
 def _pair_codes(pairs, n: int) -> np.ndarray:

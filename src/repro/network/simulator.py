@@ -41,10 +41,11 @@ Two engines implement the *same* deterministic semantics:
   **a solo run is a one-item batch**.  Routes are flattened into a CSR
   :class:`~repro.network.routing.RouteTable` (one table per router
   instance, fault plan and routing epoch, over the union of the pairs
-  its items inject), per-packet state lives in NumPy arrays, and the
-  cycle loop itself is the fused advance kernel of
-  :mod:`repro.network.kernel`: links numbered once per topology
-  (:meth:`Topology.link_ids`), intrusive per-link FIFOs over flat
+  its items inject), decoded once into link ids (a directed link's id
+  is its CSR slot in :meth:`Topology.neighbours`, read by
+  :meth:`Topology.link_ids`), per-packet state lives in NumPy arrays,
+  and the cycle loop itself is the fused advance kernel of
+  :mod:`repro.network.kernel`: intrusive per-link FIFOs over flat
   arrays, a handful of array gathers per cycle instead of a Python
   loop over packets, idle gaps skipped outright.  A
   backend name selects the kernel's cycle loop
@@ -205,21 +206,24 @@ class _Prepared:
     that ordered it) and each packet's table row, ``-1`` where the
     router cannot serve the pair.  Packets are numbered 0..P-1 in
     injection order; unroutable ones are dropped up front and only
-    counted in ``injected``.  ``misroutes`` holds one detour count per
-    table row; ``link_dead`` maps directed links to the first cycle they
-    stop forwarding (empty without faults); ``order`` gives each
-    surviving packet's index into the traffic sequence as passed, so
-    per-packet attributes (flit counts) follow the stable sort.
+    counted in ``injected``.  ``links`` and ``link_offsets`` are the
+    table's hops as link ids, shared by its runs; ``misroutes`` holds one
+    detour count per table row; ``link_dead`` maps directed links to the
+    first cycle they stop forwarding (empty without faults); ``order``
+    gives each surviving packet's index into the traffic sequence as
+    passed, so per-packet attributes (flit counts) follow the stable sort.
     """
 
-    __slots__ = ("table", "inject", "row", "num_dropped", "misroutes",
-                 "link_dead", "order")
+    __slots__ = ("table", "links", "link_offsets", "inject", "row",
+                 "num_dropped", "misroutes", "link_dead", "order")
 
-    def __init__(self, table: RouteTable, arr: np.ndarray, perm: np.ndarray,
-                 rows: np.ndarray, misroutes: np.ndarray,
-                 link_dead: Dict[Tuple[int, int], int]):
+    def __init__(self, table: RouteTable, links: np.ndarray, link_offsets: np.ndarray,
+                 arr: np.ndarray, perm: np.ndarray, rows: np.ndarray,
+                 misroutes: np.ndarray, link_dead: Dict[Tuple[int, int], int]):
         routed = rows >= 0
         self.table = table
+        self.links = links
+        self.link_offsets = link_offsets
         self.inject = arr[routed, 0]
         self.row = rows[routed]
         self.num_dropped = int((~routed).sum())
@@ -360,7 +364,9 @@ def _prepare(
     drops at injection.  Routes are deterministic per (view, pair), so a
     shared table holds exactly the paths a per-run build would.  Epoch
     tables merge into one flat table whose rows are unique per (epoch,
-    pair): a pair may route differently after a failure.  Misroutes are
+    pair): a pair may route differently after a failure.  The merged
+    table is decoded once into ``topo``'s link ids (a hop that is not a
+    link raises :class:`ValueError`, for every engine).  Misroutes are
     measured against the *healthy* topology's distances.
     """
     n = topo.num_nodes
@@ -401,10 +407,12 @@ def _prepare(
             route_data=np.concatenate([np.empty(0, np.int64)] + [t.route_data for t in tables]),
             route_offsets=np.cumsum(lengths), num_nodes=n,
         )
+    codes, link_offsets = table.hops()
+    links = topo.link_ids(codes)
     mis = _row_misroutes(topo, table)
     run_rows = np.split(rows, np.cumsum([len(a) for a in arrs])[:-1])
     return [
-        _Prepared(table, a, p, r, mis, link_dead)
+        _Prepared(table, links, link_offsets, a, p, r, mis, link_dead)
         for a, p, r in zip(arrs, perms, run_rows)
     ]
 
@@ -472,7 +480,6 @@ class ReferenceSimulator:
         flow = _as_flow(switching)
         arr, flit_arr = _validate_item(traffic, flow, flits, tenants, self.topo.num_nodes)
         [prep] = _prepare(self.topo, self.router, [arr], faults, RouteTable.build)
-        self.topo.link_ids(prep.table.hops()[0])  # raises on a non-link hop, as the kernel does
         routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
         inject = prep.inject.tolist()
         nf = flit_arr[prep.order].tolist()
@@ -649,7 +656,7 @@ class VectorizedSimulator:
         injection cycles, multi-flit traffic under store-and-forward,
         bad flit specs, packets too big for a vct buffer) raises eagerly
         for the whole batch -- every item is checked before any item
-        simulates; a route hop that is not a link raises in the kernel.
+        simulates, and a route hop that is not a link before the kernel.
         Items sharing a router instance and a fault plan (by value)
         share one union route table per routing epoch.
         """
@@ -674,16 +681,17 @@ class VectorizedSimulator:
             )
             for i, prep in zip(members, shared):
                 preps[i] = prep
-        # items sharing a route table pass the same table object, so the
-        # kernel decodes it once
+        # items sharing a route table pass the same link-id array, so the
+        # kernel builds its channel sequence once
         runs: List[KernelRun] = []
         for prep, flow, (_, flit_arr) in zip(preps, flows, checked):
-            offsets = prep.table.route_offsets
+            offsets = prep.link_offsets
             runs.append(KernelRun(
                 flow=flow,
                 inject=prep.inject,
-                nhops=offsets[prep.row + 1] - offsets[prep.row] - 1,
-                table=prep.table,
+                nhops=offsets[prep.row + 1] - offsets[prep.row],
+                links=prep.links,
+                link_offsets=offsets,
                 row=prep.row,
                 nf=flit_arr[prep.order],
                 link_dead=prep.link_dead,

@@ -4,6 +4,9 @@ Adds the metrics interconnection papers compare: node/link counts, degree
 range, diameter, average inter-node distance, and the degree-times-
 diameter cost measure.  The N1 benchmark tabulates these for the
 hypercube, the Fibonacci cube and the ``Q_d(1^s)`` family side by side.
+One adjacency table, :meth:`Topology.neighbours`, serves the simulator:
+the BFS route builder walks it and its CSR slots number the directed
+links (:meth:`Topology.link_ids`) for every route table and fault view.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ class Topology:
     (:meth:`with_faults`), where failed nodes survive as isolated
     vertices so indices stay stable.
 
-    Arrays derived from the graph (hop-distance rows, structured traffic
-    maps, the word routers' :meth:`address_book`) are built on first use
-    and cached on the instance; see :meth:`memo` and :meth:`distance_rows`.
+    Arrays derived from the graph (:meth:`neighbours`, hop-distance rows,
+    traffic maps, the word routers' :meth:`address_book`) are built on
+    first use and cached on the instance; see :meth:`memo`.
     """
 
     name: str
@@ -104,7 +107,9 @@ class Topology:
     def memo(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """The value cached under ``key``, built by ``build()`` on first
         use and kept for this topology's lifetime (treat it as
-        read-only)."""
+        read-only).  Entries are written once, so only a build locks."""
+        if key in self._memo:
+            return self._memo[key]
         with _MEMO_LOCK:
             if key not in self._memo:
                 self._memo[key] = build()
@@ -143,32 +148,47 @@ class Topology:
         table, row = self.distance_rows(dst)
         return table[row, np.asarray(src, dtype=np.int64)]
 
-    def link_codes(self) -> np.ndarray:
-        """Every directed link ``(u, v)`` -- both directions of each edge --
-        as the code ``u * num_nodes + v``, sorted (cached; read-only)."""
+    def neighbours(self) -> np.ndarray:
+        """Every node's neighbours in adjacency order, an ``(n,
+        max_degree)`` matrix padded with ``-1`` (cached; read-only).  It
+        numbers the directed links: the link from ``u`` to ``neighbours()[u,
+        p]`` has id ``indptr[u] + p``, its CSR slot, so ids fill ``[0, 2 *
+        num_links)``."""
 
         def build() -> np.ndarray:
             indptr, indices = self.graph.csr()
-            n = self.num_nodes
-            return np.sort(np.repeat(np.arange(n), np.diff(indptr)) * n + indices)
+            owner = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+            out = np.full((self.num_nodes, self.graph.max_degree()), -1, dtype=np.int64)
+            out[owner, np.arange(indices.size) - indptr[owner]] = indices
+            return out
 
-        return self.memo("link_codes", build)
+        return self.memo("neighbours", build)
+
+    def link_codes(self) -> np.ndarray:
+        """Every directed link ``(u, v)`` -- both directions of each edge --
+        as the code ``u * num_nodes + v``, indexed by its id (CSR order)."""
+        indptr, indices = self.graph.csr()
+        return np.repeat(np.arange(self.num_nodes), np.diff(indptr)) * self.num_nodes + indices
 
     def link_ids(self, codes) -> np.ndarray:
-        """The id of every directed-link code in ``codes``: its rank in
-        :meth:`link_codes`, so ids fill ``[0, 2 * num_links)`` and name
-        the same link in every route table over this topology or one of
-        its fault views.  A code that is not a link raises
-        :class:`ValueError`."""
-        book = self.link_codes()
-        codes = np.asarray(codes, dtype=np.int64)
-        ids = np.searchsorted(book, codes)
-        # a code past the last link lands on the -1, which no code equals
-        stray = codes[np.append(book, -1)[ids] != codes]
-        if stray.size:
-            u, v = divmod(int(stray[0]), self.num_nodes)
-            raise ValueError(f"({u}, {v}) is not a link of {self.name}")
-        return ids
+        """The id (:meth:`neighbours`) of every directed-link code ``u *
+        num_nodes + v`` in ``codes``: one numbering for every route table
+        over this topology or one of its fault views.  A code that is not
+        a link raises :class:`ValueError`."""
+        n = self.num_nodes
+        nbrs = self.neighbours()
+        u, v = np.divmod(np.asarray(codes, dtype=np.int64), n)
+        at = np.clip(u, 0, n - 1)  # a node outside [0, n) is a stray below
+        miss = np.ones(u.shape, dtype=bool)
+        col = np.zeros(u.shape, dtype=np.int64)  # the columns before v's
+        for p in range(nbrs.shape[1]):
+            miss &= nbrs[:, p].take(at) != v
+            col += miss
+        stray = miss | (at != u)
+        if stray.any():
+            i = int(np.argmax(stray))
+            raise ValueError(f"({u.flat[i]}, {v.flat[i]}) is not a link of {self.name}")
+        return self.graph.csr()[0][at] + col
 
     def address_book(self) -> Tuple[List[int], Dict[int, int]]:
         """Every node's word address as an integer code, most significant
@@ -247,11 +267,12 @@ def topology_of(cube_or_graph, name: Optional[str] = None) -> Topology:
         cube = generalized_fibonacci_cube(f, d)
         return Topology(name or f"Q_{d}({f})", cube.graph(), word_length=d)
     if isinstance(cube_or_graph, Graph):
-        length = None
-        if cube_or_graph.labels and isinstance(cube_or_graph.labels[0], str):
-            lengths = {len(w) for w in cube_or_graph.labels}
-            if len(lengths) == 1:
-                length = lengths.pop()
+        # word addresses only when every label is a binary word of one length
+        lengths = {
+            len(w) if isinstance(w, str) and not w.strip("01") else None
+            for w in cube_or_graph.labels or [None]
+        }
+        length = lengths.pop() if len(lengths) == 1 else None
         return Topology(name or "graph", cube_or_graph, word_length=length)
     raise TypeError(f"cannot build a topology from {cube_or_graph!r}")
 

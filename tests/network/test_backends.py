@@ -173,10 +173,18 @@ class TestBatchLayout:
         ]
         runs = _kernel_runs(monkeypatch, topo, items)
         first = runs[0]
-        assert all(r.table is first.table for r in runs)
+        assert all(r.links is first.links for r in runs)
+        assert all(r.link_offsets is first.link_offsets for r in runs)
 
-        codes, link_offsets = first.table.hops()
-        link_seq = topo.link_ids(codes)
+        # the one-VC channels are the union table's hops as topology link ids
+        n = topo.num_nodes
+        traffic = np.concatenate([it.traffic for it in items])
+        codes = np.unique(traffic[:, 1] * n + traffic[:, 2])
+        table = router.build_table(topo, np.stack(np.divmod(codes, n), axis=1))
+        hops, link_offsets = table.hops()
+        link_seq = topo.link_ids(hops)
+        assert np.array_equal(first.links, link_seq)
+        assert np.array_equal(first.link_offsets, link_offsets)
         sf = kernel._SfEngine(topo, runs[:3])
         assert np.array_equal(sf.ext_seq, link_seq)
         flow = kernel._FlowEngine(topo, runs[3:])
@@ -185,6 +193,40 @@ class TestBatchLayout:
             for vcs in (2, 3)
         ]
         assert np.array_equal(flow.ext_seq, np.concatenate(per_vcs))
+
+
+class TestLinkIdRange:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("where", ["sf", "wormhole"])
+    @pytest.mark.parametrize("bad", [-1, "num_ids"])
+    def test_run_fused_rejects_an_id_outside_the_links_before_any_engine_runs(
+        self, monkeypatch, backend, where, bad
+    ):
+        """A link id outside ``[0, 2 * num_links)`` would index past every
+        per-channel array: ``run_fused`` raises ``ValueError`` before any
+        engine is built, so no C runs -- not even for a healthy sf run
+        batched ahead of a bad flow run."""
+        if backend == "native" and not NATIVE_OK:
+            pytest.skip("no usable C toolchain for the native backend")
+        topo = parse_topology("11:5")
+        items = [
+            BatchItem(traffic=uniform_traffic(topo, 40, 8, seed=1)),
+            BatchItem(traffic=uniform_traffic(topo, 40, 8, seed=2),
+                      switching=FlowControl("wormhole", num_vcs=2)),
+        ]
+        runs = _kernel_runs(monkeypatch, topo, items)
+        assert runs[0].links is runs[1].links  # one route table
+        num_ids = 2 * topo.num_links
+        links = runs[1].links.copy()
+        links[links.size // 2] = num_ids if bad == "num_ids" else bad
+        runs[1 if where == "wormhole" else 0].links = links
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(kernel._Engine, "__init__", no_engine)
+        with pytest.raises(ValueError, match=rf"link id outside 0\.\.{num_ids - 1}"):
+            kernel.run_fused(topo, runs, backend=backend)
 
 
 @needs_native

@@ -145,6 +145,19 @@ class TestSchedules:
         assert verify_collective_schedule(topo, "ring", schedule)
         assert len(schedule) == 4
 
+    def test_a_node_the_ring_cannot_reach_raises(self):
+        """On a fault view with a failed (isolated) node, the ring's DFS
+        fallback from node 0 misses it: an explicit ValueError, as
+        broadcast, reduce and allgather give, not an IndexError.
+        alltoall names pairs only and still builds."""
+        from repro.network.faults import FaultPlan
+
+        view = topology_of(hypercube(3), name="Q3").with_faults(FaultPlan.parse("n3"))
+        for name in ("ring", "broadcast", "reduce", "allgather"):
+            with pytest.raises(ValueError, match="does not reach every node"):
+                collective_schedule(name, view)
+        assert len(collective_schedule("alltoall", view)) == view.num_nodes - 1
+
     def test_unknown_collective_raises(self):
         with pytest.raises(ValueError, match="unknown collective"):
             collective_schedule("gossip", TOPOLOGIES["hypercube"])

@@ -9,6 +9,7 @@ both verdicts match the static Dally--Seitz analysis of
 :mod:`repro.network.deadlock`.
 """
 
+import numpy as np
 import pytest
 
 from repro.cubes.hypercube import hypercube
@@ -17,8 +18,8 @@ from repro.network.deadlock import is_deadlock_free
 from repro.network.faults import FaultPlan
 from repro.network.flowcontrol import FlowControl, link_dimension, vc_of_hop
 from repro.network.kernel import _ext_channels
-from repro.network.routing import BfsRouter, DimensionOrderRouter
-from repro.network.simulator import ReferenceSimulator, VectorizedSimulator
+from repro.network.routing import BfsRouter, DimensionOrderRouter, route_table
+from repro.network.simulator import ReferenceSimulator, VectorizedSimulator, _prepare
 from repro.network.sweep import parse_topology
 from repro.network.topology import Topology, topology_of
 from repro.network.traffic import make_traffic
@@ -101,23 +102,27 @@ class TestVcAssignment:
         kernel as in vc_of_hop."""
         g = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
         g.set_labels(labels)
-        assert_channels_match_vc_of_hop(topology_of(g, name="ring"), 2)
+        # topology_of gives such labels no word length: claim one here
+        ring = Topology("ring", g, word_length=len(labels[0]))
+        assert_channels_match_vc_of_hop(ring, 2)
 
 
 def assert_channels_match_vc_of_hop(topo, num_vcs):
+    """Every hop's channel, from the link ids the route preparation hands
+    the kernel, is its link's CSR slot times V plus vc_of_hop."""
     n = topo.num_nodes
-    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    table = BfsRouter().build_table(topo, pairs)
-    codes, link_offsets = table.hops()
-    ext = _ext_channels(topo, topo.link_ids(codes), link_offsets, num_vcs)
+    pairs = np.asarray([(0, s, t) for s in range(n) for t in range(n) if s != t])
+    [prep] = _prepare(topo, BfsRouter(), [pairs], None, route_table)
+    ext = _ext_channels(topo, prep.links, prep.link_offsets, num_vcs)
+    indptr = topo.graph.csr()[0]
+    table, link_offsets = prep.table, prep.link_offsets
     data, offsets = table.route_data.tolist(), table.route_offsets
     for r in range(len(offsets) - 1):
         route = data[offsets[r]:offsets[r + 1]]
         for h, (u, v) in enumerate(zip(route, route[1:])):
             j = link_offsets[r] + h
-            assert ext[j] == topo.link_ids(u * n + v) * num_vcs + vc_of_hop(
-                topo, u, v, h, num_vcs
-            )
+            link = indptr[u] + topo.graph.neighbors(u).index(v)
+            assert ext[j] == link * num_vcs + vc_of_hop(topo, u, v, h, num_vcs)
 
 
 class TestStoreAndForwardContract:

@@ -19,7 +19,7 @@ from repro.network.routing import (
     RouteTable,
     route_stats,
 )
-from repro.network.topology import Topology, topology_of
+from repro.network.topology import Topology, faulted_topology, topology_of
 
 from tests.conftest import cycle_graph
 
@@ -36,11 +36,23 @@ class TestTopology:
         assert topo.num_nodes == 8
 
     def test_from_plain_graph(self):
+        """Labels of one length that are not binary words give no word
+        addresses, so the word routers refuse the topology."""
         g = cycle_graph(6)
         g.set_labels([f"n{i}" for i in range(6)])
         topo = topology_of(g, name="ring")
         assert topo.name == "ring"
-        assert topo.word_length == 2  # labels all length 2 ("n0")
+        assert topo.word_length is None  # "n0" is no binary word
+        for router in (CanonicalRouter(), GreedyRouter()):
+            with pytest.raises(ValueError, match="needs word-addressed nodes"):
+                router.route(topo, 0, 3)
+
+    def test_from_plain_graph_of_binary_words(self):
+        g = cycle_graph(4)
+        g.set_labels(["00", "01", "11", "10"])
+        assert topology_of(g).word_length == 2
+        g.set_labels(["00", "01", "11", "1"])  # binary, but not one length
+        assert topology_of(g).word_length is None
 
     def test_metrics_hypercube(self):
         topo = topology_of(hypercube(4), name="Q4")
@@ -113,10 +125,51 @@ class TestTopology:
         assert not any(t.is_alive() for t in threads)
         assert bad == []
 
+    def test_memo_builds_once_when_threads_race_its_first_call(self):
+        """A memo hit reads without the lock, but a build takes it: 16
+        threads racing the first ``memo(key, build)`` call run ``build``
+        once and all get the one object it returned."""
+        topo = topology_of(("11", 5))
+        calls = []
+        got = [None] * 16
+        start = threading.Barrier(16)
+
+        def build():
+            calls.append(threading.get_ident())
+            sum(range(20000))  # hold the lock across many switch intervals
+            return object()
+
+        def worker(k):
+            start.wait()
+            got[k] = topo.memo("race", build)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert got[0] is not None and all(x is got[0] for x in got)
+
+
+def _link_id_topologies():
+    """A word cube, one of its fault views, an unlabelled ring and a
+    ``faulted_topology`` (relabelled survivors)."""
+    cube = topology_of(("11", 6))
+    view = cube.with_faults(FaultPlan.static(nodes=[4], links=[(0, 1)]))
+    ring = Topology("C6", cycle_graph(6))
+    return [cube, view, ring, faulted_topology(topology_of(("101", 6)), 5, seed=2)]
+
 
 class TestLinkIds:
-    """A directed link's id is its rank among the topology's sorted
-    ``u * n + v`` codes, one numbering for every route table."""
+    """A directed link's id is its CSR slot: ``indptr[u] + p`` for the link
+    from ``u`` to ``neighbours()[u, p]``, one numbering for every route table."""
 
     def test_the_code_book_maps_one_to_one_onto_the_ids(self):
         topo = topology_of(("101", 6))
@@ -124,8 +177,59 @@ class TestLinkIds:
         edges = list(topo.graph.edges())
         codes = [u * n + v for u, v in edges] + [v * n + u for u, v in edges]
         assert sorted(topo.link_ids(codes).tolist()) == list(range(2 * topo.num_links))
-        assert topo.link_codes().tolist() == sorted(codes)
+        csr = [u * n + v for u in range(n) for v in topo.graph.neighbors(u)]
+        assert topo.link_codes().tolist() == csr  # id order: CSR, no sort
         assert topo.link_ids(topo.link_codes()).tolist() == list(range(2 * topo.num_links))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_ids_match_the_per_pair_oracle(self, k):
+        topo = _link_id_topologies()[k]
+        g, n = topo.graph, topo.num_nodes
+        indptr = g.csr()[0]
+        nbrs = topo.neighbours()
+        assert nbrs.shape == (n, g.max_degree())
+        for u in range(n):
+            row = nbrs[u].tolist()
+            assert row == g.neighbors(u) + [-1] * (nbrs.shape[1] - g.degree(u))
+        links = [(u, v) for u in range(n) for v in g.neighbors(u)]
+        codes = np.asarray([u * n + v for u, v in links], dtype=np.int64)
+        ids = topo.link_ids(codes)
+        assert ids.tolist() == [indptr[u] + g.neighbors(u).index(v) for u, v in links]
+        assert sorted(ids.tolist()) == list(range(2 * topo.num_links))
+        assert np.array_equal(topo.link_codes()[ids], codes)
+        # a shuffled, repeated batch decodes hop by hop
+        pick = np.random.default_rng(k).integers(0, codes.size, size=3 * codes.size)
+        assert np.array_equal(topo.link_ids(codes[pick]), ids[pick])
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_every_kind_of_non_link_raises(self, k):
+        topo = _link_id_topologies()[k]
+        g, n = topo.graph, topo.num_nodes
+        u = next(v for v in range(n) if g.degree(v))
+        far = next(
+            w for w in range(n)
+            if w != u and w not in g.neighbors(u) and g.degree(w)
+        )
+        # node -1 must not wrap to node n - 1: pair it with a neighbour of n - 1
+        bad = [(u, u), (u, far), (n, 0), (n + 1, u), (-1, 0), (-1, g.neighbors(n - 1)[0])]
+        for a, b in bad:
+            code = a * n + b
+            x, y = divmod(code, n)
+            with pytest.raises(ValueError, match=rf"^\({x}, {y}\) is not a link of "):
+                topo.link_ids([u * n + g.neighbors(u)[0], code])
+
+    def test_a_hamming_2_pair_and_a_failed_node_raise(self):
+        topo = topology_of(hypercube(3), name="Q3")
+        view = topo.with_faults(FaultPlan.parse("n3"))
+        n = topo.num_nodes
+        assert (view.neighbours()[3] == -1).all()
+        assert topo.link_ids(3 * n + 1) >= 0
+        for t in (topo, view):  # 000 -> 011 flips two bits
+            with pytest.raises(ValueError, match=rf"\(0, 3\) is not a link of {t.name}$"):
+                t.link_ids(0 * n + 3)
+        for code in (3 * n + 1, 1 * n + 3):
+            with pytest.raises(ValueError, match=r"is not a link of Q3/f@0"):
+                view.link_ids(code)
 
     def test_a_link_has_one_id_in_every_table(self):
         """Two tables over different pair sets, and routes built on a
@@ -144,10 +248,15 @@ class TestLinkIds:
             RouteTable.build(view, AdaptiveRouter(), live[::5]),
         ]
         id_of = {}
+        indptr = topo.graph.csr()[0]
         for table in tables:
             codes, _ = table.hops()
             ids = topo.link_ids(codes)
             assert np.array_equal(topo.link_codes()[ids], codes)
+            assert ids.tolist() == [
+                indptr[a] + topo.graph.neighbors(a).index(b)
+                for a, b in (divmod(c, n) for c in codes.tolist())
+            ]
             for code, i in zip(codes.tolist(), ids.tolist()):
                 assert id_of.setdefault(code, i) == i
         shared = [set(t.hops()[0].tolist()) for t in tables]
