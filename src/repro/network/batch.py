@@ -13,7 +13,8 @@ route-table preparation.
 The engine lives in :mod:`repro.network.simulator`:
 :meth:`VectorizedSimulator.run_batch
 <repro.network.simulator.VectorizedSimulator.run_batch>` is its only
-simulation path.  This module keeps the batch-axis names:
+simulation path, the one ``run_batch`` body the reference engine runs
+too.  This module keeps the batch-axis names:
 :class:`BatchedSimulator` *is* that class, :class:`BatchItem` describes
 one replication, and :func:`run_batch` is the one-call convenience.
 The batching discipline -- disjoint per-run id spaces, global packet

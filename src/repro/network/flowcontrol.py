@@ -155,21 +155,32 @@ def vc_of_hop(topo: Topology, u: int, v: int, hop: int, num_vcs: int) -> int:
     return (hop if dim is None else dim) % num_vcs
 
 
+def _integer_array(values, what: str) -> np.ndarray:
+    """``values`` (an array, a sequence or one scalar) as int64, for run
+    inputs that must be integers: floats, bools and strings raise
+    :class:`ValueError` instead of being truncated.  Judged by the
+    array's dtype, so an empty sequence passes."""
+    if not isinstance(values, np.ndarray) and not np.isscalar(values):
+        values = list(values)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu" and (arr.size or not arr.ndim):
+        raise ValueError(f"{what} must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 def resolve_flits(
     flits: Union[int, Sequence[int]], num_packets: int
 ) -> np.ndarray:
-    """Per-packet flit counts aligned with the traffic rows as given."""
-    if isinstance(flits, (int, np.integer)):
-        arr = np.full(num_packets, int(flits), dtype=np.int64)
-    else:
-        if not isinstance(flits, np.ndarray):
-            flits = list(flits)
-        arr = np.asarray(flits, dtype=np.int64)
-        if arr.shape != (num_packets,):
-            raise ValueError(
-                f"flits sequence has {arr.size} entries for "
-                f"{num_packets} traffic triples"
-            )
+    """Per-packet flit counts aligned with the traffic rows as given: one
+    integer for every packet, or one per packet."""
+    arr = _integer_array(flits, "flit counts")
+    if not arr.ndim:
+        arr = np.full(num_packets, arr, dtype=np.int64)
+    elif arr.shape != (num_packets,):
+        raise ValueError(
+            f"flits sequence has {arr.size} entries for "
+            f"{num_packets} traffic triples"
+        )
     if arr.size and int(arr.min()) < 1:
         raise ValueError("every packet needs at least 1 flit")
     return arr

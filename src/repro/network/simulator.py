@@ -31,28 +31,33 @@ backpressure, dimension-ordered VC assignment -- and *detected* deadlock
 (``SimResult.deadlocked`` / ``stalled``) when a channel-dependency
 cycle actually bites, instead of a simulation that never terminates.
 
-Two engines implement the *same* deterministic semantics:
+Two engines implement the *same* deterministic semantics on one
+simulation path: ``run_batch`` simulates K independent replications
+(:class:`BatchItem`), and **a solo run is a one-item batch**.  It
+validates every item before any simulates, then gives each group of
+items sharing a router instance and a fault plan (by value) one CSR
+:class:`~repro.network.routing.RouteTable` per routing epoch, over the
+union of the pairs they inject (:func:`_prepare`).  The engines differ
+only in how that table is built and how the prepared items advance:
 
-- :class:`ReferenceSimulator` -- the readable per-packet/deque loop, the
-  executable specification;
-- :class:`VectorizedSimulator` -- the production engine, with one
-  simulation path: :meth:`~VectorizedSimulator.run_batch` advances K
-  independent replications (:class:`BatchItem`) in one kernel call, and
-  **a solo run is a one-item batch**.  Routes are flattened into a CSR
-  :class:`~repro.network.routing.RouteTable` (one table per router
-  instance, fault plan and routing epoch, over the union of the pairs
-  its items inject), decoded once into link ids (a directed link's id
-  is its CSR slot in :meth:`Topology.neighbours`, read by
+- :class:`ReferenceSimulator` -- the executable specification: routes
+  come pair by pair from ``router.route``
+  (:meth:`~repro.network.routing.RouteTable.build`), and each item runs
+  alone through the readable per-packet/deque loop of its mode;
+- :class:`VectorizedSimulator` -- the production engine: routes come
+  from :func:`~repro.network.routing.route_table` (a router's batched
+  ``build_table`` when it has one) as link ids (a directed link's id is
+  its CSR slot in :meth:`Topology.neighbours`, read by
   :meth:`Topology.link_ids`), per-packet state lives in NumPy arrays,
-  and the cycle loop itself is the fused advance kernel of
-  :mod:`repro.network.kernel`: intrusive per-link FIFOs over flat
-  arrays, a handful of array gathers per cycle instead of a Python
-  loop over packets, idle gaps skipped outright.  A
-  backend name selects the kernel's cycle loop
-  (:mod:`repro.network.backends`: ``numpy``, the compiled ``native``
-  kernel, or ``auto``).  Both engines -- every backend, every batch
-  size -- produce bit-identical :class:`SimResult` values, which the
-  equivalence tests enforce.
+  and the whole batch advances in one call of the fused advance kernel
+  of :mod:`repro.network.kernel`: intrusive per-link FIFOs over flat
+  arrays, a handful of array gathers per cycle instead of a Python loop
+  over packets, idle gaps skipped outright.  A backend name selects the
+  kernel's cycle loop (:mod:`repro.network.backends`: ``numpy``, the
+  compiled ``native`` kernel, or ``auto``).
+
+Both engines -- every backend, every batch size -- produce bit-identical
+:class:`SimResult` values, which the equivalence tests enforce.
 
 Faults
 ------
@@ -97,6 +102,7 @@ from repro.network.faults import _NEVER, FaultPlan
 from repro.network.flowcontrol import (
     FlowControl,
     FlowOutcome,
+    _integer_array,
     _validate_vct,
     reference_flow_run,
     resolve_flits,
@@ -207,14 +213,15 @@ class _Prepared:
     router cannot serve the pair.  Packets are numbered 0..P-1 in
     injection order; unroutable ones are dropped up front and only
     counted in ``injected``.  ``links`` and ``link_offsets`` are the
-    table's hops as link ids, shared by its runs; ``misroutes`` holds one
-    detour count per table row; ``link_dead`` maps directed links to the
-    first cycle they stop forwarding (empty without faults); ``order``
-    gives each surviving packet's index into the traffic sequence as
-    passed, so per-packet attributes (flit counts) follow the stable sort.
+    table's hops as link ids, shared by its runs, and ``nhops`` each
+    packet's hop count; ``misroutes`` holds one detour count per table
+    row; ``link_dead`` maps directed links to the first cycle they stop
+    forwarding (empty without faults); ``order`` gives each surviving
+    packet's index into the traffic sequence as passed, so per-packet
+    attributes (flit counts) follow the stable sort.
     """
 
-    __slots__ = ("table", "links", "link_offsets", "inject", "row",
+    __slots__ = ("table", "links", "link_offsets", "inject", "row", "nhops",
                  "num_dropped", "misroutes", "link_dead", "order")
 
     def __init__(self, table: RouteTable, links: np.ndarray, link_offsets: np.ndarray,
@@ -226,6 +233,7 @@ class _Prepared:
         self.link_offsets = link_offsets
         self.inject = arr[routed, 0]
         self.row = rows[routed]
+        self.nhops = link_offsets[self.row + 1] - link_offsets[self.row]
         self.num_dropped = int((~routed).sum())
         self.misroutes = misroutes
         self.link_dead = link_dead
@@ -242,37 +250,34 @@ def _as_flow(switching: Union[str, FlowControl, None]) -> FlowControl:
 
 def _flow_result(
     outcome: FlowOutcome,
-    inject: np.ndarray,
-    nhops: np.ndarray,
-    mis_of: np.ndarray,
-    num_dropped: int,
-    all_tenants: Optional[Sequence[int]] = None,
-    pid_tenants: Optional[Sequence[int]] = None,
+    prep: _Prepared,
+    tenants: Optional[Sequence[int]],
+    ids: Optional[np.ndarray],
 ) -> SimResult:
-    """Assemble a :class:`SimResult` from an engine's raw outcome (shared
-    by every engine -- both reference loops and the kernel -- so the
-    aggregation itself cannot diverge).
+    """Assemble a :class:`SimResult` from an engine's raw outcome for the
+    prepared run ``prep`` (shared by both engines, so the aggregation
+    itself cannot diverge).
 
-    ``all_tenants`` tags every offered packet and ``pid_tenants`` the
-    routed packets in pid order; when supplied, the per-tenant stats ride
-    along (see :func:`~repro.network.workloads.tenant_stats_of`).
+    ``tenants`` tags every offered packet, as given, and ``ids`` holds
+    the same tags as :func:`_validate_item` checked them; when given,
+    the per-tenant stats ride along (see
+    :func:`~repro.network.workloads.tenant_stats_of`).
     """
     mask = outcome.delivered_at >= 0
-    latencies = tuple((outcome.delivered_at[mask] - inject[mask]).tolist())
+    latencies = tuple((outcome.delivered_at[mask] - prep.inject[mask]).tolist())
     tstats: Tuple[TenantStats, ...] = ()
-    if all_tenants is not None:
-        tstats = tenant_stats_of(
-            all_tenants, pid_tenants or (), mask.tolist(), latencies
-        )
+    if tenants is not None:
+        pid_tenants = ids[prep.order].tolist()
+        tstats = tenant_stats_of(tenants, pid_tenants, mask.tolist(), latencies)
     return SimResult(
         cycles=outcome.cycles,
-        injected=int(nhops.size) + num_dropped,
+        injected=int(prep.nhops.size) + prep.num_dropped,
         delivered=int(mask.sum()),
         latencies=latencies,
         max_queue=outcome.max_queue,
-        dropped=num_dropped + outcome.dropped_in_flight,
-        misroutes=int(mis_of[mask].sum()),
-        hops=tuple(nhops[mask].tolist()),
+        dropped=prep.num_dropped + outcome.dropped_in_flight,
+        misroutes=int(prep.misroutes[prep.row[mask]].sum()),
+        hops=tuple(prep.nhops[mask].tolist()),
         stalled=outcome.stalled,
         deadlocked=outcome.deadlocked,
         tenant_stats=tstats,
@@ -285,17 +290,16 @@ def _validate_item(
     flits: Union[int, Sequence[int]],
     tenants: Optional[Sequence[int]],
     num_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """The one validation of a run's inputs, shared by every engine:
-    returns the traffic as a ``(P, 3)`` int64 array and its per-packet
-    flit counts.  Rejects traffic that is not ``(cycle, src, dst)`` rows
-    (empty traffic is valid), node ids outside ``[0, num_nodes)``,
-    negative injection cycles, bad or misaligned flit counts, misaligned
-    tenant ids, multi-flit packets under store-and-forward and packets
-    too big for a vct buffer."""
-    if not isinstance(traffic, np.ndarray):
-        traffic = list(traffic)
-    arr = np.asarray(traffic, dtype=np.int64)
+    returns the traffic as a ``(P, 3)`` int64 array, its per-packet
+    flit counts and its int64 tenant ids (``None`` without).  Rejects
+    traffic that is not integer ``(cycle, src, dst)`` rows (empty
+    traffic is valid), node ids outside ``[0, num_nodes)``, negative
+    injection cycles, bad or misaligned flit counts, tenant ids that are
+    not integers or do not align, multi-flit packets under
+    store-and-forward and packets too big for a vct buffer."""
+    arr = _integer_array(traffic, "traffic rows")
     if arr.size == 0:
         arr = arr.reshape(0, 3)
     if arr.ndim != 2 or arr.shape[1] != 3:
@@ -308,9 +312,10 @@ def _validate_item(
             f"(got {int(arr[:, 0].min())}); both engines count time from 0"
         )
     flit_arr = resolve_flits(flits, len(arr))
-    if tenants is not None and len(tenants) != len(arr):
+    ids = None if tenants is None else _integer_array(tenants, "tenant ids")
+    if ids is not None and ids.shape != (len(arr),):
         raise ValueError(
-            f"tenants must align with traffic: {len(tenants)} ids "
+            f"tenants must align with traffic: {ids.size} ids "
             f"for {len(arr)} packets"
         )
     if not flow.pipelined and flit_arr.size and int(flit_arr.max()) > 1:
@@ -320,28 +325,22 @@ def _validate_item(
         )
     if flow.pipelined:
         _validate_vct(flow, flit_arr)
-    return arr, flit_arr
+    return arr, flit_arr, ids
 
 
 def _validate_max_cycles(max_cycles) -> int:
     """The cycle cap as a Python int, checked once for every engine:
     anything but an integer (a float, a string, a bool) raises
-    :class:`TypeError` instead of truncating differently per backend."""
+    :class:`TypeError` instead of truncating differently per backend,
+    and a cap below 1, under which no packet could move, raises
+    :class:`ValueError`."""
     if isinstance(max_cycles, (bool, np.bool_)) or not isinstance(
         max_cycles, (int, np.integer)
     ):
         raise TypeError(f"max_cycles must be an integer, got {max_cycles!r}")
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be at least 1, got {max_cycles}")
     return int(max_cycles)
-
-
-def _pid_tenants(
-    tenants: Optional[Sequence[int]], order: np.ndarray
-) -> Optional[List[int]]:
-    """Tenant ids of the routed packets in pid order (``order`` maps
-    pids to traffic rows)."""
-    if tenants is None:
-        return None
-    return np.asarray(tenants, dtype=np.int64)[order].tolist()
 
 
 def _prepare(
@@ -417,34 +416,42 @@ def _prepare(
     ]
 
 
-class ReferenceSimulator:
-    """The per-packet executable spec, in all three switching modes.
+@dataclass(frozen=True)
+class BatchItem:
+    """One replication of a batch: traffic plus its run configuration.
 
-    Parameters
-    ----------
-    topo:
-        The network.
-    router:
-        Any object with ``route(topo, src, dst) -> Optional[List[int]]``;
-        defaults to exact shortest-path routing.
+    ``router=None`` uses the owning simulator's default.  Replications
+    that share one router *instance* and equal fault plans (compared by
+    value; ``None`` and the empty plan are one) also share their route
+    tables, one per routing epoch, on either engine, so a sweep packer
+    should construct one router object per router kind and reuse it
+    across its items.  ``switching``, ``flits`` and ``tenants`` mirror
+    ``run``'s parameters; any mix of modes shares one batch, and items
+    carrying per-packet tenant ids get :attr:`SimResult.tenant_stats`.
+    """
+
+    traffic: "np.ndarray | Sequence[Tuple[int, int, int]]"
+    router: object = None
+    faults: Optional[FaultPlan] = None
+    switching: Union[str, FlowControl] = "sf"
+    flits: Union[int, Sequence[int]] = 1
+    tenants: Optional[Sequence[int]] = None
+
+
+class _Simulator:
+    """The simulation path both engines share; a subclass supplies the
+    two seams, ``_route_table(view, router, pairs)`` (how :func:`_prepare`
+    routes a group's pairs) and ``_advance(preps, flows, nfs,
+    max_cycles)`` (one :class:`FlowOutcome` per prepared item).
+
+    ``router`` is the default for items that do not carry their own;
+    any object with ``route(topo, src, dst) -> Optional[List[int]]``,
+    exact shortest-path routing when omitted.
     """
 
     def __init__(self, topo: Topology, router=None):
         self.topo = topo
         self.router = router if router is not None else BfsRouter()
-
-    def run_batch(
-        self, items: Sequence[BatchItem], max_cycles: int = 100000
-    ) -> List[SimResult]:
-        """Each item through :meth:`run` on its own router (``None``: this
-        simulator's), as :meth:`VectorizedSimulator.run_batch` takes them."""
-        return [
-            (self if it.router is None else ReferenceSimulator(self.topo, it.router)).run(
-                it.traffic, max_cycles, faults=it.faults, switching=it.switching,
-                flits=it.flits, tenants=it.tenants,
-            )
-            for it in items
-        ]
 
     def run(
         self,
@@ -455,49 +462,97 @@ class ReferenceSimulator:
         flits: Union[int, Sequence[int]] = 1,
         tenants: Optional[Sequence[int]] = None,
     ) -> SimResult:
-        """Simulate until all deliverable packets arrive (or ``max_cycles``).
+        """Simulate until all deliverable packets arrive (or ``max_cycles``):
+        a one-item :meth:`run_batch`.
 
         Packets whose router returns ``None`` count as injected but are
-        dropped immediately (visible through ``delivery_rate``).
+        dropped immediately (visible through ``delivery_rate``).  A
+        ``faults`` plan adds per-epoch fault-masked routing with in-flight
+        drops; see the module docstring.  ``switching`` selects the
+        flow-control discipline -- a mode name or a full
+        :class:`FlowControl` -- and ``flits`` the per-packet flit counts
+        (one int for all, or a sequence aligned with ``traffic``); both
+        only meaningful for wormhole/vct.  ``tenants`` is an optional
+        per-packet tenant id aligned with ``traffic`` (see
+        :mod:`repro.network.workloads`); when given, the result carries
+        :attr:`SimResult.tenant_stats`.
+        """
+        return self.run_batch(
+            [BatchItem(traffic, None, faults, switching, flits, tenants)],
+            max_cycles,
+        )[0]
 
-        Routes come from ``router.route``, called once per (routing
-        epoch, pair) through :meth:`RouteTable.build` and never through a
-        router's batched ``build_table``, so this engine stays an oracle
-        independent of the vectorized one's tables, faulted runs
-        included (a hop that is not a link raises).  A ``faults`` plan
-        adds per-epoch fault-masked routing with in-flight drops; see
-        the module docstring.
+    def run_batch(self, items: Sequence[BatchItem], max_cycles: int = 100000) -> List[SimResult]:
+        """Simulate every item and return one :class:`SimResult` each,
+        in item order.  A result depends only on its own item: bit for
+        bit what the item gives alone, on either engine, with the same
+        ``max_cycles`` -- the batch-equivalence suite enforces it across
+        every switching mode.
 
-        ``switching`` selects the flow-control discipline -- a mode name
-        or a full :class:`FlowControl` -- and ``flits`` the per-packet
-        flit counts (one int for all, or a sequence aligned with
-        ``traffic``); both only meaningful for wormhole/vct.  ``tenants``
-        is an optional per-packet tenant id aligned with ``traffic``
-        (see :mod:`repro.network.workloads`); when given, the result
-        carries :attr:`SimResult.tenant_stats`.
+        Validation (a ``max_cycles`` that is not an integer of at least
+        1, traffic that is not integer ``(cycle, src, dst)`` rows over
+        this topology's nodes, negative injection cycles, flit counts or
+        tenant ids that are not integers, multi-flit traffic under
+        store-and-forward, packets too big for a vct buffer) raises for
+        the whole batch -- every item is checked before any item
+        simulates, and a route hop that is not a link before any cycle
+        loop runs.  Items sharing a router instance and a fault plan (by
+        value) share one route table per routing epoch.
         """
         max_cycles = _validate_max_cycles(max_cycles)
-        flow = _as_flow(switching)
-        arr, flit_arr = _validate_item(traffic, flow, flits, tenants, self.topo.num_nodes)
-        [prep] = _prepare(self.topo, self.router, [arr], faults, RouteTable.build)
-        routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
-        inject = prep.inject.tolist()
-        nf = flit_arr[prep.order].tolist()
-        if flow.pipelined:
-            outcome = reference_flow_run(
-                self.topo, flow, routes, inject, nf, prep.link_dead, max_cycles
-            )
-        else:
-            outcome = self._sf_run(routes, inject, prep.link_dead, max_cycles)
-        return _flow_result(
-            outcome,
-            prep.inject,
-            np.asarray([len(r) - 1 for r in routes], dtype=np.int64),
-            prep.misroutes[prep.row],
-            prep.num_dropped,
-            all_tenants=tenants,
-            pid_tenants=_pid_tenants(tenants, prep.order),
-        )
+        items = list(items)
+        flows = [_as_flow(item.switching) for item in items]
+        checked = [
+            _validate_item(item.traffic, flow, item.flits, item.tenants, self.topo.num_nodes)
+            for item, flow in zip(items, flows)
+        ]
+        preps: List[Optional[_Prepared]] = [None] * len(items)
+        # one group per (router instance, fault plan by value)
+        groups: Dict[tuple, Tuple[object, List[int]]] = {}
+        for i, item in enumerate(items):
+            router = item.router if item.router is not None else self.router
+            plan = item.faults if item.faults and item.faults.num_events else None
+            groups.setdefault((id(router), plan), (router, []))[1].append(i)
+        for (_, plan), (router, members) in groups.items():
+            arrs = [checked[i][0] for i in members]
+            for i, prep in zip(members, _prepare(self.topo, router, arrs, plan, self._route_table)):
+                preps[i] = prep
+        nfs = [flit_arr[prep.order] for prep, (_, flit_arr, _) in zip(preps, checked)]
+        outcomes = self._advance(preps, flows, nfs, max_cycles)
+        return [
+            _flow_result(out, prep, item.tenants, ids)
+            for out, prep, item, (_, _, ids) in zip(outcomes, preps, items, checked)
+        ]
+
+
+class ReferenceSimulator(_Simulator):
+    """The per-packet executable spec, in all three switching modes.
+
+    Routes come from ``router.route``, called once per (routing epoch,
+    pair) of a group through :meth:`RouteTable.build` and never through
+    a router's batched ``build_table``, and each item advances alone
+    through its mode's per-packet cycle loop (:meth:`_sf_run` or
+    :func:`~repro.network.flowcontrol.reference_flow_run`), so this
+    engine shares no routing or cycle code with the tables and kernel
+    it checks, faulted runs included.
+    """
+
+    _route_table = staticmethod(RouteTable.build)
+
+    def _advance(self, preps: List[_Prepared], flows: List[FlowControl],
+                 nfs: List[np.ndarray], max_cycles: int) -> List[FlowOutcome]:
+        outcomes = []
+        for prep, flow, nf in zip(preps, flows, nfs):
+            routes = [prep.table.route_nodes(r).tolist() for r in prep.row]
+            inject = prep.inject.tolist()
+            if flow.pipelined:
+                outcomes.append(reference_flow_run(
+                    self.topo, flow, routes, inject, nf.tolist(), prep.link_dead,
+                    max_cycles,
+                ))
+            else:
+                outcomes.append(self._sf_run(routes, inject, prep.link_dead, max_cycles))
+        return outcomes
 
     @staticmethod
     def _sf_run(
@@ -566,146 +621,44 @@ class ReferenceSimulator:
         )
 
 
-@dataclass(frozen=True)
-class BatchItem:
-    """One replication of a batch: traffic plus its run configuration.
-
-    ``router=None`` uses the owning simulator's default.  Replications
-    that share one router *instance* and equal fault plans (compared by
-    value; ``None`` and the empty plan are one) also share their route
-    tables, one per routing epoch, so a sweep packer should construct
-    one router object per router kind and reuse it across its items.
-    ``switching``, ``flits`` and ``tenants`` mirror
-    :meth:`VectorizedSimulator.run`'s parameters; any mix of modes is
-    batched natively, and items carrying per-packet tenant ids get
-    :attr:`SimResult.tenant_stats`.
-    """
-
-    traffic: "np.ndarray | Sequence[Tuple[int, int, int]]"
-    router: object = None
-    faults: Optional[FaultPlan] = None
-    switching: Union[str, FlowControl] = "sf"
-    flits: Union[int, Sequence[int]] = 1
-    tenants: Optional[Sequence[int]] = None
-
-
-class VectorizedSimulator:
+class VectorizedSimulator(_Simulator):
     """Array-based engine (same semantics, NumPy speed), for every mode.
 
-    :meth:`run_batch` is the one simulation path: it prepares K
-    replications on this topology -- routes flattened into CSR route
-    tables, each packet named by its table row -- and hands them to the
-    fused advance kernel
-    (:func:`repro.network.kernel.run_fused`), which advances them with
-    one mode engine per switching discipline, each on its own clock;
-    :meth:`run` is a one-item batch.  The
-    kernel keeps per-link FIFOs as intrusive linked lists over flat pid
-    arrays (store-and-forward) or per (link, VC) finite-buffer state
-    (wormhole / vct), gives every replication a disjoint id space,
-    advances every contended link per cycle with a handful of array
-    gathers, skips idle gaps in O(1), and reproduces
-    :class:`ReferenceSimulator`'s queue discipline -- injections first,
-    then forwards, pid-sorted within each group -- exactly, whatever
-    the batch around a run.
+    Its :meth:`run_batch` builds each group's route tables with
+    :func:`~repro.network.routing.route_table` and hands the whole batch
+    to the fused advance kernel (:func:`repro.network.kernel.run_fused`):
+    one mode engine per switching discipline, each on its own clock,
+    every replication in a disjoint id space, and
+    :class:`ReferenceSimulator`'s queue discipline reproduced exactly,
+    whatever the batch around a run.
 
-    ``router`` is the default for items that do not carry their own;
     ``backend`` names the kernel backend for this simulator's runs
     (``"numpy"``, ``"native"``, ``"auto"``; ``None`` defers to
     ``$REPRO_BACKEND`` / ``auto``).
     """
 
     def __init__(self, topo: Topology, router=None, backend=None):
-        self.topo = topo
-        self.router = router if router is not None else BfsRouter()
+        super().__init__(topo, router)
         self.backend = backend
 
-    def run(
-        self,
-        traffic: Sequence[Tuple[int, int, int]],
-        max_cycles: int = 100000,
-        faults: Optional[FaultPlan] = None,
-        switching: Union[str, FlowControl] = "sf",
-        flits: Union[int, Sequence[int]] = 1,
-        tenants: Optional[Sequence[int]] = None,
-    ) -> SimResult:
-        """Simulate until all deliverable packets arrive (or ``max_cycles``):
-        a one-item :meth:`run_batch`.
+    _route_table = staticmethod(route_table)
+    # named in this class's own namespace too: perfbench's tracer wraps
+    # ``vars(BatchedSimulator)["run_batch"]``
+    run_batch = _Simulator.run_batch
 
-        Semantics (and results) are identical to
-        :meth:`ReferenceSimulator.run`, fault plans, switching modes and
-        per-packet ``tenants`` included.
-        """
-        return self.run_batch(
-            [BatchItem(traffic, None, faults, switching, flits, tenants)],
-            max_cycles,
-        )[0]
-
-    def run_batch(
-        self,
-        items: Sequence[BatchItem],
-        max_cycles: int = 100000,
-    ) -> List[SimResult]:
-        """Simulate every item and return one :class:`SimResult` each,
-        in item order.  A result depends only on its own item: bit for
-        bit what the item gives alone, or under
-        :class:`ReferenceSimulator`, with the same ``max_cycles`` -- the
-        batch-equivalence suite enforces it across every switching mode.
-
-        Validation (a non-integer ``max_cycles``, traffic that is not
-        ``(cycle, src, dst)`` rows over this topology's nodes, negative
-        injection cycles, multi-flit traffic under store-and-forward,
-        bad flit specs, packets too big for a vct buffer) raises eagerly
-        for the whole batch -- every item is checked before any item
-        simulates, and a route hop that is not a link before the kernel.
-        Items sharing a router instance and a fault plan (by value)
-        share one union route table per routing epoch.
-        """
-        max_cycles = _validate_max_cycles(max_cycles)
-        items = list(items)
-        flows = [_as_flow(item.switching) for item in items]
-        checked = [
-            _validate_item(item.traffic, flow, item.flits, item.tenants, self.topo.num_nodes)
-            for item, flow in zip(items, flows)
-        ]
-        preps: List[Optional[_Prepared]] = [None] * len(items)
-        # one group per (router instance, fault plan by value)
-        groups: Dict[tuple, Tuple[object, List[int]]] = {}
-        for i, item in enumerate(items):
-            router = item.router if item.router is not None else self.router
-            plan = item.faults if item.faults and item.faults.num_events else None
-            groups.setdefault((id(router), plan), (router, []))[1].append(i)
-        for (_, plan), (router, members) in groups.items():
-            shared = _prepare(
-                self.topo, router, [checked[i][0] for i in members], plan,
-                route_table,
-            )
-            for i, prep in zip(members, shared):
-                preps[i] = prep
+    def _advance(self, preps: List[_Prepared], flows: List[FlowControl],
+                 nfs: List[np.ndarray], max_cycles: int) -> List[FlowOutcome]:
         # items sharing a route table pass the same link-id array, so the
         # kernel builds its channel sequence once
-        runs: List[KernelRun] = []
-        for prep, flow, (_, flit_arr) in zip(preps, flows, checked):
-            offsets = prep.link_offsets
-            runs.append(KernelRun(
-                flow=flow,
-                inject=prep.inject,
-                nhops=offsets[prep.row + 1] - offsets[prep.row],
-                links=prep.links,
-                link_offsets=offsets,
-                row=prep.row,
-                nf=flit_arr[prep.order],
+        runs = [
+            KernelRun(
+                flow=flow, inject=prep.inject, nhops=prep.nhops, links=prep.links,
+                link_offsets=prep.link_offsets, row=prep.row, nf=nf,
                 link_dead=prep.link_dead,
-            ))
-        outcomes = run_fused(self.topo, runs, max_cycles, backend=self.backend)
-        return [
-            _flow_result(
-                out, prep.inject, run.nhops, prep.misroutes[prep.row],
-                prep.num_dropped,
-                all_tenants=item.tenants,
-                pid_tenants=_pid_tenants(item.tenants, prep.order),
             )
-            for out, prep, run, item in zip(outcomes, preps, runs, items)
+            for prep, flow, nf in zip(preps, flows, nfs)
         ]
+        return run_fused(self.topo, runs, max_cycles, backend=self.backend)
 
 
 class NetworkSimulator(VectorizedSimulator):

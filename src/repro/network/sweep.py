@@ -599,11 +599,12 @@ def expand_grid(
 
     This is the single grid semantics shared by :func:`run_sweep` and
     the sweep service: every axis value is validated eagerly (unknown
-    names, impossible fault plans, bad flit specs, a non-integer
-    ``max_cycles`` and the loads, seeds and injection window that
-    :func:`normalize_spec` rejects raise :class:`ValueError` before any
-    point runs), each grid cell is normalised via :func:`normalize_spec`
-    and duplicates collapse while preserving first-seen grid order.
+    names, impossible fault plans, bad flit specs, a ``max_cycles``
+    that is not an integer of at least 1, and the loads, seeds and
+    injection window that :func:`normalize_spec` rejects raise
+    :class:`ValueError` before any point runs), each grid cell is
+    normalised via :func:`normalize_spec` and duplicates collapse while
+    preserving first-seen grid order.
     ``workloads`` adds multi-tenant points (``""`` = the single-tenant
     grid): inline tenant specs are parsed eagerly, ``trace:<key>``
     references resolve at run time.  A grid cannot cross non-empty
@@ -710,7 +711,10 @@ def stream_sweep(
     or, without one, inline in grid order.  The generator
     blocks while it waits for a task, so never step it on a thread of
     ``executor``.  Closing it cancels the tasks that have not started.
+    A ``batch`` below 1 raises :class:`ValueError` at the first step.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     specs = list(specs)
     hits = [None] * len(specs)
     if cache is not None:
@@ -807,8 +811,6 @@ def run_sweep(
     by the trace's *content* key, so a warm cache follows the trace
     wherever its file moves.
     """
-    if batch < 1:
-        raise ValueError(f"batch must be at least 1, got {batch}")
     specs = expand_grid(
         topologies, patterns=patterns, loads=loads, routers=routers,
         seeds=seeds, faults=faults, switching=switching, vcs=vcs,

@@ -154,15 +154,17 @@ class Topology:
         numbers the directed links: the link from ``u`` to ``neighbours()[u,
         p]`` has id ``indptr[u] + p``, its CSR slot, so ids fill ``[0, 2 *
         num_links)``."""
+        try:  # a hit is one dict read
+            return self._memo["neighbours"]
+        except KeyError:
+            return self.memo("neighbours", self._build_neighbours)
 
-        def build() -> np.ndarray:
-            indptr, indices = self.graph.csr()
-            owner = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
-            out = np.full((self.num_nodes, self.graph.max_degree()), -1, dtype=np.int64)
-            out[owner, np.arange(indices.size) - indptr[owner]] = indices
-            return out
-
-        return self.memo("neighbours", build)
+    def _build_neighbours(self) -> np.ndarray:
+        indptr, indices = self.graph.csr()
+        owner = np.repeat(np.arange(self.num_nodes), np.diff(indptr))
+        out = np.full((self.num_nodes, self.graph.max_degree()), -1, dtype=np.int64)
+        out[owner, np.arange(indices.size) - indptr[owner]] = indices
+        return out
 
     def link_codes(self) -> np.ndarray:
         """Every directed link ``(u, v)`` -- both directions of each edge --
@@ -198,18 +200,20 @@ class Topology:
         -- a failed node of a fault view, whose word is hidden -- gets
         ``-1`` and no entry in the map; the empty word is ``0``.
         """
+        try:  # a hit is one dict read
+            return self._memo["address_book"]
+        except KeyError:
+            return self.memo("address_book", self._build_address_book)
 
-        def build() -> Tuple[List[int], Dict[int, int]]:
-            d = self.word_length
-            codes = [
-                int(lab or "0", 2)
-                if isinstance(lab, str) and len(lab) == d and not lab.strip("01")
-                else -1
-                for lab in self.graph.labels or [None] * self.num_nodes
-            ]
-            return codes, {c: v for v, c in enumerate(codes) if c >= 0}
-
-        return self.memo("address_book", build)
+    def _build_address_book(self) -> Tuple[List[int], Dict[int, int]]:
+        d = self.word_length
+        codes = [
+            int(lab or "0", 2)
+            if isinstance(lab, str) and len(lab) == d and not lab.strip("01")
+            else -1
+            for lab in self.graph.labels or [None] * self.num_nodes
+        ]
+        return codes, {c: v for v, c in enumerate(codes) if c >= 0}
 
     def node_word(self, index: int) -> str:
         """The binary-word address of a node (labels must be words)."""

@@ -213,9 +213,10 @@ def test_mixed_caps_cut_the_flow_runs_while_the_sf_run_finishes():
 
 
 def test_reference_run_batch_is_each_item_through_run():
-    """ReferenceSimulator.run_batch runs every item alone on the oracle:
-    an item without a router takes the simulator's, a tenants item gets
-    its per-tenant stats, and the vectorized batch agrees bit for bit."""
+    """ReferenceSimulator.run_batch gives every item what ``run`` gives it
+    alone on the oracle: an item without a router takes the simulator's,
+    a tenants item gets its per-tenant stats, and the vectorized batch
+    agrees bit for bit."""
     topo = TOPOLOGIES["fibonacci"]
     ecube = DimensionOrderRouter()
     work = compile_workload("bg:uniform:0.3;fg:hotspot:0.2:1", topo, 8, seed=3)
@@ -231,6 +232,94 @@ def test_reference_run_batch_is_each_item_through_run():
     assert got == VectorizedSimulator(topo, ecube).run_batch(items, 40)
     assert got[0] != ReferenceSimulator(topo).run(items[0].traffic, 40)
     assert len(got[1].tenant_stats) == 2
+
+
+class _CountingRouter:
+    """Shortest-path routing through ``route`` alone (no batched
+    ``build_table``), recording every pair it is asked for."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = []
+        self._bfs = BfsRouter()
+
+    def route(self, topo, src, dst):
+        self.calls.append((src, dst))
+        return self._bfs.route(topo, src, dst)
+
+
+@pytest.mark.parametrize("plan_name", ["none", "staged"])
+def test_reference_batch_routes_each_pair_once_per_epoch(plan_name):
+    """ReferenceSimulator.run_batch prepares the items sharing a router
+    and a plan as one group: ``router.route`` runs once per distinct
+    (routing epoch, live pair) of the group, where routing each item on
+    its own asked again for the pairs the items share; every result still
+    equals its item run alone."""
+    topo = TOPOLOGIES["fibonacci"]
+    plan = _fault_plans(topo)[plan_name]
+    router = _CountingRouter()
+    items = _replications(topo, router, plan, k=4)
+    got = ReferenceSimulator(topo).run_batch(items)
+    bounds = plan.validate(topo).cycles() if plan else []
+    death = plan.node_death_array(topo.num_nodes) if plan else None
+
+    def live_epoch_pairs(traffic):
+        out = set()
+        for c, s, d in traffic.tolist():
+            e = sum(b <= c for b in bounds)
+            if e == 0 or min(death[s], death[d]) > bounds[e - 1]:
+                out.add((e, s, d))
+        return out
+
+    per_item = [live_epoch_pairs(it.traffic) for it in items]
+    want = set().union(*per_item)
+    assert sorted(router.calls) == sorted((s, d) for _, s, d in want)
+    assert len(want) < sum(map(len, per_item))  # the items share pairs
+    alone = [ReferenceSimulator(topo, router).run(it.traffic, faults=plan) for it in items]
+    assert got == alone == BatchedSimulator(topo).run_batch(items)
+
+
+class _TeleportRouter:
+    """Routes every pair in one hop, links or not."""
+
+    name = "teleport"
+
+    def route(self, topo, src, dst):
+        return [src] if src == dst else [src, dst]
+
+
+@pytest.mark.parametrize("engine", ["reference", *BACKENDS])
+def test_invalid_last_item_raises_before_any_cycle_loop(engine, monkeypatch):
+    """Both engines check every item, and every item's routes, before
+    any item simulates: a bad last item raises with no cycle loop run
+    for the good items before it."""
+    from repro.network import simulator
+
+    def cycle_loop(*args, **kwargs):
+        raise AssertionError("a cycle loop ran before the batch was checked")
+
+    monkeypatch.setattr(ReferenceSimulator, "_sf_run", staticmethod(cycle_loop))
+    monkeypatch.setattr(simulator, "reference_flow_run", cycle_loop)
+    monkeypatch.setattr(simulator, "run_fused", cycle_loop)
+    topo = TOPOLOGIES["hypercube"]
+    sim = (
+        ReferenceSimulator(topo) if engine == "reference"
+        else BatchedSimulator(topo, backend=engine)
+    )
+    good = [
+        BatchItem(make_traffic("uniform", topo, 30, 4, seed=0)),
+        BatchItem(make_traffic("hotspot", topo, 30, 4, seed=1), switching="wormhole"),
+    ]
+    bad = {
+        "non-negative": BatchItem([(-1, 0, 5)]),
+        "must be integers": BatchItem([(0, 0, 5)], switching="wormhole", flits=[1.5]),
+        "single-flit": BatchItem([(0, 0, 5)], flits=2),
+        "not a link": BatchItem([(0, 0, 15)], router=_TeleportRouter()),
+    }
+    for match, item in bad.items():
+        with pytest.raises(ValueError, match=match):
+            sim.run_batch([*good, item])
 
 
 @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))

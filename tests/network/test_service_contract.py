@@ -232,11 +232,13 @@ def test_submit_batch_must_be_a_json_integer(served, batch):
 
 @pytest.mark.parametrize("axis", [
     dict(loads=[0]), dict(loads=[True]), dict(loads=[float("inf")]),
-    dict(seeds=[1.5]), dict(inject_window=0),
+    dict(seeds=[1.5]), dict(inject_window=0), dict(max_cycles=0),
+    dict(max_cycles=-5),
 ])
 def test_bad_numeric_axis_is_refused_before_acceptance(served, axis):
-    """A load, seed or injection window that ``normalize_spec`` rejects
-    gets one error event: no ``accepted`` first, no job registered."""
+    """A load, seed, injection window or cycle cap that ``expand_grid``
+    rejects gets one error event: no ``accepted`` first, no job
+    registered (so no non-positive cap is ever cached under a key)."""
     import socket
 
     server, client = served
@@ -249,7 +251,9 @@ def test_bad_numeric_axis_is_refused_before_acceptance(served, axis):
     [line] = data.decode().splitlines()
     msg = json.loads(line)
     assert msg["event"] == "error"
-    assert any(word in msg["message"] for word in ("load", "seed", "inject_window"))
+    assert any(
+        word in msg["message"] for word in ("load", "seed", "inject_window", "max_cycles")
+    )
     assert client.jobs() == []
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.network import sweep
+from repro.network.collectives import run_collective
 from repro.network.sweep import (
     CurvePoint,
     PointSpec,
@@ -549,6 +550,20 @@ class TestStreamSweep:
         assert len(cache) == cache.stores == 1 < len(specs)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("batch", [0, -2])
+    def test_batch_below_one_raises_before_any_cache_read(self, batch):
+        """Regression: ``stream_sweep(specs, batch=0)`` failed inside
+        ``_pack`` with ``range() arg 3 must not be zero``; the one loop
+        that ``run_sweep`` and the sweep server share now names it."""
+
+        class NoCache:
+            def get(self, spec):
+                raise AssertionError("read the cache before checking batch")
+
+        specs = expand_grid(**self.GRID)
+        with pytest.raises(ValueError, match="batch must be at least 1"):
+            next(stream_sweep(specs, batch, NoCache()))
+
 
 class TestRunSweep:
     def test_grid_shape(self):
@@ -596,6 +611,16 @@ class TestRunSweep:
             expand_grid(["11:4"], loads=[0.2], max_cycles=bad)
         with pytest.raises(ValueError, match="max_cycles must be an integer"):
             run_sweep(topologies=["11:4"], loads=[0.2], max_cycles=bad)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_cycle_cap_below_one_fails_up_front(self, cap):
+        """Regression: ``expand_grid(["Q:3"], max_cycles=-5)`` returned a
+        spec that ran with every packet stalled at ``cycles=1``, and the
+        service cached each such cap under its own key."""
+        with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+            expand_grid(["Q:3"], max_cycles=cap)
+        with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+            run_collective("broadcast", parse_topology("Q:3"), max_cycles=cap)
 
     def test_numpy_integer_max_cycles_is_normalised(self):
         [spec] = expand_grid(["11:4"], loads=[0.2], max_cycles=np.int64(50))
@@ -725,6 +750,12 @@ class TestSweepCli:
         rc = main(["sweep", "--topo", "Q:3", "--switching", "warp"])
         assert rc == 2
         assert "switching" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cycle_cap_below_one_is_a_clean_error(self, capsys, cap):
+        rc = main(["sweep", "--topo", "Q:3", "--max-cycles", cap])
+        assert rc == 2
+        assert "max_cycles must be at least 1" in capsys.readouterr().err
 
     def test_bad_fault_spec_is_a_clean_error(self, capsys):
         rc = main(["sweep", "--topo", "Q:3", "--faults", "wat"])

@@ -218,9 +218,77 @@ def test_non_integer_max_cycles_rejected_by_every_engine(engine, bad):
     for switching in ("sf", "wormhole"):
         with pytest.raises(TypeError, match="max_cycles must be an integer"):
             sim.run(traffic, max_cycles=bad, switching=switching)
-    if engine != "reference":
-        with pytest.raises(TypeError, match="max_cycles must be an integer"):
-            sim.run_batch([], max_cycles=bad)
+    with pytest.raises(TypeError, match="max_cycles must be an integer"):
+        sim.run_batch([], max_cycles=bad)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("engine", [
+    "reference",
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not NATIVE_OK, reason="no usable C toolchain for the native backend"
+    )),
+])
+def test_cycle_cap_below_one_rejected_by_every_engine(engine, cap):
+    """Regression: a cap below 1 used to run, injecting every packet and
+    reporting all of them stalled after ``cycles=1``.  Every engine now
+    rejects it up front, in every switching mode and for an empty batch
+    too."""
+    topo = TOPOLOGIES["fibonacci"]
+    traffic = make_traffic("uniform", topo, 40, 5, seed=0)
+    sim = ENGINES[engine](topo)
+    for switching in ("sf", "wormhole"):
+        with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+            sim.run(traffic, max_cycles=cap, switching=switching)
+    with pytest.raises(ValueError, match="max_cycles must be at least 1"):
+        sim.run_batch([], max_cycles=cap)
+    assert sim.run(traffic, max_cycles=1).cycles == 1
+
+
+NON_INTEGER_INPUTS = {
+    # each used to be truncated or cast: on Q_3 the first ran as a
+    # packet 1 -> 2 at cycle 0
+    "float-traffic": dict(traffic=[(0.9, 1.7, 2.2)]),
+    "bool-traffic": dict(traffic=np.ones((2, 3), dtype=bool)),
+    "str-traffic": dict(traffic=[("0", "1", "2")]),
+    "float-flits": dict(flits=[1.9, 1]),
+    "float-flit-count": dict(flits=2.0),
+    "bool-flit-count": dict(flits=True),
+    "float-tenants": dict(tenants=[0.5, 1.2]),
+    "bool-tenants": dict(tenants=[True, False]),
+    "str-tenants": dict(tenants=["a", "b"]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NON_INTEGER_INPUTS))
+@pytest.mark.parametrize("engine", [
+    "reference",
+    "numpy",
+    pytest.param("native", marks=pytest.mark.skipif(
+        not NATIVE_OK, reason="no usable C toolchain for the native backend"
+    )),
+])
+def test_non_integer_run_inputs_rejected_by_every_engine(engine, bad):
+    """Regression: traffic rows, flit counts and tenant ids were cast to
+    int64, so every engine truncated floats (two delivered packets with
+    tenants ``[0.5, 1.2]`` reported 0 delivered for their tenant) and
+    the equivalence suites could not see it.  Anything but integers now
+    raises; integer arrays of any width still run unchanged."""
+    topo = topology_of(hypercube(3), name="Q3")
+    sim = ENGINES[engine](topo)
+    run = dict(traffic=[(0, 0, 3), (1, 5, 6)], switching="wormhole", flits=1)
+    run.update(NON_INTEGER_INPUTS[bad])
+    with pytest.raises(ValueError, match="must be integers"):
+        sim.run(**run)
+    traffic = make_traffic("uniform", topo, 30, 4, seed=1)
+    tenants = np.arange(len(traffic)) % 2
+    want = sim.run(traffic, switching="wormhole", flits=2, tenants=tenants)
+    assert want.delivered == len(traffic)
+    assert sim.run(
+        traffic.astype(np.int32), switching="wormhole",
+        flits=np.full(len(traffic), 2, dtype=np.uint8), tenants=tuple(tenants.tolist()),
+    ) == want
 
 
 MALFORMED_TRAFFIC = {
@@ -427,7 +495,7 @@ def test_adaptive_misroutes_match_the_per_pair_definition():
     topo = TOPOLOGIES["fibonacci"]
     plan = _fault_plans(topo)["static"]
     traffic = make_traffic("uniform", topo, 400, 12, seed=5, faults=plan)
-    arr, _ = _validate_item(traffic, FlowControl(), 1, None, topo.num_nodes)
+    arr, _, _ = _validate_item(traffic, FlowControl(), 1, None, topo.num_nodes)
     [prep] = _prepare(topo, AdaptiveRouter(), [arr], plan, route_table)
     for r in range(prep.table.num_routes):
         path = prep.table.route_nodes(r).tolist()
